@@ -38,11 +38,11 @@ for p in (2.0, 3.0, 4.0):
     for _ in range(200):
         u = grid.function(rng.uniform(-1.5, 2.5, 64))
         v = grid.function(rng.uniform(-1.5, 2.5, 64))
-        lhs = inner(ctx.apply(u), u)
+        lhs = inner(grid.function(ctx.apply(u.values)), u)
         rhs = margin * norm_l2(u) ** 2 + params.tau * norm_w1p(u, p)
         worst_c = min(worst_c, lhs - rhs)
         d = grid.function(u.values - v.values)
-        lhs = inner(grid.function(ctx.apply(u).values - ctx.apply(v).values), d)
+        lhs = inner(grid.function(ctx.apply(u.values) - ctx.apply(v.values)), d)
         rhs = margin * norm_l2(d) ** 2 + params.tau * cp * norm_w1p(d, p)
         worst_m = min(worst_m, lhs - rhs)
     print(f"  {p:4.1f} {worst_c:24.6e} {worst_m:26.6e}")

@@ -11,6 +11,10 @@ modification, and the discrete summation-by-parts identity
 holds exactly (up to round-off).  All quadratures are the plain weighted
 sums h * sum(.).  ``norm_w1p`` returns the p-th *power* of the Sobolev-type
 norm, because every estimate built on top of it is stated in powers.
+
+The ``*_array`` functions are the one implementation of the divergence and
+the two norms, on plain arrays; the numerical core calls them directly and
+the GridFunction versions delegate to them.
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ __all__ = [
     "inner",
     "norm_l2",
     "norm_w1p",
+    "divergence_array",
+    "norm_l2_array",
+    "norm_w1p_array",
 ]
 
 
@@ -118,11 +125,7 @@ def divergence(flux: FaceField) -> GridFunction:
     Adjoint (up to sign) of :func:`gradient` under the h-weighted inner
     products; the pairing identity is exact, see the module docstring.
     """
-    g = flux.grid
-    div = np.zeros(g.n_cells)
-    div[:-1] += flux.values
-    div[1:] -= flux.values
-    return GridFunction(g, div / g.h)
+    return GridFunction(flux.grid, divergence_array(flux.values, flux.grid.h))
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:
@@ -132,7 +135,7 @@ def inner(u: GridFunction, v: GridFunction) -> float:
 
 def norm_l2(u: GridFunction) -> float:
     """Discrete L2 norm sqrt(h * sum_i u_i^2)."""
-    return float(np.sqrt(u.grid.h * np.dot(u.values, u.values)))
+    return norm_l2_array(u.values, u.grid.h)
 
 
 def norm_w1p(u: GridFunction, p: float) -> float:
@@ -143,6 +146,23 @@ def norm_w1p(u: GridFunction, p: float) -> float:
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    h = u.grid.h
-    du = np.diff(u.values) / h
-    return float(h * np.sum(np.abs(du) ** p) + h * np.sum(np.abs(u.values) ** p))
+    return norm_w1p_array(u.values, u.grid.h, p)
+
+
+def divergence_array(flux: np.ndarray, h: float) -> np.ndarray:
+    """Divergence of an interior-face array on cells of width h (zero boundary flux)."""
+    div = np.zeros(flux.size + 1)
+    div[:-1] += flux
+    div[1:] -= flux
+    return div / h
+
+
+def norm_l2_array(values: np.ndarray, h: float) -> float:
+    """Discrete L2 norm of a cell array on cells of width h."""
+    return float(np.sqrt(h * np.dot(values, values)))
+
+
+def norm_w1p_array(values: np.ndarray, h: float, p: float) -> float:
+    """p-th power of the discrete W^{1,p} norm of a cell array (p unchecked)."""
+    du = np.diff(values) / h
+    return float(h * np.sum(np.abs(du) ** p) + h * np.sum(np.abs(values) ** p))

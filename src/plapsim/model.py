@@ -89,8 +89,7 @@ def yosida_penalty(v, eps: float):
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     v = np.asarray(v, dtype=float)
-    out = np.where(v <= 0.0, v / eps, np.where(v <= 1.0, 0.0, (v - 1.0) / eps))
-    return float(out) if out.ndim == 0 else out
+    return np.where(v <= 0.0, v / eps, np.where(v <= 1.0, 0.0, (v - 1.0) / eps))
 
 
 def yosida_potential(v, eps: float):
@@ -103,8 +102,7 @@ def yosida_potential(v, eps: float):
     v = np.asarray(v, dtype=float)
     neg = np.minimum(v, 0.0)
     exc = np.maximum(v - 1.0, 0.0)
-    out = (neg**2 + exc**2) / (2.0 * eps)
-    return float(out) if out.ndim == 0 else out
+    return (neg**2 + exc**2) / (2.0 * eps)
 
 
 def yosida_derivative(v, eps: float):
@@ -116,8 +114,7 @@ def yosida_derivative(v, eps: float):
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
     v = np.asarray(v, dtype=float)
-    out = np.where((v < 0.0) | (v > 1.0), 1.0 / eps, 0.0)
-    return float(out) if out.ndim == 0 else out
+    return np.where((v < 0.0) | (v > 1.0), 1.0 / eps, 0.0)
 
 
 @dataclass(frozen=True)
@@ -141,33 +138,27 @@ class ReactionSpec:
     def evaluate(self, v):
         v = np.asarray(v, dtype=float)
         if self.kind == "zero":
-            out = np.zeros_like(v)
-        elif self.kind == "linear":
-            out = self.scale * v
-        else:
-            out = self.scale * np.sin(v)
-        return float(out) if out.ndim == 0 else out
+            return np.zeros_like(v)
+        if self.kind == "linear":
+            return self.scale * v
+        return self.scale * np.sin(v)
 
     def derivative(self, v):
         v = np.asarray(v, dtype=float)
         if self.kind == "zero":
-            out = np.zeros_like(v)
-        elif self.kind == "linear":
-            out = np.full_like(v, self.scale)
-        else:
-            out = self.scale * np.cos(v)
-        return float(out) if out.ndim == 0 else out
+            return np.zeros_like(v)
+        if self.kind == "linear":
+            return np.full_like(v, self.scale)
+        return self.scale * np.cos(v)
 
     def antiderivative(self, v):
         """Antiderivative with value 0 at 0 (enters the solver energy)."""
         v = np.asarray(v, dtype=float)
         if self.kind == "zero":
-            out = np.zeros_like(v)
-        elif self.kind == "linear":
-            out = 0.5 * self.scale * v**2
-        else:
-            out = self.scale * (1.0 - np.cos(v))
-        return float(out) if out.ndim == 0 else out
+            return np.zeros_like(v)
+        if self.kind == "linear":
+            return 0.5 * self.scale * v**2
+        return self.scale * (1.0 - np.cos(v))
 
 
 @dataclass(frozen=True)

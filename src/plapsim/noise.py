@@ -39,7 +39,7 @@ def bump_profile(r):
     out = np.zeros_like(r)
     mask = (r > SUPPORT[0]) & (r < SUPPORT[1])
     out[mask] = np.sin(2.0 * np.pi * (r[mask] - SUPPORT[0])) ** 2
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def bump_slope(r):
@@ -48,7 +48,7 @@ def bump_slope(r):
     out = np.zeros_like(r)
     mask = (r > SUPPORT[0]) & (r < SUPPORT[1])
     out[mask] = 2.0 * np.pi * np.sin(4.0 * np.pi * (r[mask] - SUPPORT[0]))
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,8 @@ zeroth-order term |u|^{p-2} u (the augmentation is what makes the Neumann
 operator coercive on W^{1,p}).  :class:`OperatorContext` bundles the data
 and exposes the operator, its convex energy (whose stationarity condition
 is exactly the equation above), and a generalized tridiagonal Jacobian.
+All of them take and return plain cell arrays; validated GridFunctions
+enter and leave only through the solver and the stepper.
 
 Under tau * L_beta < 1 the operator is strongly monotone:
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .mesh import Grid1D, GridFunction
+from .mesh import Grid1D, divergence_array, norm_w1p_array
 from .model import (
     ModelParams,
     ReactionSpec,
@@ -47,24 +49,11 @@ class TridiagonalMatrix:
     off: np.ndarray
 
     def __post_init__(self):
-        diag = np.array(self.diag, dtype=float)
-        off = np.array(self.off, dtype=float)
-        if diag.ndim != 1 or off.shape != (diag.size - 1,):
+        if self.diag.ndim != 1 or self.off.shape != (self.diag.size - 1,):
             raise ValueError(
-                f"off-diagonal must have size n-1, got {off.shape} for n={diag.size}"
+                f"off-diagonal must have size n-1, got {self.off.shape} "
+                f"for n={self.diag.size}"
             )
-        diag.flags.writeable = False
-        off.flags.writeable = False
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "off", off)
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.off
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.off
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -110,7 +99,7 @@ class OperatorContext:
         d = np.diff(values) / self.grid.h
         return np.abs(d) ** (self.params.p - 2.0) * d
 
-    def apply_plap(self, u: GridFunction) -> GridFunction:
+    def apply_plap(self, u: np.ndarray) -> np.ndarray:
         """Augmented p-Laplace operator: -div(|grad u|^{p-2} grad u) + |u|^{p-2} u.
 
         Zero-flux boundary faces; in weak form, for all test fields v,
@@ -120,26 +109,18 @@ class OperatorContext:
 
         exactly (discrete summation by parts).
         """
-        g = self.grid
-        flux = self.face_flux(u.values)
-        div = np.zeros(g.n_cells)
-        div[:-1] += flux
-        div[1:] -= flux
-        zeroth = np.abs(u.values) ** (self.params.p - 2.0) * u.values
-        return g.function(-div / g.h + zeroth)
+        div = divergence_array(self.face_flux(u), self.grid.h)
+        zeroth = np.abs(u) ** (self.params.p - 2.0) * u
+        return -div + zeroth
 
-    def apply(self, u: GridFunction) -> GridFunction:
+    def apply(self, u: np.ndarray) -> np.ndarray:
         """The full per-step operator u + tau (plap(u) + penalty(u) - reaction(u))."""
         pr = self.params
-        plap = self.apply_plap(u).values
-        out = u.values + pr.tau * (
-            plap
-            + yosida_penalty(u.values, pr.eps)
-            - self.reaction.evaluate(u.values)
+        return u + pr.tau * (
+            self.apply_plap(u) + yosida_penalty(u, pr.eps) - self.reaction.evaluate(u)
         )
-        return self.grid.function(out)
 
-    def energy(self, u: GridFunction, rhs: GridFunction) -> float:
+    def energy(self, u: np.ndarray, rhs: np.ndarray) -> float:
         """Strongly convex energy whose critical point solves apply(u) = rhs.
 
         E(u) = 1/2 ||u||_2^2 + tau (||u||_{W^{1,p}}^p / p
@@ -151,18 +132,15 @@ class OperatorContext:
         (1 - tau L_beta) > 0, which is what the line search leans on.
         """
         pr = self.params
-        g = self.grid
-        vals = u.values
-        h = g.h
-        du = np.diff(vals) / h
-        w1p = h * np.sum(np.abs(du) ** pr.p) + h * np.sum(np.abs(vals) ** pr.p)
-        quad = 0.5 * h * np.dot(vals, vals)
-        pen = h * np.sum(yosida_potential(vals, pr.eps))
-        rea = h * np.sum(self.reaction.antiderivative(vals))
-        load = h * np.dot(rhs.values, vals)
+        h = self.grid.h
+        w1p = norm_w1p_array(u, h, pr.p)
+        quad = 0.5 * h * np.dot(u, u)
+        pen = h * np.sum(yosida_potential(u, pr.eps))
+        rea = h * np.sum(self.reaction.antiderivative(u))
+        load = h * np.dot(rhs, u)
         return float(quad + pr.tau * (w1p / pr.p + pen - rea) - load)
 
-    def jacobian(self, u: GridFunction) -> TridiagonalMatrix:
+    def jacobian(self, u: np.ndarray) -> TridiagonalMatrix:
         """Generalized Jacobian of :meth:`apply` at u.
 
         Identity + tau * (stiffness with face weights (p-1)|d_f|^{p-2}/h^2
@@ -172,16 +150,15 @@ class OperatorContext:
         """
         pr = self.params
         g = self.grid
-        vals = u.values
-        d = np.diff(vals) / g.h
+        d = np.diff(u) / g.h
         w = (pr.p - 1.0) * np.abs(d) ** (pr.p - 2.0) / g.h**2
         diag_flux = np.zeros(g.n_cells)
         diag_flux[:-1] += w
         diag_flux[1:] += w
         diag_local = (
-            (pr.p - 1.0) * np.abs(vals) ** (pr.p - 2.0)
-            + yosida_derivative(vals, pr.eps)
-            - self.reaction.derivative(vals)
+            (pr.p - 1.0) * np.abs(u) ** (pr.p - 2.0)
+            + yosida_derivative(u, pr.eps)
+            - self.reaction.derivative(u)
         )
         return TridiagonalMatrix(
             1.0 + pr.tau * (diag_flux + diag_local), -pr.tau * w

@@ -19,9 +19,11 @@ alone.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .mesh import GridFunction, norm_l2, norm_w1p
+from .mesh import Grid1D, GridFunction, norm_l2, norm_w1p
 from .model import InitialDatum, SourceSpec
 from .noise import NoiseModel, PathIncrements
 from .operators import OperatorContext
@@ -58,26 +60,26 @@ def step(
     return solve(ctx, rhs, guess=u_n, cfg=cfg)
 
 
+@dataclass(eq=False)
 class Trajectory:
     """One simulated path: states (or their norms), reports, increments.
 
-    mode "full" keeps every state; mode "thin" keeps only the per-time
-    summary (L2 norm, W^{1,p} power, constraint violation), which is what
-    Monte Carlo aggregation needs and keeps long runs cheap.
+    mode "full" keeps every state, as row n of the (M+1, n_cells) array
+    ``states``; mode "thin" keeps only the per-time summary (L2 norm,
+    W^{1,p} power, constraint violation) and sets ``states`` to None, which
+    is what Monte Carlo aggregation needs and keeps long runs cheap.
     """
 
-    def __init__(self, grid, times, states, l2_norms, w1p_norms, violations,
-                 reports, increments, seed, mode):
-        self.grid = grid
-        self.times = times
-        self.states = states
-        self.l2_norms = l2_norms
-        self.w1p_norms = w1p_norms
-        self.violations = violations
-        self.reports = reports
-        self.increments = increments
-        self.seed = seed
-        self.mode = mode
+    grid: Grid1D
+    times: np.ndarray
+    states: np.ndarray | None
+    l2_norms: np.ndarray
+    w1p_norms: np.ndarray
+    violations: np.ndarray
+    reports: list
+    increments: PathIncrements
+    seed: int
+    mode: str
 
     @property
     def n_steps(self) -> int:
@@ -87,7 +89,7 @@ class Trajectory:
     def final_state(self) -> GridFunction:
         if self.states is None:
             raise ValueError("thin trajectory does not store states")
-        return self.states[-1]
+        return self.grid.function(self.states[-1])
 
     def to_csv(self, target, metadata: dict | None = None) -> None:
         """Write the trajectory as CSV with '# key: value' metadata lines.
@@ -110,7 +112,7 @@ class Trajectory:
                 target.write("t," + ",".join(f"c{i}" for i in range(n)) + "\n")
                 for t, state in zip(self.times, self.states):
                     target.write(
-                        repr(float(t)) + "," + ",".join(repr(float(v)) for v in state.values) + "\n"
+                        repr(float(t)) + "," + ",".join(repr(float(v)) for v in state) + "\n"
                     )
             else:
                 target.write("t,l2_norm,v_norm_p,constraint_violation\n")
@@ -152,7 +154,10 @@ def run_path(
 
     u = initial.u0
     times = np.arange(pr.M + 1) * pr.tau
-    states = [u] if mode == "full" else None
+    states = None
+    if mode == "full":
+        states = np.empty((pr.M + 1, ctx.grid.n_cells))
+        states[0] = u.values
     l2_norms = [norm_l2(u)]
     w1p_norms = [norm_w1p(u, pr.p)]
     violations = [constraint_violation(u)]
@@ -163,7 +168,7 @@ def run_path(
         u, report = step(ctx, noise_model, u, increments.values[n], f_n, cfg)
         reports.append(report)
         if states is not None:
-            states.append(u)
+            states[n + 1] = u.values
         l2_norms.append(norm_l2(u))
         w1p_norms.append(norm_w1p(u, pr.p))
         violations.append(constraint_violation(u))

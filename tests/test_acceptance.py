@@ -91,7 +91,7 @@ def test_criterion_2_discrete_coercivity():
                 margin = 1.0 - 0.1 * L_beta
                 for _ in range(1000):
                     u = grid.function(rng.uniform(-1.5, 2.5, 64))
-                    lhs = inner(ctx.apply(u), u)
+                    lhs = inner(grid.function(ctx.apply(u.values)), u)
                     rhs = margin * norm_l2(u) ** 2 + 0.1 * norm_w1p(u, p)
                     assert lhs - rhs >= -1e-10 * max(abs(lhs), abs(rhs))
         assert time.perf_counter() - start < 5.0
@@ -115,7 +115,7 @@ def test_criterion_3_discrete_strong_monotonicity():
                     v = grid.function(rng.uniform(-1.5, 2.5, 64))
                     d = grid.function(u.values - v.values)
                     lhs = inner(
-                        grid.function(ctx.apply(u).values - ctx.apply(v).values), d
+                        grid.function(ctx.apply(u.values) - ctx.apply(v.values)), d
                     )
                     rhs = margin * norm_l2(d) ** 2 + 0.1 * cp * norm_w1p(d, p)
                     assert lhs - rhs >= -1e-10 * max(abs(lhs), abs(rhs))
@@ -170,14 +170,14 @@ def test_criterion_6_scheme_residual():
         for n in range(1000):
             u_n, u_np1 = traj.states[n], traj.states[n + 1]
             f_n = source.step_average(n, grid, tau)
-            forcing = nm.apply_diffusion(u_n, traj.increments.values[n])
+            forcing = nm.apply_diffusion(grid.function(u_n), traj.increments.values[n])
             resid = (
-                u_np1.values
-                - u_n.values
-                + tau * (ctx.apply_plap(u_np1).values
-                         + yosida_penalty(u_np1.values, eps))
+                u_np1
+                - u_n
+                + tau * (ctx.apply_plap(u_np1)
+                         + yosida_penalty(u_np1, eps))
                 - forcing.values
-                - tau * (reaction.evaluate(u_np1.values) + f_n.values)
+                - tau * (reaction.evaluate(u_np1) + f_n.values)
             )
             worst = max(worst, norm_l2(grid.function(resid)))
         assert worst <= 1e-9

@@ -61,7 +61,7 @@ def test_round_trip_recovers_field():
     for p in (2.0, 3.0, 4.0):
         ctx = make_ctx(p=p, tau=0.05, L_beta=0.5, reaction=ReactionSpec("sine", 0.5))
         w = ctx.grid.function(rng.uniform(-0.5, 1.5, 16))
-        rhs = ctx.apply(w)
+        rhs = ctx.grid.function(ctx.apply(w.values))
         sol, _ = solve(ctx, rhs)
         assert norm_l2(ctx.grid.function(sol.values - w.values)) <= 1e-8
 
@@ -113,6 +113,22 @@ def test_nonconvergence_raises():
     rhs = ctx.grid.function(np.linspace(-2.0, 3.0, 16))
     with pytest.raises(NonConvergence):
         solve(ctx, rhs, cfg=SolverConfig(max_newton=1))
+
+
+def test_nonfinite_residual_raises_nonconvergence(monkeypatch):
+    # nan > tol is False, so a NaN residual must not end the loop as converged
+    ctx = make_ctx(p=3.0, tau=0.1)
+    original = OperatorContext.apply
+    calls = []
+
+    def apply(self, u):
+        calls.append(u)
+        return np.full_like(u, np.nan) if len(calls) == 2 else original(self, u)
+
+    monkeypatch.setattr(OperatorContext, "apply", apply)
+    with pytest.raises(NonConvergence, match=r"after 1 Newton steps \(residual nan"):
+        solve(ctx, ctx.grid.function(np.full(16, 0.3)))
+    assert len(calls) == 2
 
 
 def test_report_json_round_trip():

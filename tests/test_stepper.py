@@ -86,7 +86,7 @@ def test_trajectory_invariants():
     initial = make_initial(ctx.grid, "cosine", {"offset": 0.5, "amp": 0.25})
     traj = run_path(ctx, nm, initial, SourceSpec("zero"), seed=0)
     assert len(traj.states) == 26
-    assert np.array_equal(traj.states[0].values, initial.u0.values)
+    assert np.array_equal(traj.states[0], initial.u0.values)
     assert all(rep.converged for rep in traj.reports)
     assert traj.times[-1] == pytest.approx(0.5)
 
@@ -102,14 +102,14 @@ def test_scheme_identity_over_noisy_run():
     for n in range(100):
         u_n, u_np1 = traj.states[n], traj.states[n + 1]
         f_n = source.step_average(n, ctx.grid, tau)
-        forcing = nm.apply_diffusion(u_n, traj.increments.values[n])
+        forcing = nm.apply_diffusion(ctx.grid.function(u_n), traj.increments.values[n])
         resid = (
-            u_np1.values
-            - u_n.values
-            + tau * (ctx.apply_plap(u_np1).values
-                     + yosida_penalty(u_np1.values, ctx.params.eps))
+            u_np1
+            - u_n
+            + tau * (ctx.apply_plap(u_np1)
+                     + yosida_penalty(u_np1, ctx.params.eps))
             - forcing.values
-            - tau * (ctx.reaction.evaluate(u_np1.values) + f_n.values)
+            - tau * (ctx.reaction.evaluate(u_np1) + f_n.values)
         )
         assert norm_l2(ctx.grid.function(resid)) <= 1e-9
 
@@ -120,7 +120,7 @@ def test_noise_off_paths_are_seed_independent():
     a = run_path(ctx, nm, initial, SourceSpec("zero"), seed=1)
     b = run_path(ctx, nm, initial, SourceSpec("zero"), seed=99)
     for ua, ub in zip(a.states, b.states):
-        assert np.array_equal(ua.values, ub.values)
+        assert np.array_equal(ua, ub)
 
 
 def test_same_seed_bit_identical():
@@ -129,7 +129,7 @@ def test_same_seed_bit_identical():
     a = run_path(ctx, nm, initial, SourceSpec("zero"), seed=8)
     b = run_path(ctx, nm, initial, SourceSpec("zero"), seed=8)
     for ua, ub in zip(a.states, b.states):
-        assert np.array_equal(ua.values, ub.values)
+        assert np.array_equal(ua, ub)
 
 
 def test_warm_start_equivalence():
