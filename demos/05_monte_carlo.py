@@ -28,8 +28,8 @@ noise = NoiseModel(J=12, sigma=0.6)
 initial = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
 source = SourceSpec("zero")
 
-a = run_mc(ctx, noise, initial, source, n_paths=200, base_seed=0, workers=4)
-b = run_mc(ctx, noise, initial, source, n_paths=200, base_seed=200, workers=4)
+a = run_mc(ctx, noise, initial, source, n_paths=200, base_seed=0)
+b = run_mc(ctx, noise, initial, source, n_paths=200, base_seed=200)
 print("two disjoint 200-path blocks, final-time L2 statistics:")
 print(f"  block A: mean {a.mean_l2[-1]:.5f}  halfwidth {a.hw_l2[-1]:.2e}")
 print(f"  block B: mean {b.mean_l2[-1]:.5f}  halfwidth {b.hw_l2[-1]:.2e}")
@@ -37,7 +37,7 @@ gap = abs(a.mean_l2[-1] - b.mean_l2[-1])
 print(f"  |gap| = {gap:.2e}  <=  3 combined halfwidths = "
       f"{3*np.hypot(a.hw_l2[-1], b.hw_l2[-1]):.2e}")
 
-half = run_mc(ctx, noise, initial, source, n_paths=100, base_seed=0, workers=4)
+half = run_mc(ctx, noise, initial, source, n_paths=100, base_seed=0)
 print()
 print(f"halfwidth at 100 paths {half.hw_l2[-1]:.2e} vs 200 paths "
       f"{a.hw_l2[-1]:.2e}  (ratio {a.hw_l2[-1]/half.hw_l2[-1]:.3f}, "

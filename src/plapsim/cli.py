@@ -76,7 +76,6 @@ def _cmd_mc(cfg: RunConfig) -> int:
         n_paths=cfg.n_paths,
         base_seed=cfg.base_seed,
         solver_cfg=cfg.solver,
-        workers=cfg.workers,
     )
     csv_path = _out_path(cfg, "mc", "csv")
     summary.to_csv(csv_path)
@@ -186,7 +185,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mc", help="Monte Carlo over many paths")
     common(sp)
     sp.add_argument("--n-paths", type=int, help="override n_paths")
-    sp.add_argument("--workers", type=int, help="override workers")
+    sp.add_argument(
+        "--workers", type=int,
+        help="override workers (accepted and validated for existing configs; "
+        "no effect: the paths run as one batch)",
+    )
 
     sp = sub.add_parser("converge", help="deterministic refinement study")
     common(sp)

@@ -11,7 +11,9 @@ One flat JSON file with a section per module:
     initial  {preset, params}       optional, default constant 0.5
 
 plus optional top-level keys for the study subcommands: levels, n_paths,
-workers, eps_list, tag.  Model parameters may also be given as top-level
+workers, eps_list, tag.  ``workers`` is accepted and validated (an integer
+>= 1) so existing configs keep working, but it has no effect: ``mc`` runs
+its paths as one batch.  Model parameters may also be given as top-level
 shorthand keys (p, eps, T, M, L_beta, length, n_cells); giving the same
 key both ways is an error.  Unknown keys are rejected with their path.
 
@@ -304,7 +306,7 @@ def emit_config(cfg: RunConfig, simulation_only: bool = False) -> dict:
     With ``simulation_only`` the execution-only fields (workers, tag, the
     output section) are dropped: what remains determines the computed
     numbers, so it is the right provenance stamp for output files that
-    must be byte-identical across worker counts and output locations.
+    must be byte-identical across ``workers`` values and output locations.
     """
     out = {
         "model": {

@@ -8,7 +8,8 @@ Four kinds of output, all reproducible from explicit seeds:
   (coupled time/space and spatial-only), penalization strength versus the
   box violation, and pathwise time-refinement under common random numbers
   (one Brownian path reused across levels by increment aggregation).
-* ``run_mc``: per-time Monte Carlo statistics over independent paths.
+* ``run_mc``: per-time Monte Carlo statistics over independent paths,
+  advanced together as the rows of one state array.
 * ``verify_all``: every computable inequality and determinism contract of
   the stack, as a structured pass/fail report with measured slacks and a
   coverage checklist.
@@ -20,12 +21,11 @@ stochastic tables are recorded observations only.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mesh import Grid1D, divergence, gradient, inner, norm_l2, norm_w1p
+from .mesh import Grid1D, divergence, gradient, inner, norm_l2, norm_l2_array, norm_w1p
 from .model import (
     InitialDatum,
     ModelParams,
@@ -37,8 +37,8 @@ from .model import (
 )
 from .noise import NoiseModel, bump_profile
 from .operators import OperatorContext
-from .solver import SolverConfig, solve, stability_slacks
-from .stepper import run_path
+from .solver import NonConvergence, SolverConfig, solve, solve_rows, stability_slacks
+from .stepper import constraint_violation, constraint_violation_array, run_path
 
 __all__ = [
     "RefinementTable",
@@ -374,6 +374,11 @@ def run_eps_study(
 # Monte Carlo
 
 
+#: At most this many cells (paths x n_cells) advance together in ``run_mc``;
+#: a chunk holds at least one path.  Bounds memory at large P x n.
+_BATCH_CELLS = 1 << 16
+
+
 def run_mc(
     ctx: OperatorContext,
     noise_model: NoiseModel,
@@ -382,39 +387,42 @@ def run_mc(
     n_paths: int,
     base_seed: int = 0,
     solver_cfg: SolverConfig | None = None,
-    workers: int = 1,
 ) -> McSummary:
     """Monte Carlo over ``n_paths`` independent paths with per-path seeds.
 
-    Paths may be computed by several worker threads; results land in
-    arrays indexed by path and are reduced in fixed index order, so the
-    summary is bit-identical no matter how many workers ran.
+    Path k draws its increments from seed ``base_seed + k``.  The paths
+    advance together, as the rows of one ``(P, n_cells)`` state, in chunks
+    of at most ``_BATCH_CELLS`` cells.  Each step builds every row's
+    right-hand side as :func:`~plapsim.stepper.step` does and solves all
+    rows with :func:`~plapsim.solver.solve_rows`, in which each row follows
+    its own iterates; so every path's numbers are bit-identical to its
+    :func:`~plapsim.stepper.run_path` run, and the summary, reduced in path
+    order, does not depend on the chunk size.
+
+    A path whose solve fails is frozen while the rest of its chunk runs to
+    the end; then :class:`NonConvergence` names the failed path with the
+    smallest index, its seed, the (0-based) step and its last residuals,
+    whatever the chunk size.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
+    cfg = solver_cfg or SolverConfig()
     M = ctx.params.M
     l2 = np.empty((n_paths, M + 1))
     viol = np.empty((n_paths, M + 1))
-
-    def one(k: int) -> None:
-        traj = run_path(
-            ctx,
-            noise_model,
-            initial,
-            source,
-            seed=base_seed + k,
-            cfg=solver_cfg,
-            mode="thin",
+    chunk = max(1, _BATCH_CELLS // ctx.grid.n_cells)
+    for start in range(0, n_paths, chunk):
+        seeds = range(base_seed + start, base_seed + min(start + chunk, n_paths))
+        rows = slice(start, start + len(seeds))
+        l2[rows], viol[rows], failures = _mc_chunk(
+            ctx, noise_model, initial, source, seeds, cfg
         )
-        l2[k] = traj.l2_norms
-        viol[k] = traj.violations
-
-    if workers <= 1:
-        for k in range(n_paths):
-            one(k)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(one, range(n_paths)))
+        if failures:
+            i = min(failures)
+            n, message = failures[i]
+            raise NonConvergence(
+                f"path {start + i} (seed {seeds[i]}) failed at step {n}: {message}"
+            )
 
     times = np.arange(M + 1) * ctx.params.tau
     var_l2 = l2.var(axis=0, ddof=1)
@@ -430,6 +438,41 @@ def run_mc(
         var_violation=var_viol,
         hw_violation=1.96 * np.sqrt(var_viol / n_paths),
     )
+
+
+def _mc_chunk(ctx, noise_model, initial, source, seeds, cfg):
+    """Advance one path per seed together, as the rows of one state.
+
+    Returns the (P, M+1) L2 norms and box violations of the paths and
+    {row: (step, message)} for the rows whose solve failed; a failed row is
+    frozen and its later entries are meaningless.
+    """
+    pr = ctx.params
+    h = ctx.grid.h
+    dw = np.stack([noise_model.sample_path(pr.M, pr.tau, s).values for s in seeds])
+    coef = np.vecdot(dw, noise_model.amplitudes)  # (P, M)
+    u = np.tile(initial.u0.values, (len(seeds), 1))
+    l2 = np.empty((len(seeds), pr.M + 1))
+    viol = np.empty_like(l2)
+    l2[:, 0] = norm_l2(initial.u0)
+    viol[:, 0] = constraint_violation(initial.u0)
+    alive = np.arange(len(seeds))
+    failures = {}
+    for n in range(pr.M):
+        f_n = source.step_average(n, ctx.grid, pr.tau).values
+        u_n = u[alive]
+        rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + pr.tau * f_n
+        u_np1, _, failed = solve_rows(ctx, rhs, u_n, cfg)
+        u[alive] = u_np1
+        l2[alive, n + 1] = norm_l2_array(u_np1, h)
+        viol[alive, n + 1] = constraint_violation_array(u_np1, h)
+        for i, message in failed.items():
+            failures[int(alive[i])] = (n, message)
+        if failed:
+            alive = np.delete(alive, list(failed))
+            if not alive.size:
+                break
+    return l2, viol, failures
 
 
 def run_pathwise_refinement(

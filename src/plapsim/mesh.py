@@ -14,7 +14,9 @@ norm, because every estimate built on top of it is stated in powers.
 
 The ``*_array`` functions are the one implementation of the divergence and
 the two norms, on plain arrays; the numerical core calls them directly and
-the GridFunction versions delegate to them.
+the GridFunction versions delegate to them.  They act on the last axis, so a
+``(P, n_cells)`` stack of fields gives one result per row, bit-identical to
+the result for that row alone.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ class GridFunction:
     """Real-valued field sampled at the cell centers of a Grid1D.
 
     The value array is copied and frozen on construction, so instances can
-    be shared across concurrent tasks.
+    be shared without defensive copies.
     """
 
     grid: Grid1D
@@ -135,7 +137,7 @@ def inner(u: GridFunction, v: GridFunction) -> float:
 
 def norm_l2(u: GridFunction) -> float:
     """Discrete L2 norm sqrt(h * sum_i u_i^2)."""
-    return norm_l2_array(u.values, u.grid.h)
+    return float(norm_l2_array(u.values, u.grid.h))
 
 
 def norm_w1p(u: GridFunction, p: float) -> float:
@@ -146,23 +148,26 @@ def norm_w1p(u: GridFunction, p: float) -> float:
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    return norm_w1p_array(u.values, u.grid.h, p)
+    return float(norm_w1p_array(u.values, u.grid.h, p))
 
 
 def divergence_array(flux: np.ndarray, h: float) -> np.ndarray:
-    """Divergence of an interior-face array on cells of width h (zero boundary flux)."""
-    div = np.zeros(flux.size + 1)
-    div[:-1] += flux
-    div[1:] -= flux
+    """Divergence of interior-face arrays (last axis) on cells of width h.
+
+    The boundary flux is zero.
+    """
+    div = np.zeros(flux.shape[:-1] + (flux.shape[-1] + 1,))
+    div[..., :-1] += flux
+    div[..., 1:] -= flux
     return div / h
 
 
-def norm_l2_array(values: np.ndarray, h: float) -> float:
-    """Discrete L2 norm of a cell array on cells of width h."""
-    return float(np.sqrt(h * np.dot(values, values)))
+def norm_l2_array(values: np.ndarray, h: float):
+    """Discrete L2 norm of cell arrays (last axis) on cells of width h."""
+    return np.sqrt(h * np.vecdot(values, values))
 
 
-def norm_w1p_array(values: np.ndarray, h: float, p: float) -> float:
-    """p-th power of the discrete W^{1,p} norm of a cell array (p unchecked)."""
+def norm_w1p_array(values: np.ndarray, h: float, p: float):
+    """p-th power of the discrete W^{1,p} norm of cell arrays (last axis, p unchecked)."""
     du = np.diff(values) / h
-    return float(h * np.sum(np.abs(du) ** p) + h * np.sum(np.abs(values) ** p))
+    return h * np.sum(np.abs(du) ** p, axis=-1) + h * np.sum(np.abs(values) ** p, axis=-1)

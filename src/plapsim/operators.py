@@ -10,7 +10,10 @@ operator coercive on W^{1,p}).  :class:`OperatorContext` bundles the data
 and exposes the operator, its convex energy (whose stationarity condition
 is exactly the equation above), and a generalized tridiagonal Jacobian.
 All of them take and return plain cell arrays; validated GridFunctions
-enter and leave only through the solver and the stepper.
+enter and leave only through the solver and the stepper.  Every method acts
+on the last axis, so a ``(P, n_cells)`` stack of states is P independent
+problems: each row gives the numbers it gives alone, and ``energy`` returns
+one value per row.
 
 Under tau * L_beta < 1 the operator is strongly monotone:
 
@@ -27,9 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dptsv
 
-from .mesh import Grid1D, divergence_array, norm_w1p_array
+from .mesh import Grid1D, GridFunction, divergence_array, norm_w1p_array
 from .model import (
     ModelParams,
     ReactionSpec,
@@ -41,32 +44,59 @@ from .model import (
 __all__ = ["OperatorContext", "TridiagonalMatrix"]
 
 
+def _cells(u):
+    """Return u if it is a plain cell array; name the expected input otherwise."""
+    if not isinstance(u, np.ndarray):
+        hint = "; pass its .values" if isinstance(u, GridFunction) else ""
+        raise TypeError(
+            f"expected a cell array of shape (..., n_cells), "
+            f"got {type(u).__name__}{hint}"
+        )
+    return u
+
+
 @dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrix: main diagonal and one off-diagonal."""
+    """Symmetric tridiagonal matrices: main diagonals and off-diagonals.
+
+    ``diag`` has shape (..., n) and ``off`` shape (..., n-1); each row is
+    one matrix.
+    """
 
     diag: np.ndarray
     off: np.ndarray
 
     def __post_init__(self):
-        if self.diag.ndim != 1 or self.off.shape != (self.diag.size - 1,):
+        n = self.diag.shape[-1]
+        if self.off.shape != self.diag.shape[:-1] + (n - 1,):
             raise ValueError(
-                f"off-diagonal must have size n-1, got {self.off.shape} "
-                f"for n={self.diag.size}"
+                f"off-diagonal must have shape (..., n-1), got {self.off.shape} "
+                f"for diagonal shape {self.diag.shape}"
             )
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
-        out[:-1] += self.off * v[1:]
-        out[1:] += self.off * v[:-1]
+        out[..., :-1] += self.off * v[..., 1:]
+        out[..., 1:] += self.off * v[..., :-1]
         return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Direct solve via banded Cholesky (the matrix is SPD by construction)."""
-        ab = np.zeros((2, self.diag.size))
-        ab[0, 1:] = self.off
-        ab[1, :] = self.diag
-        return scipy.linalg.solveh_banded(ab, b)
+        """Solve every row with one LAPACK ``ptsv`` (L D L^T) call.
+
+        The rows are laid end to end as one block-diagonal matrix, with a
+        zero off-diagonal at each seam, so the factorization of one block
+        never touches another and each row's solution is bit-identical to
+        a solve of that row alone.  The matrices are SPD by construction;
+        a LinAlgError reports one that is not.
+        """
+        off = np.zeros(self.diag.shape)
+        off[..., :-1] = self.off
+        _, _, x, info = dptsv(self.diag.ravel(), off.ravel()[:-1], b.ravel())
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"tridiagonal solve failed: LAPACK ptsv info={info}"
+            )
+        return x.reshape(b.shape)
 
 
 @dataclass(frozen=True)
@@ -96,7 +126,7 @@ class OperatorContext:
 
     def face_flux(self, values: np.ndarray) -> np.ndarray:
         """Nonlinear face flux |d|^{p-2} d of the cell array, interior faces."""
-        d = np.diff(values) / self.grid.h
+        d = np.diff(_cells(values)) / self.grid.h
         return np.abs(d) ** (self.params.p - 2.0) * d
 
     def apply_plap(self, u: np.ndarray) -> np.ndarray:
@@ -116,11 +146,11 @@ class OperatorContext:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The full per-step operator u + tau (plap(u) + penalty(u) - reaction(u))."""
         pr = self.params
-        return u + pr.tau * (
+        return _cells(u) + pr.tau * (
             self.apply_plap(u) + yosida_penalty(u, pr.eps) - self.reaction.evaluate(u)
         )
 
-    def energy(self, u: np.ndarray, rhs: np.ndarray) -> float:
+    def energy(self, u: np.ndarray, rhs: np.ndarray):
         """Strongly convex energy whose critical point solves apply(u) = rhs.
 
         E(u) = 1/2 ||u||_2^2 + tau (||u||_{W^{1,p}}^p / p
@@ -130,15 +160,16 @@ class OperatorContext:
         antiderivative.  Its cellwise gradient divided by h equals
         apply(u) - rhs, and the Hessian is bounded below by
         (1 - tau L_beta) > 0, which is what the line search leans on.
+        One value per row of u.
         """
         pr = self.params
         h = self.grid.h
-        w1p = norm_w1p_array(u, h, pr.p)
-        quad = 0.5 * h * np.dot(u, u)
-        pen = h * np.sum(yosida_potential(u, pr.eps))
-        rea = h * np.sum(self.reaction.antiderivative(u))
-        load = h * np.dot(rhs, u)
-        return float(quad + pr.tau * (w1p / pr.p + pen - rea) - load)
+        w1p = norm_w1p_array(_cells(u), h, pr.p)
+        quad = 0.5 * h * np.vecdot(u, u)
+        pen = h * np.sum(yosida_potential(u, pr.eps), axis=-1)
+        rea = h * np.sum(self.reaction.antiderivative(u), axis=-1)
+        load = h * np.vecdot(_cells(rhs), u)
+        return quad + pr.tau * (w1p / pr.p + pen - rea) - load
 
     def jacobian(self, u: np.ndarray) -> TridiagonalMatrix:
         """Generalized Jacobian of :meth:`apply` at u.
@@ -150,11 +181,11 @@ class OperatorContext:
         """
         pr = self.params
         g = self.grid
-        d = np.diff(u) / g.h
+        d = np.diff(_cells(u)) / g.h
         w = (pr.p - 1.0) * np.abs(d) ** (pr.p - 2.0) / g.h**2
-        diag_flux = np.zeros(g.n_cells)
-        diag_flux[:-1] += w
-        diag_flux[1:] += w
+        diag_flux = np.zeros(u.shape)
+        diag_flux[..., :-1] += w
+        diag_flux[..., 1:] += w
         diag_local = (
             (pr.p - 1.0) * np.abs(u) ** (pr.p - 2.0)
             + yosida_derivative(u, pr.eps)

@@ -9,8 +9,15 @@ guards the (theoretically impossible) case of a non-descent Newton
 direction.  Near the minimum the energy decrease per step drops below
 float resolution, so the accept test carries an absolute slack of a few
 ulps; convergence is always declared on the residual norm, never on the
-energy.  The iteration runs on plain cell arrays; the right-hand side and
-guess come in, and the solution goes out, as validated GridFunctions.
+energy.
+
+:func:`solve_rows` is the one Newton loop.  It runs on a ``(P, n_cells)``
+stack of independent problems (Monte Carlo paths), each row following
+exactly the iterates it follows alone: a row leaves the iteration once its
+residual meets the tolerance, and the Armijo test, the backtracking and
+the fallback act per row.  One Jacobian solve per iteration covers every
+active row.  :func:`solve` is the single-problem call: the right-hand side
+and guess come in, and the solution goes out, as validated GridFunctions.
 
 ``stability_bounds`` and ``apriori_bound_check`` evaluate the two
 quantitative consequences of strong monotonicity for the inverse map:
@@ -21,6 +28,7 @@ booleans with explicit slack.
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 
@@ -34,6 +42,7 @@ __all__ = [
     "SolveReport",
     "NonConvergence",
     "solve",
+    "solve_rows",
     "stability_bounds",
     "stability_slacks",
     "apriori_bound_check",
@@ -94,19 +103,159 @@ class SolveReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _search(energy, u, d, slope, base_energy, cfg):
-    """Backtracking Armijo search along d; returns (point, energy, ok)."""
-    # a few ulps of slack keep the test meaningful once the true decrease
-    # underflows the float resolution of the energy
-    slack = 16.0 * np.finfo(float).eps * max(1.0, abs(base_energy))
+# a few ulps of slack keep the Armijo test meaningful once the true decrease
+# underflows the float resolution of the energy
+_SLACK_ULPS = 16.0 * np.finfo(float).eps
+_INF = float("inf")
+
+
+def _armijo(e_trial, e, decrease):
+    """Armijo test of one row; ``decrease`` is c * alpha * slope."""
+    return e_trial <= e + decrease + _SLACK_ULPS * max(1.0, abs(e))
+
+
+def _search(ctx, u, rhs, d, slope, e, cfg):
+    """Backtracking Armijo search along each row of d.
+
+    Returns (points, energies, ok).  The first trial step is taken on every
+    row, later ones only on the rows still waiting, which all share one
+    step length.  A row that finds no acceptable step keeps its point and
+    energy and has ok False.
+    """
+    c = cfg.sufficient_decrease
+    out_u = u + d  # the full step: 1.0 * d is d, bit for bit
+    out_e = ctx.energy(out_u, rhs).tolist()
+    ok = [_armijo(et, ei, c * si) for et, ei, si in zip(out_e, e, slope)]
+    if all(ok):
+        return out_u, out_e, ok
+    wait = [i for i, good in enumerate(ok) if not good]
+    uw, dw, rw = (u, d, rhs) if len(wait) == len(ok) else (u[wait], d[wait], rhs[wait])
     alpha = 1.0
-    for _ in range(cfg.max_backtracks):
-        trial = u + alpha * d
-        e_trial = energy(trial)
-        if e_trial <= base_energy + cfg.sufficient_decrease * alpha * slope + slack:
-            return trial, e_trial, True
+    for _ in range(cfg.max_backtracks - 1):
         alpha *= cfg.backtrack_factor
-    return u, base_energy, False
+        trial = uw + alpha * dw
+        e_trial = ctx.energy(trial, rw).tolist()
+        accept = [
+            _armijo(et, e[i], c * alpha * slope[i]) for et, i in zip(e_trial, wait)
+        ]
+        if any(accept):
+            for j, i in enumerate(wait):
+                if accept[j]:
+                    out_u[i], out_e[i], ok[i] = trial[j], e_trial[j], True
+            keep = [j for j, a in enumerate(accept) if not a]
+            if not keep:
+                return out_u, out_e, ok
+            wait = [wait[j] for j in keep]
+            uw, dw, rw = uw[keep], dw[keep], rw[keep]
+    for i in wait:
+        out_u[i], out_e[i] = u[i], e[i]
+    return out_u, out_e, ok
+
+
+def _failure(what, it, res, tol, history, k):
+    """NonConvergence message for row k, with its last four residuals."""
+    residuals = []
+    for rows, r, _ in history:
+        i = bisect.bisect_left(rows, k)
+        if i == len(rows) or rows[i] != k:
+            break
+        residuals.append(r[i])
+    return (
+        f"{what} after {it} Newton steps (residual {res:.3e}, tol {tol:.3e}; "
+        f"residuals {residuals[-4:]})"
+    )
+
+
+def solve_rows(
+    ctx: OperatorContext,
+    rhs: np.ndarray,
+    guess: np.ndarray,
+    cfg: SolverConfig,
+):
+    """Solve apply(u_k) = rhs_k for every row k of a (P, n_cells) stack.
+
+    Returns ``(u, history, failures)``: the solutions (a failed row keeps
+    its last iterate; u may be ``guess`` itself when no step was needed),
+    the history as one ``(rows, residuals, energies)`` entry of lists per
+    iteration (a row's Newton iterations are the entries it appears in,
+    minus one), and a dict from each failed row to the
+    :class:`NonConvergence` message that describes it.  Nothing is raised,
+    so the caller decides which failure to report.
+
+    Fields are (rows, n_cells) arrays; per-row numbers (residuals,
+    energies, slopes) are lists of floats, tested row by row with the
+    scalar arithmetic of a single solve, which at a few rows is cheaper
+    than a numpy call.
+    """
+    h = ctx.grid.h
+    tol = cfg.tol_residual
+    rows = list(range(len(guess)))  # the active rows, in increasing order
+    u = guess
+    r = ctx.apply(u) - rhs
+    res = norm_l2_array(r, h).tolist()
+    e = ctx.energy(u, rhs).tolist()
+    history, finished, failures = [], [], {}
+    it = 0
+    while True:
+        history.append((rows, res, e))
+        if it >= cfg.max_newton:
+            stop = list(range(len(rows)))
+        else:
+            # a row goes on while tol < res < inf, so a NaN residual stops
+            # it; a row whose line search failed stops too
+            stop = [
+                i for i, x in enumerate(res) if not tol < x < _INF or rows[i] in failures
+            ]
+        if stop:
+            for i in stop:
+                if rows[i] not in failures and not res[i] <= tol:
+                    failures[rows[i]] = _failure(
+                        "no convergence", it, res[i], tol, history, rows[i]
+                    )
+            if len(stop) == len(rows):
+                finished.append((rows, u))
+                break
+            finished.append(([rows[i] for i in stop], u[stop]))
+            stopped = set(stop)
+            keep = [i for i in range(len(rows)) if i not in stopped]
+            rows, res, e = ([a[i] for i in keep] for a in (rows, res, e))
+            u, r, rhs = u[keep], r[keep], rhs[keep]
+        d = ctx.jacobian(u).solve(-r)
+        # directional derivatives of the energies
+        slope = (h * np.vecdot(r, d)).tolist()
+        uphill = [i for i, s in enumerate(slope) if not -_INF < s < 0.0]
+        if uphill:
+            ru = r[uphill]
+            d[uphill] = -ru
+            for i, s in zip(uphill, (-h * np.vecdot(ru, ru)).tolist()):
+                slope[i] = s
+        u_new, e_new, ok = _search(ctx, u, rhs, d, slope, e, cfg)
+        if not all(ok):
+            # guarded fallback; unreachable for an SPD Jacobian
+            sd = [i for i, good in enumerate(ok) if not good]
+            rs = r[sd]
+            u_new[sd], e_sd, ok_sd = _search(
+                ctx, u[sd], rhs[sd], -rs, (-h * np.vecdot(rs, rs)).tolist(),
+                [e[i] for i in sd], cfg,
+            )
+            for i, e_i, ok_i in zip(sd, e_sd, ok_sd):
+                e_new[i] = e_i
+                if not ok_i:
+                    failures[rows[i]] = _failure(
+                        "line search failed along steepest descent",
+                        it, res[i], tol, history, rows[i],
+                    )
+        u, e = u_new, e_new
+        r = ctx.apply(u) - rhs
+        res = norm_l2_array(r, h).tolist()
+        it += 1
+
+    if len(finished) == 1:  # every row stopped at the same iteration
+        return finished[0][1], history, failures
+    u = np.empty_like(guess)
+    for rows, u_rows in finished:
+        u[rows] = u_rows
+    return u, history, failures
 
 
 def solve(
@@ -120,55 +269,20 @@ def solve(
     The result satisfies ||apply(u) - rhs||_{L2,h} <= cfg.tol_residual and,
     by strong monotonicity, is independent of the starting guess up to
     residual tolerance.  Raises :class:`NonConvergence` if the Newton cap
-    is exhausted or the residual turns non-finite.  Valid contexts can hit
-    the cap (see :class:`NonConvergence`), so callers must expect it.
+    is exhausted, the line search fails or the residual turns non-finite.
+    Valid contexts can hit the cap (see :class:`NonConvergence`), so
+    callers must expect it.  This is :func:`solve_rows` on one row.
     """
     cfg = cfg or SolverConfig()
     g = ctx.grid
-    h = g.h
-    rhs_vals = rhs.values
-    u = np.zeros(g.n_cells) if guess is None else guess.values
-
-    def energy(vec):
-        return ctx.energy(vec, rhs_vals)
-
-    r = ctx.apply(u) - rhs_vals
-    res = norm_l2_array(r, h)
-    e = energy(u)
-    residual_history = [res]
-    energy_history = [e]
-    iterations = 0
-
-    # "not <=" lets a NaN residual into the loop, where it is caught
-    while not res <= cfg.tol_residual:
-        if iterations >= cfg.max_newton or not np.isfinite(res):
-            raise NonConvergence(
-                f"no convergence after {iterations} Newton steps "
-                f"(residual {res:.3e}, tol {cfg.tol_residual:.3e}; "
-                f"residuals {residual_history[-4:]})"
-            )
-        d = ctx.jacobian(u).solve(-r)
-        slope = h * np.dot(r, d)  # directional derivative of the energy
-        if not np.isfinite(slope) or slope >= 0.0:
-            d = -r
-            slope = -h * np.dot(r, r)
-        u_new, e_new, ok = _search(energy, u, d, slope, e, cfg)
-        if not ok:
-            # guarded fallback; unreachable for an SPD Jacobian
-            d = -r
-            slope = -h * np.dot(r, r)
-            u_new, e_new, ok = _search(energy, u, d, slope, e, cfg)
-            if not ok:
-                raise NonConvergence("line search failed along steepest descent")
-        u, e = u_new, e_new
-        r = ctx.apply(u) - rhs_vals
-        res = norm_l2_array(r, h)
-        iterations += 1
-        residual_history.append(res)
-        energy_history.append(e)
-
-    report = SolveReport(iterations, residual_history, energy_history, True)
-    return g.function(u), report
+    u0 = np.zeros(g.n_cells) if guess is None else guess.values
+    u, history, failures = solve_rows(ctx, rhs.values[None], u0[None], cfg)
+    if failures:
+        raise NonConvergence(failures[0])
+    residuals = [r[0] for _, r, _ in history]
+    energies = [e[0] for _, _, e in history]
+    report = SolveReport(len(history) - 1, residuals, energies, True)
+    return g.function(u[0]), report
 
 
 def stability_slacks(

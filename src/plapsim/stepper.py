@@ -29,7 +29,13 @@ from .noise import NoiseModel, PathIncrements
 from .operators import OperatorContext
 from .solver import SolveReport, SolverConfig, solve
 
-__all__ = ["Trajectory", "step", "run_path", "constraint_violation"]
+__all__ = [
+    "Trajectory",
+    "step",
+    "run_path",
+    "constraint_violation",
+    "constraint_violation_array",
+]
 
 
 def constraint_violation(u: GridFunction) -> float:
@@ -38,9 +44,14 @@ def constraint_violation(u: GridFunction) -> float:
     Zero exactly when every cell value lies in [0, 1]; the quantity the
     penalization drives toward zero as eps shrinks.
     """
-    vals = u.values
-    return float(
-        u.grid.h * (np.sum(np.maximum(-vals, 0.0)) + np.sum(np.maximum(vals - 1.0, 0.0)))
+    return float(constraint_violation_array(u.values, u.grid.h))
+
+
+def constraint_violation_array(values: np.ndarray, h: float):
+    """:func:`constraint_violation` of cell arrays (last axis) on cells of width h."""
+    return h * (
+        np.sum(np.maximum(-values, 0.0), axis=-1)
+        + np.sum(np.maximum(values - 1.0, 0.0), axis=-1)
     )
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from plapsim import harness
 from plapsim.harness import (
     CHECKLIST,
     McSummary,
@@ -21,6 +22,7 @@ from plapsim.mesh import Grid1D, norm_l2
 from plapsim.model import ModelParams, ReactionSpec, SourceSpec, make_initial
 from plapsim.noise import NoiseModel
 from plapsim.operators import OperatorContext
+from plapsim.solver import NonConvergence, SolverConfig
 from plapsim.stepper import run_path
 
 
@@ -247,12 +249,99 @@ def test_mc_halfwidth_clt_scaling():
     assert 0.6 <= ratio <= 0.8
 
 
-def test_mc_worker_invariance_and_reproducibility():
+def stiff_mc_setup(amp=50.0):
+    # eps = 1e-5 and a strong source make the line search backtrack and give
+    # the paths different Newton iteration counts (12 to 15 at the first
+    # step for amp 50), so a batch must keep rows apart
+    grid = Grid1D(24, 1.0)
+    params = ModelParams(p=2.0, eps=1e-5, T=0.2, M=10, L_beta=0.5)
+    ctx = OperatorContext(params, ReactionSpec("sine", 0.5), grid)
+    noise = NoiseModel(J=6, sigma=0.5)
+    initial = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
+    source = SourceSpec(
+        "cosine", {"offset": 0.0, "amp": amp, "decay": 0.0, "length": 1.0}
+    )
+    return ctx, noise, initial, source
+
+
+def mc_setups():
     ctx, noise, initial = mc_setup()
-    a = run_mc(ctx, noise, initial, SourceSpec("zero"), n_paths=16, workers=1)
-    b = run_mc(ctx, noise, initial, SourceSpec("zero"), n_paths=16, workers=4)
-    for key, val in a.to_dict().items():
-        assert val == b.to_dict()[key], key
+    return {"smooth": (ctx, noise, initial, SourceSpec("zero")), "stiff": stiff_mc_setup()}
+
+
+def set_chunk(monkeypatch, ctx, paths_per_chunk):
+    monkeypatch.setattr(harness, "_BATCH_CELLS", paths_per_chunk * ctx.grid.n_cells)
+
+
+@pytest.mark.parametrize("name", ["smooth", "stiff"])
+def test_mc_chunk_invariance_and_path_identity(monkeypatch, name):
+    # determinism gate: the summary bytes must not depend on how the paths
+    # are chunked, and every batched path must equal its own run_path, bit
+    # for bit
+    ctx, noise, initial, source = mc_setups()[name]
+    n_paths, base_seed = 12, 3
+    chunks = []
+    original = harness._mc_chunk
+
+    def spy(*args):
+        out = original(*args)
+        chunks.append(out)
+        return out
+
+    monkeypatch.setattr(harness, "_mc_chunk", spy)
+    refs = [
+        run_path(ctx, noise, initial, source, seed=base_seed + k, mode="thin")
+        for k in range(n_paths)
+    ]
+    first_step_iterations = {ref.reports[0].iterations for ref in refs}
+    assert (len(first_step_iterations) > 1) == (name == "stiff")
+    outputs = []
+    for size in (1, 7, n_paths):
+        set_chunk(monkeypatch, ctx, size)
+        del chunks[:]
+        out = run_mc(ctx, noise, initial, source, n_paths=n_paths, base_seed=base_seed)
+        assert [len(c[0]) for c in chunks] == [
+            min(size, n_paths - s) for s in range(0, n_paths, size)
+        ]
+        buf = io.StringIO()
+        out.to_csv(buf)
+        outputs.append((json.dumps(out.to_dict()), buf.getvalue()))
+        l2 = np.concatenate([c[0] for c in chunks])
+        viol = np.concatenate([c[1] for c in chunks])
+        for k, ref in enumerate(refs):
+            assert np.array_equal(l2[k], ref.l2_norms), (size, k)
+            assert np.array_equal(viol[k], ref.violations), (size, k)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "amp, max_newton, base_seed, expected",
+    [
+        # every path fails at the first step: the first path is named
+        (50.0, 1, 5, "path 0 (seed 5) failed at step 0: no convergence after 1"),
+        # path 2 fails at step 0, path 1 later at step 1: a batch must run
+        # on past the first failure to name the smallest failed index
+        (20.0, 6, 0, "path 1 (seed 1) failed at step 1: no convergence after 6"),
+    ],
+)
+def test_mc_nonconvergence_names_path_independent_of_chunks(
+    monkeypatch, amp, max_newton, base_seed, expected
+):
+    ctx, noise, initial, source = stiff_mc_setup(amp)
+    cfg = SolverConfig(max_newton=max_newton)
+    n_paths = 12
+    messages = []
+    for size in (1, 7, n_paths):
+        set_chunk(monkeypatch, ctx, size)
+        with pytest.raises(NonConvergence) as info:
+            run_mc(ctx, noise, initial, source, n_paths=n_paths,
+                   base_seed=base_seed, solver_cfg=cfg)
+        messages.append(str(info.value))
+    assert messages[0].startswith(expected), messages[0]
+    assert "residuals [" in messages[0]
+    assert messages[1] == messages[0]
+    assert messages[2] == messages[0]
 
 
 def test_mc_csv_round_trip():

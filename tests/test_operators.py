@@ -28,6 +28,56 @@ def test_tridiagonal_matvec_and_solve():
     assert np.allclose(tri.solve(b), np.linalg.solve(dense, b), rtol=1e-12)
 
 
+def test_tridiagonal_stacked_rows_solve_like_single_rows():
+    # one ptsv call over the stacked rows gives each row the bits of its own
+    # solve, here checked against scipy's banded Cholesky per row
+    rng = np.random.default_rng(1)
+    diag = rng.uniform(2.0, 3.0, (5, 12))
+    off = rng.uniform(-0.5, 0.5, (5, 11))
+    b = rng.normal(size=(5, 12))
+    x = TridiagonalMatrix(diag, off).solve(b)
+    for k in range(5):
+        ab = np.zeros((2, 12))
+        ab[0, 1:] = off[k]
+        ab[1] = diag[k]
+        assert np.array_equal(x[k], scipy.linalg.solveh_banded(ab, b[k]))
+        assert np.array_equal(TridiagonalMatrix(diag[k], off[k]).matvec(x[k]),
+                              TridiagonalMatrix(diag, off).matvec(x)[k])
+
+
+def test_tridiagonal_solve_rejects_indefinite_and_bad_shapes():
+    with pytest.raises(np.linalg.LinAlgError, match="ptsv info=2"):
+        TridiagonalMatrix(np.array([1.0, -1.0, 1.0]), np.zeros(2)).solve(np.ones(3))
+    with pytest.raises(ValueError, match="shape"):
+        TridiagonalMatrix(np.ones((2, 4)), np.ones((2, 4)))
+
+
+def test_operator_rejects_gridfunction_with_a_clear_message():
+    ctx = make_ctx(p=3.0)
+    u = ctx.grid.function(np.full(8, 0.5))
+    for call in (ctx.apply, ctx.apply_plap, ctx.jacobian, lambda v: ctx.energy(v, u.values),
+                 lambda v: ctx.energy(u.values, v)):
+        with pytest.raises(TypeError, match=r"cell array of shape \(\.\.\., n_cells\), "
+                           r"got GridFunction; pass its \.values"):
+            call(u)
+
+
+def test_operator_rows_match_single_rows():
+    # a (P, n) stack is P independent problems: every row, and the energy
+    # of every row, is bit-identical to the single-row result
+    rng = np.random.default_rng(3)
+    ctx = make_ctx(p=3.0, eps=0.01, L_beta=0.5, reaction=ReactionSpec("sine", 0.5))
+    u = rng.uniform(-0.5, 1.5, (4, 8))
+    rhs = rng.normal(size=(4, 8))
+    energies = ctx.energy(u, rhs)
+    assert energies.shape == (4,)
+    for k in range(4):
+        assert np.array_equal(ctx.apply(u)[k], ctx.apply(u[k]))
+        assert energies[k] == ctx.energy(u[k], rhs[k])
+        assert np.array_equal(ctx.jacobian(u).diag[k], ctx.jacobian(u[k]).diag)
+        assert np.array_equal(ctx.jacobian(u).off[k], ctx.jacobian(u[k]).off)
+
+
 # ---------------------------------------------------------------------------
 # p-Laplace operator
 
