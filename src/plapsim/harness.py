@@ -8,8 +8,9 @@ Four kinds of output, all reproducible from explicit seeds:
   (coupled time/space and spatial-only), penalization strength versus the
   box violation, and pathwise time-refinement under common random numbers
   (one Brownian path reused across levels by increment aggregation).
-* ``run_mc``: per-time Monte Carlo statistics over independent paths,
-  advanced together as the rows of one state array.
+* ``run_mc``: per-time Monte Carlo statistics over independent paths.
+  It and the eps study share one batched driver, which advances all
+  paths at one eps together, as the rows of one state array.
 * ``verify_all``: every computable inequality and determinism contract of
   the stack, as a structured pass/fail report with measured slacks and a
   coverage checklist.
@@ -25,7 +26,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .mesh import Grid1D, divergence, gradient, inner, norm_l2, norm_l2_array, norm_w1p
+from .mesh import (
+    Grid1D, divergence, gradient, inner, norm_l2, norm_l2_array, norm_w1p, open_target
+)
 from .model import (
     InitialDatum,
     ModelParams,
@@ -96,11 +99,7 @@ class RefinementTable:
         return out
 
     def to_csv(self, target) -> None:
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", newline="\n")
-            close = True
-        try:
+        with open_target(target) as target:
             for key in sorted(self.metadata):
                 target.write(f"# {key}: {self.metadata[key]}\n")
             target.write(f"{self.parameter},error,ratio\n")
@@ -108,9 +107,6 @@ class RefinementTable:
             for i, (v, e) in enumerate(zip(self.values, self.errors)):
                 ratio = "" if i == 0 else repr(ratios[i])
                 target.write(f"{float(v)!r},{float(e)!r},{ratio}\n")
-        finally:
-            if close:
-                target.close()
 
 
 @dataclass
@@ -149,11 +145,7 @@ class McSummary:
         }
 
     def to_csv(self, target) -> None:
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", newline="\n")
-            close = True
-        try:
+        with open_target(target) as target:
             target.write(f"# n_paths: {self.n_paths}\n")
             target.write(f"# base_seed: {self.base_seed}\n")
             target.write(
@@ -169,9 +161,6 @@ class McSummary:
                 self.hw_violation,
             ):
                 target.write(",".join(repr(float(v)) for v in row) + "\n")
-        finally:
-            if close:
-                target.close()
 
 
 # ---------------------------------------------------------------------------
@@ -334,27 +323,27 @@ def run_eps_study(
 ) -> RefinementTable:
     """Mean (over paths) of the max-over-time box violation, per eps level.
 
-    The same path seeds are reused at every level (common random numbers),
-    so the table isolates the effect of the penalization strength.
+    Each seed's increments and the source step averages are drawn once and
+    reused at every level (common random numbers), so the table isolates
+    the effect of the penalization strength.  Each level's paths advance
+    together as in :func:`run_mc`, so every peak is bit-identical to its
+    :func:`~plapsim.stepper.run_path` run, and a :class:`NonConvergence`
+    names the eps level, then the path as :func:`run_mc` does.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or any(e <= 0 for e in eps_list):
         raise ValueError("need at least two positive eps levels")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    inputs = _path_inputs(params, grid, noise_model, source, n_paths, base_seed)
     means, halfwidths = [], []
     for eps in eps_list:
         ctx = OperatorContext(replace(params, eps=eps), reaction, grid)
-        peaks = np.empty(n_paths)
-        for k in range(n_paths):
-            traj = run_path(
-                ctx,
-                noise_model,
-                initial,
-                source,
-                seed=base_seed + k,
-                cfg=solver_cfg,
-                mode="thin",
-            )
-            peaks[k] = traj.violations.max()
+        try:
+            _, viol = _run_paths(ctx, initial, *inputs, base_seed, solver_cfg)
+        except NonConvergence as err:
+            raise NonConvergence(f"eps {eps!r}: {err}") from None
+        peaks = viol.max(axis=1)
         means.append(float(peaks.mean()))
         if n_paths > 1:
             halfwidths.append(float(1.96 * np.sqrt(peaks.var(ddof=1) / n_paths)))
@@ -374,8 +363,9 @@ def run_eps_study(
 # Monte Carlo
 
 
-#: At most this many cells (paths x n_cells) advance together in ``run_mc``;
-#: a chunk holds at least one path.  Bounds memory at large P x n.
+#: At most this many cells (paths x n_cells) advance together in the batched
+#: path driver of ``run_mc`` and ``run_eps_study``; a chunk holds at least one
+#: path.  Bounds memory at large P x n.
 _BATCH_CELLS = 1 << 16
 
 
@@ -406,25 +396,9 @@ def run_mc(
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    cfg = solver_cfg or SolverConfig()
-    M = ctx.params.M
-    l2 = np.empty((n_paths, M + 1))
-    viol = np.empty((n_paths, M + 1))
-    chunk = max(1, _BATCH_CELLS // ctx.grid.n_cells)
-    for start in range(0, n_paths, chunk):
-        seeds = range(base_seed + start, base_seed + min(start + chunk, n_paths))
-        rows = slice(start, start + len(seeds))
-        l2[rows], viol[rows], failures = _mc_chunk(
-            ctx, noise_model, initial, source, seeds, cfg
-        )
-        if failures:
-            i = min(failures)
-            n, message = failures[i]
-            raise NonConvergence(
-                f"path {start + i} (seed {seeds[i]}) failed at step {n}: {message}"
-            )
-
-    times = np.arange(M + 1) * ctx.params.tau
+    inputs = _path_inputs(ctx.params, ctx.grid, noise_model, source, n_paths, base_seed)
+    l2, viol = _run_paths(ctx, initial, *inputs, base_seed, solver_cfg)
+    times = np.arange(ctx.params.M + 1) * ctx.params.tau
     var_l2 = l2.var(axis=0, ddof=1)
     var_viol = viol.var(axis=0, ddof=1)
     return McSummary(
@@ -440,8 +414,38 @@ def run_mc(
     )
 
 
-def _mc_chunk(ctx, noise_model, initial, source, seeds, cfg):
-    """Advance one path per seed together, as the rows of one state.
+def _path_inputs(params, grid, noise_model, source, n_paths, base_seed):
+    """(P, M) noise coefficients sum_j c_j dW_j and (M, n_cells) source averages."""
+    M, tau, amps = params.M, params.tau, noise_model.amplitudes
+    coef = [np.vecdot(noise_model.sample_path(M, tau, base_seed + k).values, amps)
+            for k in range(n_paths)]
+    f = [source.step_average(n, grid, tau).values for n in range(M)]
+    return np.array(coef), np.array(f)
+
+
+def _run_paths(ctx, initial, coef, f, base_seed, solver_cfg):
+    """Run the paths of :func:`_path_inputs` on ``ctx`` in chunks of paths.
+
+    Returns their (P, M+1) L2 norms and box violations.
+    """
+    cfg = solver_cfg or SolverConfig()
+    l2 = np.empty((len(coef), ctx.params.M + 1))
+    viol = np.empty_like(l2)
+    chunk = max(1, _BATCH_CELLS // ctx.grid.n_cells)
+    for start in range(0, len(coef), chunk):
+        rows = slice(start, start + chunk)
+        l2[rows], viol[rows], failures = _mc_chunk(ctx, initial, coef[rows], f, cfg)
+        if failures:
+            k = start + min(failures)
+            n, message = failures[k - start]
+            raise NonConvergence(
+                f"path {k} (seed {base_seed + k}) failed at step {n}: {message}"
+            )
+    return l2, viol
+
+
+def _mc_chunk(ctx, initial, coef, f, cfg):
+    """Advance one path per row of ``coef`` together, as the rows of one state.
 
     Returns the (P, M+1) L2 norms and box violations of the paths and
     {row: (step, message)} for the rows whose solve failed; a failed row is
@@ -449,19 +453,16 @@ def _mc_chunk(ctx, noise_model, initial, source, seeds, cfg):
     """
     pr = ctx.params
     h = ctx.grid.h
-    dw = np.stack([noise_model.sample_path(pr.M, pr.tau, s).values for s in seeds])
-    coef = np.vecdot(dw, noise_model.amplitudes)  # (P, M)
-    u = np.tile(initial.u0.values, (len(seeds), 1))
-    l2 = np.empty((len(seeds), pr.M + 1))
+    u = np.tile(initial.u0.values, (len(coef), 1))
+    l2 = np.empty((len(coef), pr.M + 1))
     viol = np.empty_like(l2)
     l2[:, 0] = norm_l2(initial.u0)
     viol[:, 0] = constraint_violation(initial.u0)
-    alive = np.arange(len(seeds))
+    alive = np.arange(len(coef))
     failures = {}
     for n in range(pr.M):
-        f_n = source.step_average(n, ctx.grid, pr.tau).values
         u_n = u[alive]
-        rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + pr.tau * f_n
+        rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + pr.tau * f[n]
         u_np1, _, failed = solve_rows(ctx, rhs, u_n, cfg)
         u[alive] = u_np1
         l2[alive, n + 1] = norm_l2_array(u_np1, h)

@@ -21,6 +21,7 @@ the result for that row alone.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,3 +172,13 @@ def norm_w1p_array(values: np.ndarray, h: float, p: float):
     """p-th power of the discrete W^{1,p} norm of cell arrays (last axis, p unchecked)."""
     du = np.diff(values) / h
     return h * np.sum(np.abs(du) ** p, axis=-1) + h * np.sum(np.abs(values) ** p, axis=-1)
+
+
+@contextmanager
+def open_target(target):
+    """Yield ``target``, or the file it names opened for writing with LF endings."""
+    if isinstance(target, (str, bytes)):
+        with open(target, "w", newline="\n") as stream:
+            yield stream
+    else:
+        yield target

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GridFunction
+from .mesh import GridFunction, open_target
 
 __all__ = [
     "NoiseModel",
@@ -99,17 +99,10 @@ class PathIncrements:
 
     def to_csv(self, target) -> None:
         """Write the matrix as CSV: header j1..jJ, one row per step, LF endings."""
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", newline="\n")
-            close = True
-        try:
+        with open_target(target) as target:
             target.write(",".join(f"j{j + 1}" for j in range(self.n_modes)) + "\n")
             for row in self.values:
                 target.write(",".join(repr(float(v)) for v in row) + "\n")
-        finally:
-            if close:
-                target.close()
 
 
 @dataclass(frozen=True)

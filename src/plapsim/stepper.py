@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Grid1D, GridFunction, norm_l2, norm_w1p
+from .mesh import Grid1D, GridFunction, norm_l2, norm_w1p, open_target
 from .model import InitialDatum, SourceSpec
 from .noise import NoiseModel, PathIncrements
 from .operators import OperatorContext
@@ -109,11 +109,7 @@ class Trajectory:
         columns t, l2_norm, w1p_norm, constraint_violation.  LF endings,
         '.' decimals, ',' separators.
         """
-        close = False
-        if isinstance(target, (str, bytes)):
-            target = open(target, "w", newline="\n")
-            close = True
-        try:
+        with open_target(target) as target:
             target.write(f"# seed: {self.seed}\n")
             target.write(f"# mode: {self.mode}\n")
             for key in sorted(metadata or {}):
@@ -131,9 +127,6 @@ class Trajectory:
                     self.times, self.l2_norms, self.w1p_norms, self.violations
                 ):
                     target.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r}\n")
-        finally:
-            if close:
-                target.close()
 
 
 def run_path(

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,10 @@ def test_eps_study_validation():
         run_eps_study([0.1], params, ReactionSpec("zero"), grid, noise,
                       SourceSpec("zero"),
                       make_initial(grid, "constant", {"value": 0.5}))
+    with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
+        run_eps_study([0.1, 0.05], params, ReactionSpec("zero"), grid, noise,
+                      SourceSpec("zero"),
+                      make_initial(grid, "constant", {"value": 0.5}), n_paths=0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +278,8 @@ def set_chunk(monkeypatch, ctx, paths_per_chunk):
     monkeypatch.setattr(harness, "_BATCH_CELLS", paths_per_chunk * ctx.grid.n_cells)
 
 
-@pytest.mark.parametrize("name", ["smooth", "stiff"])
-def test_mc_chunk_invariance_and_path_identity(monkeypatch, name):
-    # determinism gate: the summary bytes must not depend on how the paths
-    # are chunked, and every batched path must equal its own run_path, bit
-    # for bit
-    ctx, noise, initial, source = mc_setups()[name]
-    n_paths, base_seed = 12, 3
+def spy_chunks(monkeypatch):
+    """Record the (l2, violations, failures) of every batched chunk, in order."""
     chunks = []
     original = harness._mc_chunk
 
@@ -289,6 +289,17 @@ def test_mc_chunk_invariance_and_path_identity(monkeypatch, name):
         return out
 
     monkeypatch.setattr(harness, "_mc_chunk", spy)
+    return chunks
+
+
+@pytest.mark.parametrize("name", ["smooth", "stiff"])
+def test_mc_chunk_invariance_and_path_identity(monkeypatch, name):
+    # determinism gate: the summary bytes must not depend on how the paths
+    # are chunked, and every batched path must equal its own run_path, bit
+    # for bit
+    ctx, noise, initial, source = mc_setups()[name]
+    n_paths, base_seed = 12, 3
+    chunks = spy_chunks(monkeypatch)
     refs = [
         run_path(ctx, noise, initial, source, seed=base_seed + k, mode="thin")
         for k in range(n_paths)
@@ -337,6 +348,76 @@ def test_mc_nonconvergence_names_path_independent_of_chunks(
         with pytest.raises(NonConvergence) as info:
             run_mc(ctx, noise, initial, source, n_paths=n_paths,
                    base_seed=base_seed, solver_cfg=cfg)
+        messages.append(str(info.value))
+    assert messages[0].startswith(expected), messages[0]
+    assert "residuals [" in messages[0]
+    assert messages[1] == messages[0]
+    assert messages[2] == messages[0]
+
+
+STIFF_EPS = [1e-2, 1e-3, 1e-4, 1e-5]
+
+
+def test_eps_study_chunk_invariance_and_path_identity(monkeypatch):
+    # determinism gate of the batched eps study: the table bytes must not
+    # depend on the chunking, and every path's peak violation must equal
+    # that of its own run_path at the same eps, bit for bit
+    ctx, noise, initial, source = stiff_mc_setup()
+    n_paths, base_seed = 7, 5
+    chunks = spy_chunks(monkeypatch)
+    refs = []
+    for eps in STIFF_EPS:
+        level = OperatorContext(replace(ctx.params, eps=eps), ctx.reaction, ctx.grid)
+        refs.append([
+            run_path(level, noise, initial, source, seed=base_seed + k, mode="thin")
+            for k in range(n_paths)
+        ])
+    first_step_iterations = {ref.reports[0].iterations for ref in refs[-1]}
+    assert len(first_step_iterations) > 1
+    ref_peaks = np.array([[ref.violations.max() for ref in level] for level in refs])
+    # each seed's increments are drawn once per study, not once per level
+    drawn = []
+    sample_path = NoiseModel.sample_path
+    monkeypatch.setattr(NoiseModel, "sample_path",
+                        lambda self, M, tau, seed: drawn.append(seed)
+                        or sample_path(self, M, tau, seed))
+    outputs = []
+    for size in (1, 3, n_paths):
+        set_chunk(monkeypatch, ctx, size)
+        del chunks[:], drawn[:]
+        tab = run_eps_study(STIFF_EPS, ctx.params, ctx.reaction, ctx.grid, noise,
+                            source, initial, n_paths=n_paths, base_seed=base_seed)
+        assert drawn == list(range(base_seed, base_seed + n_paths))
+        sizes = [min(size, n_paths - s) for s in range(0, n_paths, size)]
+        assert [len(c[1]) for c in chunks] == sizes * len(STIFF_EPS)
+        peaks = np.concatenate([c[1] for c in chunks]).max(axis=1)
+        assert np.array_equal(peaks.reshape(ref_peaks.shape), ref_peaks), size
+        buf = io.StringIO()
+        tab.to_csv(buf)
+        outputs.append((buf.getvalue(), json.dumps(tab.metadata["halfwidths"])))
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize(
+    "max_newton, expected",
+    [
+        # every path fails at the first step of the first level
+        (1, "eps 0.01: path 0 (seed 5) failed at step 0: no convergence after 1"),
+        # eps 1e-2 passes; at 1e-3 paths 1, 2 and 6 need a fifth iteration
+        (4, "eps 0.001: path 1 (seed 6) failed at step 0: no convergence after 4"),
+    ],
+)
+def test_eps_study_nonconvergence_names_level_and_path(monkeypatch, max_newton, expected):
+    ctx, noise, initial, source = stiff_mc_setup()
+    n_paths = 7
+    messages = []
+    for size in (1, 3, n_paths):
+        set_chunk(monkeypatch, ctx, size)
+        with pytest.raises(NonConvergence) as info:
+            run_eps_study(STIFF_EPS, ctx.params, ctx.reaction, ctx.grid, noise,
+                          source, initial, n_paths=n_paths, base_seed=5,
+                          solver_cfg=SolverConfig(max_newton=max_newton))
         messages.append(str(info.value))
     assert messages[0].startswith(expected), messages[0]
     assert "residuals [" in messages[0]
