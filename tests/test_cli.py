@@ -224,6 +224,19 @@ def test_cli_verify_exit_codes(small_config):
     assert report["passed"] is False
 
 
+def test_cli_verify_failed_solve_exit_two_names_check(small_config):
+    d, _ = small_config
+    capped = d / "capped.json"
+    capped.write_text(json.dumps({"model": {"p": 2.0, "T": 0.2, "M": 10, "n_cells": 16},
+                                  "solver": {"max_newton": 1}}))
+    res = run_cli(["verify", "--config", str(capped), "--tag", "capped"], d)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stderr.startswith(
+        "runtime error: solver_uniqueness: rhs 0 (zero guess): no convergence after 1"
+    ), res.stderr
+    assert not (d / "out" / "verify-capped.json").exists()
+
+
 def test_cli_mc_worker_independent(small_config):
     d, path = small_config
     res = run_cli(["mc", "--config", str(path), "--workers", "1",

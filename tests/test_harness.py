@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plapsim import harness
+from plapsim import harness, solver
 from plapsim.harness import (
     CHECKLIST,
     McSummary,
@@ -23,7 +23,7 @@ from plapsim.mesh import Grid1D, norm_l2
 from plapsim.model import ModelParams, ReactionSpec, SourceSpec, make_initial
 from plapsim.noise import NoiseModel
 from plapsim.operators import OperatorContext
-from plapsim.solver import NonConvergence, SolverConfig
+from plapsim.solver import NonConvergence, SolverConfig, solve
 from plapsim.stepper import run_path
 
 
@@ -507,3 +507,109 @@ def test_verify_all_json_deterministic():
     assert set(payload) == {"passed", "seed", "properties", "coverage"}
     rec = payload["properties"][0]
     assert {"property", "module", "passed", "measured", "bound", "slack"} <= set(rec)
+
+
+def count_solve_rows(monkeypatch):
+    """Record the row count of every solve_rows call, from solve or direct."""
+    calls = []
+    original = solver.solve_rows
+
+    def spy(ctx, rhs, guess, cfg):
+        calls.append(len(rhs))
+        return original(ctx, rhs, guess, cfg)
+
+    monkeypatch.setattr(solver, "solve_rows", spy)
+    monkeypatch.setattr(harness, "solve_rows", spy)
+    return calls
+
+
+def test_verify_all_stacks_its_solves(monkeypatch):
+    # one solve_rows call per stepper step, one for the 40 uniqueness
+    # problems and two determinism solves; one-row solves would be 242 calls
+    calls = count_solve_rows(monkeypatch)
+    report = verify_all(cp_samples=10_000, stat_draws=50_000)
+    assert report.passed
+    M = 50  # the default params
+    assert len(calls) <= M + 3, len(calls)
+    assert sorted(calls) == [1, 1] + [4] * M + [40]
+
+
+def test_verify_all_stepper_rows_match_solo_runs(monkeypatch):
+    # the batched stepper run of verify_all keeps every state of its four
+    # rows: the noisy and the two noise-off rows equal their run_path, and
+    # the cold-start row the chain of solves from a zero guess, bit for bit
+    kept = []
+    original = harness._mc_chunk
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        kept.append(kwargs["states"].copy())
+        return out
+
+    monkeypatch.setattr(harness, "_mc_chunk", spy)
+    verify_all(cp_samples=10_000, stat_draws=50_000)
+    (states,) = kept
+    grid = Grid1D(32, 1.0)
+    params = ModelParams(p=3.0, eps=0.1, T=0.5, M=50, L_beta=0.5)
+    ctx = OperatorContext(params, ReactionSpec("sine", 0.5), grid)
+    noise = NoiseModel(J=12, sigma=0.5)
+    quiet = NoiseModel(J=12, sigma=0.0)
+    source = SourceSpec("constant", {"value": 0.5})
+    initial = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
+    for row, (model, seed) in enumerate([(noise, 0), (quiet, 1), (quiet, 2)]):
+        ref = run_path(ctx, model, initial, source, seed=seed)
+        assert np.array_equal(states[row], ref.states), row
+    increments = noise.sample_path(params.M, params.tau, 0).values
+    cold = initial.u0
+    assert np.array_equal(states[3, 0], cold.values)
+    for n in range(params.M):
+        forcing = noise.apply_diffusion(cold, increments[n])
+        f_n = source.step_average(n, grid, params.tau)
+        rhs = grid.function(cold.values + forcing.values + params.tau * f_n.values)
+        cold, _ = solve(ctx, rhs, guess=grid.zeros())
+        assert np.array_equal(states[3, n + 1], cold.values), n
+
+
+STIFF_VERIFY = {
+    "params": ModelParams(p=2.0, eps=1e-5, T=0.5, M=20, L_beta=0.5),
+    "source": SourceSpec("constant", {"value": 2.0}),
+}
+
+
+@pytest.mark.parametrize(
+    "data, max_newton, expected",
+    [
+        # every problem fails; the first in check order is named
+        ({}, 1, "solver_uniqueness: rhs 0 (zero guess): no convergence after 1 Newton"),
+        ({}, 3, "solver_uniqueness: rhs 0 (zero guess): no convergence after 3 Newton"),
+        # every zero-guess solve passes; rhs 0 needs 14 steps from its guess
+        ({}, 10, "solver_uniqueness: rhs 0 (random guess): no convergence after 10 "),
+        # the uniqueness stack passes; the noisy run stalls at step 12
+        (STIFF_VERIFY, 6,
+         "stepper noisy run (seed 0) failed at step 12: no convergence after 6 Newton"),
+    ],
+)
+def test_verify_all_nonconvergence_names_check_and_row(data, max_newton, expected):
+    with pytest.raises(NonConvergence) as info:
+        verify_all(**data, solver_cfg=SolverConfig(max_newton=max_newton),
+                   cp_samples=1000, stat_draws=10_000)
+    assert str(info.value).startswith(expected), str(info.value)
+    assert "residuals [" in str(info.value)
+
+
+def test_verify_all_names_a_failed_noise_off_row(monkeypatch):
+    # a failure injected into row 2 (the noise-off run of seed 2) at step 7
+    calls = []
+    original = harness.solve_rows
+
+    def failing(ctx, rhs, guess, cfg):
+        u, history, failures = original(ctx, rhs, guess, cfg)
+        calls.append(len(rhs))
+        if calls == [40] + [4] * 8:  # the uniqueness stack, then steps 0..7
+            failures[2] = "injected"
+        return u, history, failures
+
+    monkeypatch.setattr(harness, "solve_rows", failing)
+    expected = r"^stepper noise-off run \(seed 2\) failed at step 7: injected$"
+    with pytest.raises(NonConvergence, match=expected):
+        verify_all(cp_samples=1000, stat_draws=10_000)

@@ -11,6 +11,7 @@ from plapsim.solver import (
     SolverConfig,
     apriori_bound_check,
     solve,
+    solve_rows,
     stability_bounds,
     stability_slacks,
 )
@@ -98,6 +99,33 @@ def test_superlinear_tail_recorded():
     assert report.converged
     assert report.iterations <= SolverConfig().max_newton
     assert report.residual_history[-1] < report.residual_history[0]
+
+
+def test_solve_rows_mixed_guesses_match_solo_solves():
+    # zero and random guesses in one stack: every row's solution, residual
+    # history and energy history equal those of its own one-row solve, bit
+    # for bit, although the rows leave the stack at different iterations
+    rng = np.random.default_rng(3)
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
+                   reaction=ReactionSpec("sine", 2.0))
+    rhs = rng.uniform(-1.0, 2.0, (6, 16))
+    guess = rng.normal(size=(6, 16))
+    guess[::2] = 0.0
+    u, history, failures = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert not failures
+    iterations = set()
+    for k in range(6):
+        ref, report = solve(ctx, ctx.grid.function(rhs[k]),
+                            guess=ctx.grid.function(guess[k]))
+        assert np.array_equal(u[k], ref.values), k
+        assert [r[rows.index(k)] for rows, r, _ in history if k in rows] == (
+            report.residual_history
+        )
+        assert [e[rows.index(k)] for rows, _, e in history if k in rows] == (
+            report.energy_history
+        )
+        iterations.add(report.iterations)
+    assert len(iterations) > 1
 
 
 def test_solver_determinism():
