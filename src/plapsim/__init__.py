@@ -50,6 +50,7 @@ from .solver import (
     SolveReport,
     SolverConfig,
     apriori_bound_check,
+    apriori_slack,
     solve,
     stability_bounds,
     stability_slacks,

@@ -9,12 +9,16 @@ Four kinds of output, all reproducible from explicit seeds:
   box violation, and pathwise time-refinement under common random numbers
   (one Brownian path reused across levels by increment aggregation).
 * ``run_mc``: per-time Monte Carlo statistics over independent paths.
-  It and the eps study share one batched driver, which advances all
-  paths at one eps together, as the rows of one state array.
 * ``verify_all``: every computable inequality and determinism contract of
   the stack, as a structured pass/fail report with measured slacks and a
-  coverage checklist.  Its 40 uniqueness problems are one stacked
-  ``solve_rows`` call, and its four stepper runs are rows of the driver.
+  coverage checklist.  Each verdict is derived from its measured value and
+  bound.  Its 40 uniqueness problems are one stacked ``solve_rows`` call.
+
+Every experiment advances its paths through the one time loop of the
+scheme, :func:`~plapsim.stepper.run_rows`: the deterministic and pathwise
+studies through ``run_path`` (one row), ``run_mc`` and the eps study with
+all paths at one eps as the rows of one state, ``verify_all`` with its four
+stepper runs as four rows.
 
 No convergence rate for the stochastic scheme is asserted anywhere: the
 stochastic tables are recorded observations only.
@@ -24,9 +28,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import stepper
 from .mesh import (
     Grid1D, divergence, gradient, inner, norm_l2, norm_l2_array, norm_w1p,
     norm_w1p_array, open_target,
@@ -42,8 +48,10 @@ from .model import (
 )
 from .noise import NoiseModel, bump_profile
 from .operators import OperatorContext
-from .solver import NonConvergence, SolverConfig, solve, solve_rows, stability_slacks
-from .stepper import constraint_violation, constraint_violation_array, run_path
+from .solver import (
+    NonConvergence, SolveReport, SolverConfig, apriori_slack, solve, solve_rows,
+    stability_slacks,
+)
 
 __all__ = [
     "RefinementTable",
@@ -290,7 +298,7 @@ def run_deterministic_convergence(
         ctx, initial, source = manufactured_problem(
             n_cells, M, T=T, length=length, steady=steady
         )
-        traj = run_path(ctx, quiet_noise, initial, source, seed=0, cfg=solver_cfg)
+        traj = stepper.run_path(ctx, quiet_noise, initial, source, seed=0, cfg=solver_cfg)
         x = ctx.grid.cell_centers()
         ref = manufactured_state(0.0 if steady else T, x, length)
         err = norm_l2(ctx.grid.function(traj.final_state.values - ref))
@@ -328,9 +336,10 @@ def run_eps_study(
     Each seed's increments and the source step averages are drawn once and
     reused at every level (common random numbers), so the table isolates
     the effect of the penalization strength.  Each level's paths advance
-    together as in :func:`run_mc`, so every peak is bit-identical to its
-    :func:`~plapsim.stepper.run_path` run, and a :class:`NonConvergence`
-    names the eps level, then the path as :func:`run_mc` does.
+    together through :func:`~plapsim.stepper.run_rows` as in :func:`run_mc`,
+    so every peak is bit-identical to its :func:`~plapsim.stepper.run_path`
+    run, and a :class:`NonConvergence` names the eps level, then the path as
+    :func:`run_mc` does.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or any(e <= 0 for e in eps_list):
@@ -365,9 +374,9 @@ def run_eps_study(
 # Monte Carlo
 
 
-#: At most this many cells (paths x n_cells) advance together in the batched
-#: path driver of ``run_mc`` and ``run_eps_study``; a chunk holds at least one
-#: path.  Bounds memory at large P x n.
+#: At most this many cells (paths x n_cells) advance together in one
+#: ``run_rows`` call of ``run_mc`` and ``run_eps_study``; a chunk holds at
+#: least one path.  Bounds memory at large P x n.
 _BATCH_CELLS = 1 << 16
 
 
@@ -383,12 +392,11 @@ def run_mc(
     """Monte Carlo over ``n_paths`` independent paths with per-path seeds.
 
     Path k draws its increments from seed ``base_seed + k``.  The paths
-    advance together, as the rows of one ``(P, n_cells)`` state, in chunks
-    of at most ``_BATCH_CELLS`` cells.  Each step builds every row's
-    right-hand side as :func:`~plapsim.stepper.step` does and solves all
-    rows with :func:`~plapsim.solver.solve_rows`, in which each row follows
-    its own iterates; so every path's numbers are bit-identical to its
-    :func:`~plapsim.stepper.run_path` run, and the summary, reduced in path
+    advance together through :func:`~plapsim.stepper.run_rows`, the time
+    loop that :func:`~plapsim.stepper.run_path` runs on one row, as the rows
+    of one ``(P, n_cells)`` state in chunks of at most ``_BATCH_CELLS``
+    cells.  Each row follows its own iterates, so every path's numbers are
+    bit-identical to its ``run_path`` run, and the summary, reduced in path
     order, does not depend on the chunk size.
 
     A path whose solve fails is frozen while the rest of its chunk runs to
@@ -417,17 +425,11 @@ def run_mc(
 
 
 def _path_inputs(params, grid, noise_model, source, n_paths, base_seed):
-    """(P, M) noise coefficients sum_j c_j dW_j and (M, n_cells) source averages."""
-    coef = _noise_coefs(noise_model, params, range(base_seed, base_seed + n_paths))
-    f = [source.step_average(n, grid, params.tau).values for n in range(params.M)]
-    return coef, np.array(f)
-
-
-def _noise_coefs(noise_model, params, seeds):
-    """(len(seeds), M) noise coefficients of the paths drawn from ``seeds``."""
-    amps = noise_model.amplitudes
+    """(P, M) noise coefficients of seeds ``base_seed`` on, and the source table."""
+    seeds = range(base_seed, base_seed + n_paths)
     paths = (noise_model.sample_path(params.M, params.tau, s).values for s in seeds)
-    return np.array([np.vecdot(dw, amps) for dw in paths])
+    coef = stepper.noise_coefs(noise_model, paths)
+    return coef, source.step_table(params.M, grid, params.tau)
 
 
 def _run_paths(ctx, initial, coef, f, base_seed, solver_cfg):
@@ -441,7 +443,9 @@ def _run_paths(ctx, initial, coef, f, base_seed, solver_cfg):
     chunk = max(1, _BATCH_CELLS // ctx.grid.n_cells)
     for start in range(0, len(coef), chunk):
         rows = slice(start, start + chunk)
-        l2[rows], viol[rows], failures = _mc_chunk(ctx, initial, coef[rows], f, cfg)
+        l2[rows], viol[rows], failures, _ = stepper.run_rows(
+            ctx, initial.u0.values, coef[rows], f, cfg
+        )
         if failures:
             k = start + min(failures)
             n, message = failures[k - start]
@@ -449,45 +453,6 @@ def _run_paths(ctx, initial, coef, f, base_seed, solver_cfg):
                 f"path {k} (seed {base_seed + k}) failed at step {n}: {message}"
             )
     return l2, viol
-
-
-def _mc_chunk(ctx, initial, coef, f, cfg, states=None, cold=None):
-    """Advance one path per row of ``coef`` together, as the rows of one state.
-
-    Returns the (P, M+1) L2 norms and box violations of the paths and
-    {row: (step, message)} for the rows whose solve failed; a failed row is
-    frozen and its later entries are meaningless.  ``states``, if given, is
-    a (P, M+1, n_cells) array that receives the states.  Rows where the (P,)
-    mask ``cold`` is true start each step's solve from zero, not the last state.
-    """
-    pr = ctx.params
-    h = ctx.grid.h
-    u = np.tile(initial.u0.values, (len(coef), 1))
-    l2 = np.empty((len(coef), pr.M + 1))
-    viol = np.empty_like(l2)
-    l2[:, 0] = norm_l2(initial.u0)
-    viol[:, 0] = constraint_violation(initial.u0)
-    if states is not None:
-        states[:, 0] = u
-    alive = np.arange(len(coef))
-    failures = {}
-    for n in range(pr.M):
-        u_n = u[alive]
-        rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + pr.tau * f[n]
-        guess = u_n if cold is None else np.where(cold[alive, None], 0.0, u_n)
-        u_np1, _, failed = solve_rows(ctx, rhs, guess, cfg)
-        u[alive] = u_np1
-        if states is not None:
-            states[:, n + 1] = u
-        l2[alive, n + 1] = norm_l2_array(u_np1, h)
-        viol[alive, n + 1] = constraint_violation_array(u_np1, h)
-        for i, message in failed.items():
-            failures[int(alive[i])] = (n, message)
-        if failed:
-            alive = np.delete(alive, list(failed))
-            if not alive.size:
-                break
-    return l2, viol, failures
 
 
 def run_pathwise_refinement(
@@ -517,15 +482,8 @@ def run_pathwise_refinement(
         params = replace(pr, M=pr.M * 2**level)
         ctx = OperatorContext(params, ctx_coarse.reaction, ctx_coarse.grid)
         incr = fine.coarsen(2 ** (levels - 1 - level))
-        traj = run_path(
-            ctx,
-            noise_model,
-            initial,
-            source,
-            seed=seed,
-            cfg=solver_cfg,
-            increments=incr,
-        )
+        traj = stepper.run_path(ctx, noise_model, initial, source, seed=seed,
+                                cfg=solver_cfg, increments=incr)
         runs.append(traj.final_state.values)
         taus.append(params.tau)
     ref = runs[-1]
@@ -595,21 +553,27 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _record(props, coverage, name, module, covers, passed, measured, bound,
-            direction="le"):
-    """Append one property verdict; slack is positive when there is margin."""
+def _record(props, coverage, name, module, measured, bound, direction="le",
+            covers=None, requires=True):
+    """Append one property verdict; slack is positive when there is margin.
+
+    The check passes when ``measured`` is at most (direction "le") or at
+    least ("ge") ``bound``, and ``requires`` holds too.  ``covers`` is the
+    invariant of ``module`` in :data:`CHECKLIST` that the check covers.
+    """
+    le = direction == "le"
     props.append(
         {
             "property": name,
             "module": module,
-            "passed": bool(passed),
+            "passed": bool(requires and (measured <= bound if le else measured >= bound)),
             "measured": float(measured),
             "bound": float(bound),
-            "slack": float(bound - measured if direction == "le" else measured - bound),
+            "slack": float(bound - measured if le else measured - bound),
         }
     )
-    for mod, inv in covers:
-        coverage.setdefault(mod, {}).setdefault(inv, []).append(name)
+    if covers is not None:
+        coverage.setdefault(module, {}).setdefault(covers, []).append(name)
 
 
 def verify_all(
@@ -643,6 +607,7 @@ def verify_all(
     rng = np.random.default_rng(seed)
     props: list = []
     coverage: dict = {}
+    record = partial(_record, props, coverage)
     ctx = OperatorContext(params, reaction, grid)
     h, tau, lbeta, eps = grid.h, params.tau, params.L_beta, params.eps
     p_values = sorted({2.0, 3.0, 4.0, params.p})
@@ -650,27 +615,18 @@ def verify_all(
     # --- algebraic inequality constant
     est = estimate_cp(params.p, 1, cp_samples, seed)
     cp_bound = 2.0 ** (2.0 - params.p) * (1.0 - 1e-9)
-    _record(
-        props, coverage, "cp_infimum", "harness", [],
-        est >= cp_bound, est, cp_bound, direction="ge",
-    )
+    record("cp_infimum", "harness", est, cp_bound, "ge")
 
     # --- mesh identities
     u, v = map(grid.function, rng.uniform(-1.5, 2.5, (2, grid.n_cells)))
     lhs = grid.h * np.dot(gradient(u).values, gradient(v).values)
     rhs = -inner(divergence(gradient(u)), v)
     sbp = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    _record(
-        props, coverage, "mesh_summation_by_parts", "mesh",
-        [("mesh", "summation_by_parts")], sbp <= 1e-12, sbp, 1e-12,
-    )
+    record("mesh_summation_by_parts", "mesh", sbp, 1e-12, covers="summation_by_parts")
     w1p2 = norm_w1p(u, 2.0)
     ident = norm_l2(u) ** 2 + grid.h * np.dot(gradient(u).values, gradient(u).values)
     rel = abs(w1p2 - ident) / max(abs(ident), 1e-300)
-    _record(
-        props, coverage, "mesh_norm_w1p_p2_identity", "mesh",
-        [("mesh", "norm_w1p_p2_identity")], rel <= 1e-12, rel, 1e-12,
-    )
+    record("mesh_norm_w1p_p2_identity", "mesh", rel, 1e-12, covers="norm_w1p_p2_identity")
     alphas = (-2.5, -1.0, 0.5, 3.0)
     scaled = np.multiply.outer(alphas, u.values)  # row i is alphas[i] * u
     # ||a u|| = |a| ||u|| and ||a u||_{1,p}^p = |a|^p ||u||_{1,p}^p, row by row
@@ -681,35 +637,23 @@ def verify_all(
         for q, norms_au, norm_u in cases
         for alpha, norm_au in zip(alphas, norms_au.tolist())
     ])
-    _record(
-        props, coverage, "mesh_norm_homogeneity", "mesh",
-        [("mesh", "norm_homogeneity")], worst <= 1e-12, worst, 1e-12,
-    )
+    record("mesh_norm_homogeneity", "mesh", worst, 1e-12, covers="norm_homogeneity")
 
     # --- penalization and potentials
     samples = np.sort(rng.uniform(-2.0, 3.0, 4001))
     pen = yosida_penalty(samples, eps)
     monotone_viol = float(np.minimum(np.diff(pen), 0.0).min(initial=0.0))
-    _record(
-        props, coverage, "penalty_monotone", "model",
-        [("model", "penalty_monotone")], monotone_viol >= 0.0, monotone_viol, 0.0,
-        direction="ge",
-    )
+    record("penalty_monotone", "model", monotone_viol, 0.0, "ge", covers="penalty_monotone")
     pa, pb = rng.uniform(-2.0, 3.0, 4000), rng.uniform(-2.0, 3.0, 4000)
     lip_excess = float(
         (np.abs(yosida_penalty(pa, eps) - yosida_penalty(pb, eps))
          - np.abs(pa - pb) / eps).max()
     )
-    _record(
-        props, coverage, "penalty_lipschitz", "model",
-        [("model", "penalty_lipschitz")], lip_excess <= 1e-12, lip_excess, 1e-12,
-    )
+    record("penalty_lipschitz", "model", lip_excess, 1e-12, covers="penalty_lipschitz")
     box = rng.uniform(0.0, 1.0, 2001)
     box_max = float(np.abs(yosida_penalty(box, eps)).max())
-    _record(
-        props, coverage, "penalty_vanishes_on_box", "model",
-        [("model", "penalty_vanishes_on_box")], box_max == 0.0, box_max, 0.0,
-    )
+    record("penalty_vanishes_on_box", "model", box_max, 0.0,
+           covers="penalty_vanishes_on_box")
     step_fd = 1e-5
     pts = rng.uniform(-2.0, 3.0, 2000)
     pts = pts[(np.abs(pts) > 1e-3) & (np.abs(pts - 1.0) > 1e-3)]
@@ -722,10 +666,7 @@ def verify_all(
     ) / (2 * step_fd)
     err_b = float(np.abs(fd_b - reaction.evaluate(pts)).max())
     err_fd = max(err_psi, err_b)
-    _record(
-        props, coverage, "potentials_match_fd", "model",
-        [("model", "potentials_match_fd")], err_fd <= 1e-6, err_fd, 1e-6,
-    )
+    record("potentials_match_fd", "model", err_fd, 1e-6, covers="potentials_match_fd")
     gate_hits = 0
     try:
         ModelParams(p=2.0, eps=0.1, T=1.0, M=10, L_beta=10.1)
@@ -735,10 +676,7 @@ def verify_all(
         ModelParams(p=1.5, eps=0.1, T=1.0, M=10)
     except ValueError:
         gate_hits += 1
-    _record(
-        props, coverage, "params_gate", "model",
-        [("model", "params_gate")], gate_hits == 2, gate_hits, 2, direction="ge",
-    )
+    record("params_gate", "model", gate_hits, 2, "ge", covers="params_gate")
 
     # --- noise
     span = grid.function(np.linspace(-0.2, 1.2, grid.n_cells))
@@ -746,10 +684,7 @@ def verify_all(
     forcing = noise_model.apply_diffusion(span, dw_probe)
     outside = (span.values <= 0.25) | (span.values >= 0.75)
     support_leak = float(np.abs(forcing.values[outside]).max(initial=0.0))
-    _record(
-        props, coverage, "noise_support", "noise",
-        [("noise", "support_zero_outside")], support_leak == 0.0, support_leak, 0.0,
-    )
+    record("noise_support", "noise", support_leak, 0.0, covers="support_zero_outside")
     bigger = NoiseModel(J=noise_model.J + 1, sigma=noise_model.sigma)
     dw_ext = np.concatenate([dw_probe, [0.7]])
     mid = grid.function(np.linspace(0.26, 0.74, grid.n_cells))
@@ -759,36 +694,23 @@ def verify_all(
     expected = bigger.amplitudes[-1] * 0.7 * bump_profile(mid.values)
     trunc_err = float(np.abs(delta - expected).max())
     trunc_tol = 1e-15 * max(1.0, float(np.abs(expected).max()))
-    _record(
-        props, coverage, "noise_truncation_decay", "noise",
-        [("noise", "truncation_decay")], trunc_err <= trunc_tol, trunc_err, trunc_tol,
-    )
+    record("noise_truncation_decay", "noise", trunc_err, trunc_tol,
+           covers="truncation_decay")
     path_a = noise_model.sample_path(20, tau, seed + 3)
     path_b = noise_model.sample_path(20, tau, seed + 3)
     same = np.array_equal(path_a.values, path_b.values)
-    _record(
-        props, coverage, "noise_forcing_reproducible", "noise",
-        [("noise", "forcing_reproducible")], same, 0.0 if same else 1.0, 0.0,
-    )
+    record("noise_forcing_reproducible", "noise", 0.0 if same else 1.0, 0.0,
+           covers="forcing_reproducible")
     hs = noise_model.hs_lipschitz_estimate(100_000, seed=seed)
-    _record(
-        props, coverage, "noise_hs_bound", "noise",
-        [("noise", "hs_bound")], hs <= noise_model.L_g, hs, noise_model.L_g,
-    )
+    record("noise_hs_bound", "noise", hs, noise_model.L_g, covers="hs_bound")
     draws = noise_model.sample_path(
         max(stat_draws // noise_model.J, 1), tau, seed + 4
     ).values
     mean_bound = 4.0 * np.sqrt(tau / draws.size)
     mean_abs = abs(float(draws.mean()))
-    _record(
-        props, coverage, "noise_increment_mean", "noise", [],
-        mean_abs <= mean_bound, mean_abs, mean_bound,
-    )
+    record("noise_increment_mean", "noise", mean_abs, mean_bound)
     var_rel = abs(float(draws.var()) / tau - 1.0)
-    _record(
-        props, coverage, "noise_increment_variance", "noise", [],
-        var_rel <= 0.05, var_rel, 0.05,
-    )
+    record("noise_increment_variance", "noise", var_rel, 0.05)
 
     # --- operator inequalities on 100 stacked (fu, fv) pairs per p.  Each
     # pair's gap in <A x, x> >= (1 - tau L_beta) ||x||^2 + tau c ||x||_{1,p}^p
@@ -812,26 +734,17 @@ def verify_all(
         monotone_worst = min(
             monotone_worst, worst_gap(fu - fv, au - av, cp_factor * 2.0 ** (2.0 - p), p)
         )
-    _record(
-        props, coverage, "operator_coercivity", "operator",
-        [("operator", "coercivity")], coercive_worst >= -1e-10,
-        coercive_worst, -1e-10, direction="ge",
-    )
-    _record(
-        props, coverage, "operator_strong_monotonicity", "operator",
-        [("operator", "strong_monotonicity")],
-        monotone_worst >= -1e-10, monotone_worst, -1e-10, direction="ge",
-    )
+    record("operator_coercivity", "operator", coercive_worst, -1e-10, "ge",
+           covers="coercivity")
+    record("operator_strong_monotonicity", "operator", monotone_worst, -1e-10, "ge",
+           covers="strong_monotonicity")
     fu, fv = map(grid.function, rng.uniform(-1.5, 2.5, (2, grid.n_cells)))
     weak_lhs = inner(grid.function(ctx.apply_plap(fu.values)), fv)
     weak_rhs = grid.h * np.dot(ctx.face_flux(fu.values), gradient(fv).values) + inner(
         grid.function(np.abs(fu.values) ** (params.p - 2.0) * fu.values), fv
     )
     weak_rel = abs(weak_lhs - weak_rhs) / max(abs(weak_lhs), 1e-300)
-    _record(
-        props, coverage, "operator_weak_form", "operator",
-        [("operator", "weak_form_exact")], weak_rel <= 1e-12, weak_rel, 1e-12,
-    )
+    record("operator_weak_form", "operator", weak_rel, 1e-12, covers="weak_form_exact")
     deltas = [10.0 ** (-k) for k in range(1, 7)]
     base = ctx.apply(fu.values)
     dists = norm_l2_array(
@@ -839,11 +752,8 @@ def verify_all(
     ).tolist()
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     cont_bound = 1e-4 * max(1.0, dists[0])
-    _record(
-        props, coverage, "operator_continuity", "operator",
-        [("operator", "continuity_in_delta")],
-        decreasing and dists[-1] <= cont_bound, dists[-1], cont_bound,
-    )
+    record("operator_continuity", "operator", dists[-1], cont_bound,
+           covers="continuity_in_delta", requires=decreasing)
 
     # --- solver: 20 right-hand sides, each solved from a zero and from a
     # random guess; the 40 problems are the rows of one stack
@@ -859,10 +769,8 @@ def verify_all(
             f"solver_uniqueness: rhs {i // 2} ({('zero', 'random')[i % 2]} guess): "
             f"{failures[i]}"
         )
-    energies = [[] for _ in sols]  # each row's energy history
-    for rows, _, e in history:
-        for i, e_i in zip(rows, e):
-            energies[i].append(e_i)
+    energies = [SolveReport.from_history(history, i).energy_history
+                for i in range(len(sols))]
     energy_jump_worst = max([0.0] + [
         max(b - a for a, b in zip(e, e[1:])) / max(1.0, *map(abs, e))
         for e in energies if len(e) > 1
@@ -870,58 +778,38 @@ def verify_all(
     iter_worst = max(map(len, energies)) - 1  # a row's Newton steps
     uniq_worst = float(norm_l2_array(sols[0::2] - sols[1::2], h).max())
     sols = sols[0::2]  # from here on, the zero-guess solution of each rhs
-    _record(
-        props, coverage, "solver_uniqueness", "solver",
-        [("solver", "uniqueness")], uniq_worst <= 1e-8, uniq_worst, 1e-8,
-    )
-    _record(
-        props, coverage, "solver_energy_nonincreasing", "solver",
-        [("solver", "energy_nonincreasing")],
-        energy_jump_worst <= 1e-12, energy_jump_worst, 1e-12,
-    )
-    _record(
-        props, coverage, "solver_converges_within_cap", "solver",
-        [("solver", "converges_within_cap")],
-        iter_worst <= solver_cfg.max_newton, iter_worst, solver_cfg.max_newton,
-    )
+    record("solver_uniqueness", "solver", uniq_worst, 1e-8, covers="uniqueness")
+    record("solver_energy_nonincreasing", "solver", energy_jump_worst, 1e-12,
+           covers="energy_nonincreasing")
+    record("solver_converges_within_cap", "solver", iter_worst, solver_cfg.max_newton,
+           covers="converges_within_cap")
     rhs_f = grid.function(rhs_u[0])
     d1, _ = solve(ctx, rhs_f, cfg=solver_cfg)
     d2, _ = solve(ctx, rhs_f, cfg=solver_cfg)
     det = np.array_equal(d1.values, d2.values)
-    _record(
-        props, coverage, "solver_determinism", "solver",
-        [("solver", "determinism")], det, 0.0 if det else 1.0, 0.0,
-    )
+    record("solver_determinism", "solver", 0.0 if det else 1.0, 0.0, covers="determinism")
     stab_l2_worst, stab_v_worst = map(min, zip(*(
         stability_slacks(ctx, *map(grid.function, (r1, r2, s1, s2)))
         for r1, r2, s1, s2 in zip(rhs_u[0::2], rhs_u[1::2], sols[0::2], sols[1::2])
     )))
     apriori_worst = min(
-        r ** 2 / (4.0 * tau * (1.0 - tau * lbeta)) - w
-        for r, w in zip(norm_l2_array(rhs_u, h).tolist(),
-                        norm_w1p_array(sols, h, params.p).tolist())
+        apriori_slack(ctx, grid.function(r), grid.function(s)) for r, s in zip(rhs_u, sols)
     )
-    _record(
-        props, coverage, "solver_stability_l2", "solver", [],
-        stab_l2_worst >= -1e-8, stab_l2_worst, -1e-8, direction="ge",
-    )
-    _record(
-        props, coverage, "solver_stability_w1p", "solver", [],
-        stab_v_worst >= -1e-8, stab_v_worst, -1e-8, direction="ge",
-    )
-    _record(
-        props, coverage, "solver_apriori_bound", "solver", [],
-        apriori_worst >= -1e-8, apriori_worst, -1e-8, direction="ge",
-    )
+    record("solver_stability_l2", "solver", stab_l2_worst, -1e-8, "ge")
+    record("solver_stability_w1p", "solver", stab_v_worst, -1e-8, "ge")
+    record("solver_apriori_bound", "solver", apriori_worst, -1e-8, "ge")
 
     # --- stepper: the noisy path, two noise-off paths and the noisy path
     # cold-started at every step advance together, as the rows of one state
     quiet = NoiseModel(J=noise_model.J, sigma=0.0)
     coef, f = _path_inputs(params, grid, noise_model, source, 1, seed)
-    coef = np.concatenate([coef, _noise_coefs(quiet, params, (1, 2)), coef])
+    quiet_coef = stepper.noise_coefs(
+        quiet, (quiet.sample_path(params.M, tau, s).values for s in (1, 2))
+    )
+    coef = np.concatenate([coef, quiet_coef, coef])
     states = np.empty((4, params.M + 1, grid.n_cells))
-    _, _, failures = _mc_chunk(
-        ctx, initial, coef, f, solver_cfg, states=states, cold=np.arange(4) == 3
+    _, _, failures, _ = stepper.run_rows(
+        ctx, initial.u0.values, coef, f, solver_cfg, states=states, cold=np.arange(4) == 3
     )
     if failures:
         i = min(failures)
@@ -940,22 +828,14 @@ def verify_all(
         - tau * (reaction.evaluate(u_np1) + f)
     )
     resid_worst = float(norm_l2_array(resid, h).max())
-    _record(
-        props, coverage, "stepper_scheme_residual", "stepper",
-        [("stepper", "scheme_residual")],
-        resid_worst <= 10 * solver_cfg.tol_residual,
-        resid_worst, 10 * solver_cfg.tol_residual,
-    )
+    record("stepper_scheme_residual", "stepper", resid_worst, 10 * solver_cfg.tol_residual,
+           covers="scheme_residual")
     off_diff = float(np.abs(qa - qb).max())
-    _record(
-        props, coverage, "stepper_noise_off_seed_independent", "stepper",
-        [("stepper", "noise_off_seed_independent")], off_diff == 0.0, off_diff, 0.0,
-    )
+    record("stepper_noise_off_seed_independent", "stepper", off_diff, 0.0,
+           covers="noise_off_seed_independent")
     warm_diff = float(norm_l2_array(cold[-1] - noisy[-1], h))
-    _record(
-        props, coverage, "stepper_warm_start_equivalence", "stepper",
-        [("stepper", "warm_start_equivalence")], warm_diff <= 1e-8, warm_diff, 1e-8,
-    )
+    record("stepper_warm_start_equivalence", "stepper", warm_diff, 1e-8,
+           covers="warm_start_equivalence")
 
     # --- coverage completeness
     missing = [
@@ -964,10 +844,7 @@ def verify_all(
         for inv in invs
         if inv not in coverage.get(mod, {})
     ]
-    _record(
-        props, coverage, "coverage_complete", "harness", [],
-        not missing, len(missing), 0,
-    )
+    record("coverage_complete", "harness", len(missing), 0)
 
     passed = all(rec["passed"] for rec in props)
     return VerificationReport(props, coverage, passed, seed)

@@ -171,8 +171,9 @@ class SourceSpec:
       cosine      f = offset + amp * exp(-decay * t) * cos(pi * x / length)
       tabulated   values on the grid at given times, linear in t
 
-    ``step_average`` returns the average of f over one time step as a
-    GridFunction, which is the only way the stepper consumes a source.
+    ``step_table`` returns the (M, n_cells) table of the averages of f over
+    the time steps, which is how the stepper consumes a source;
+    ``step_average`` is one row of it as a GridFunction.
     """
 
     kind: str = "zero"
@@ -223,26 +224,43 @@ class SourceSpec:
             out[i] = np.interp(t, times, values[:, i])
         return out
 
+    def step_table(self, M: int, grid: Grid1D, tau: float) -> np.ndarray:
+        """(M, n_cells) array whose row n is the average of f over step n.
+
+        This table is how the stepper consumes a source.  A source that is
+        constant in time gives one row broadcast to all M, without copies.
+        """
+        x = grid.cell_centers()
+        if self.kind in ("zero", "constant"):
+            return np.broadcast_to(self._average(0, x, tau), (M, x.size))
+        return np.array([self._average(n, x, tau) for n in range(M)])
+
     def step_average(self, n: int, grid: Grid1D, tau: float) -> GridFunction:
         """Average of f over [n tau, (n+1) tau] at the cell centers.
+
+        Row n of :meth:`step_table`, as a GridFunction.
+        """
+        if n < 0:
+            raise ValueError(f"step index must be nonnegative, got {n}")
+        return grid.function(self._average(n, grid.cell_centers(), tau))
+
+    def _average(self, n: int, x: np.ndarray, tau: float) -> np.ndarray:
+        """Average of f over step n at the points x.
 
         4-point Gauss in time: exact for sources polynomial in t up to
         degree 7, so quadrature never pollutes a refinement table for
         smooth manufactured sources.
         """
-        if n < 0:
-            raise ValueError(f"step index must be nonnegative, got {n}")
-        x = grid.cell_centers()
         if self.kind == "zero":
-            return grid.zeros()
+            return np.zeros(x.size)
         if self.kind == "constant":
-            return grid.function(np.full(grid.n_cells, float(self.params["value"])))
+            return np.full(x.size, float(self.params["value"]))
         t0 = n * tau
-        acc = np.zeros(grid.n_cells)
+        acc = np.zeros(x.size)
         for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
             t = t0 + 0.5 * tau * (node + 1.0)
             acc += weight * self.evaluate(t, x)
-        return grid.function(0.5 * acc)
+        return 0.5 * acc
 
 
 @dataclass(frozen=True)

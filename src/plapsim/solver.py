@@ -19,11 +19,12 @@ the fallback act per row.  One Jacobian solve per iteration covers every
 active row.  :func:`solve` is the single-problem call: the right-hand side
 and guess come in, and the solution goes out, as validated GridFunctions.
 
-``stability_bounds`` and ``apriori_bound_check`` evaluate the two
-quantitative consequences of strong monotonicity for the inverse map:
-a Lipschitz bound in L2 with constant 1/(1 - tau L_beta), and an a priori
-bound of the solution's W^{1,p} power by the data, both as checkable
-booleans with explicit slack.
+``stability_slacks`` and ``apriori_slack`` measure the two quantitative
+consequences of strong monotonicity for the inverse map: a Lipschitz bound
+in L2 with constant 1/(1 - tau L_beta), and an a priori bound of the
+solution's W^{1,p} power by the data.  ``stability_bounds`` and
+``apriori_bound_check`` turn those slacks into booleans with an explicit
+tolerance.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "solve_rows",
     "stability_bounds",
     "stability_slacks",
+    "apriori_slack",
     "apriori_bound_check",
 ]
 
@@ -90,6 +92,22 @@ class SolveReport:
     residual_history: list
     energy_history: list
     converged: bool
+
+    @classmethod
+    def from_history(cls, history, k: int = 0) -> "SolveReport":
+        """Report of row k of a :func:`solve_rows` history, read as converged.
+
+        The row's residuals and energies are the entries it appears in; it
+        leaves the history for good once it stops.
+        """
+        residuals, energies = [], []
+        for rows, r, e in history:
+            i = bisect.bisect_left(rows, k)
+            if i == len(rows) or rows[i] != k:
+                break
+            residuals.append(r[i])
+            energies.append(e[i])
+        return cls(len(residuals) - 1, residuals, energies, True)
 
     def to_dict(self) -> dict:
         return {
@@ -154,12 +172,7 @@ def _search(ctx, u, rhs, d, slope, e, cfg):
 
 def _failure(what, it, res, tol, history, k):
     """NonConvergence message for row k, with its last four residuals."""
-    residuals = []
-    for rows, r, _ in history:
-        i = bisect.bisect_left(rows, k)
-        if i == len(rows) or rows[i] != k:
-            break
-        residuals.append(r[i])
+    residuals = SolveReport.from_history(history, k).residual_history
     return (
         f"{what} after {it} Newton steps (residual {res:.3e}, tol {tol:.3e}; "
         f"residuals {residuals[-4:]})"
@@ -279,10 +292,7 @@ def solve(
     u, history, failures = solve_rows(ctx, rhs.values[None], u0[None], cfg)
     if failures:
         raise NonConvergence(failures[0])
-    residuals = [r[0] for _, r, _ in history]
-    energies = [e[0] for _, _, e in history]
-    report = SolveReport(len(history) - 1, residuals, energies, True)
-    return g.function(u[0]), report
+    return g.function(u[0]), SolveReport.from_history(history)
 
 
 def stability_slacks(
@@ -322,17 +332,23 @@ def stability_bounds(
     return slack_l2 >= -slack, slack_v >= -slack
 
 
+def apriori_slack(ctx: OperatorContext, rhs: GridFunction, sol: GridFunction) -> float:
+    """Slack (bound - left side) of the a priori bound of the solution.
+
+    ||sol||_{W^{1,p}}^p <= ||rhs||^2 / (4 tau (1 - tau L_beta)) is the
+    energy estimate of the solve tested with its own solution, with the free
+    parameter chosen optimally at 2 (1 - tau L_beta).
+    """
+    pr = ctx.params
+    bound = norm_l2(rhs) ** 2 / (4.0 * pr.tau * (1.0 - pr.tau * pr.L_beta))
+    return bound - norm_w1p(sol, pr.p)
+
+
 def apriori_bound_check(
     ctx: OperatorContext,
     rhs: GridFunction,
     sol: GridFunction,
     slack: float = 1e-8,
 ) -> bool:
-    """Check ||sol||_{W^{1,p}}^p <= ||rhs||^2 / (4 tau (1 - tau L_beta)).
-
-    This is the energy estimate of the solve tested with its own solution,
-    with the free parameter chosen optimally at 2 (1 - tau L_beta).
-    """
-    pr = ctx.params
-    bound = norm_l2(rhs) ** 2 / (4.0 * pr.tau * (1.0 - pr.tau * pr.L_beta))
-    return norm_w1p(sol, pr.p) <= bound + slack
+    """Whether the a priori bound of :func:`apriori_slack` holds with the given slack."""
+    return apriori_slack(ctx, rhs, sol) >= -slack

@@ -4,7 +4,7 @@ Each step assembles the right-hand side from the previous state (noise
 evaluated explicitly at the old state, source averaged over the step) and
 hands it to the nonlinear solver:
 
-    rhs   = u_n + sum_j g_j(u_n) dW_j + tau * f_n
+    rhs   = u_n + phi(u_n) * sum_j c_j dW_j + tau * f_n
     u_np1 = solve(apply(.) = rhs),  warm started at u_n.
 
 The converged state satisfies the scheme identity
@@ -15,6 +15,14 @@ The converged state satisfies the scheme identity
 cellwise within the solver tolerance.  Trajectories store the increments
 they consumed so that this identity can be re-verified from the output
 alone.
+
+:func:`run_rows` is the one time loop.  It advances a ``(P, n_cells)``
+stack of paths, one per row of a ``(P, M)`` table of noise coefficients
+sum_j c_j dW_j, against an ``(M, n_cells)`` table of source averages, and
+solves each step of every row with one :func:`~plapsim.solver.solve_rows`
+call.  :func:`run_path` is that loop on one row over a whole path and
+:func:`step` on one row for one step; the Monte Carlo driver, the eps
+study and the verification report of :mod:`plapsim.harness` run many rows.
 """
 
 from __future__ import annotations
@@ -23,16 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Grid1D, GridFunction, norm_l2, norm_w1p, open_target
+from .mesh import Grid1D, GridFunction, norm_l2_array, norm_w1p_array, open_target
 from .model import InitialDatum, SourceSpec
-from .noise import NoiseModel, PathIncrements
+from .noise import NoiseModel, PathIncrements, bump_profile
 from .operators import OperatorContext
-from .solver import SolveReport, SolverConfig, solve
+from .solver import NonConvergence, SolveReport, SolverConfig, solve_rows
 
 __all__ = [
     "Trajectory",
     "step",
     "run_path",
+    "run_rows",
+    "noise_coefs",
     "constraint_violation",
     "constraint_violation_array",
 ]
@@ -55,6 +65,65 @@ def constraint_violation_array(values: np.ndarray, h: float):
     )
 
 
+def noise_coefs(noise_model: NoiseModel, paths) -> np.ndarray:
+    """(P, M) noise coefficients sum_j c_j dW_j of P (M, J) increment matrices."""
+    amps = noise_model.amplitudes
+    return np.array([np.vecdot(dw, amps) for dw in paths])
+
+
+def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
+    """Advance one path per row of ``coef`` from ``u0``, as the rows of one state.
+
+    ``u0`` is the (n_cells,) initial state of every row, ``coef`` the (P, M)
+    noise coefficients and ``f`` the (M, n_cells) source averages; the
+    number of steps M is ``coef.shape[1]``.  Each row follows exactly the
+    iterates it follows alone.
+
+    Returns ``(l2, viol, failures, histories)``: the (P, M+1) L2 norms and
+    box violations, {row: (step, message)} for the rows whose solve failed
+    (a failed row is frozen and its later entries are meaningless), and the
+    :func:`~plapsim.solver.solve_rows` history of each step, whose row
+    indices count the rows still running at that step.  ``states``, if
+    given, is a (P, M+1, n_cells) array that receives the states, and
+    ``w1p`` a (P, M+1) array that receives their W^{1,p} powers.  Rows where
+    the (P,) mask ``cold`` is true start each step's solve from zero, not
+    from the last state.
+    """
+    h, p, tau = ctx.grid.h, ctx.params.p, ctx.params.tau
+    P, M = coef.shape
+    u = np.tile(u0, (P, 1))
+    l2 = np.empty((P, M + 1))
+    viol = np.empty_like(l2)
+    l2[:, 0] = norm_l2_array(u0, h)
+    viol[:, 0] = constraint_violation_array(u0, h)
+    if states is not None:
+        states[:, 0] = u
+    if w1p is not None:
+        w1p[:, 0] = norm_w1p_array(u0, h, p)
+    alive = np.arange(P)
+    failures, histories = {}, []
+    for n in range(M):
+        u_n = u[alive]
+        rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
+        guess = u_n if cold is None else np.where(cold[alive, None], 0.0, u_n)
+        u_np1, history, failed = solve_rows(ctx, rhs, guess, cfg)
+        histories.append(history)
+        u[alive] = u_np1
+        if states is not None:
+            states[:, n + 1] = u
+        l2[alive, n + 1] = norm_l2_array(u_np1, h)
+        viol[alive, n + 1] = constraint_violation_array(u_np1, h)
+        if w1p is not None:
+            w1p[alive, n + 1] = norm_w1p_array(u_np1, h, p)
+        for i, message in failed.items():
+            failures[int(alive[i])] = (n, message)
+        if failed:
+            alive = np.delete(alive, list(failed))
+            if not alive.size:
+                break
+    return l2, viol, failures, histories
+
+
 def step(
     ctx: OperatorContext,
     noise_model: NoiseModel,
@@ -63,12 +132,22 @@ def step(
     f_n: GridFunction,
     cfg: SolverConfig | None = None,
 ) -> tuple[GridFunction, SolveReport]:
-    """One semi-implicit step: explicit noise at u_n, implicit everything else."""
-    forcing = noise_model.apply_diffusion(u_n, dw_row)
-    rhs = ctx.grid.function(
-        u_n.values + forcing.values + ctx.params.tau * f_n.values
+    """One semi-implicit step: explicit noise at u_n, implicit everything else.
+
+    This is :func:`run_rows` on one row for one step; a failed solve raises
+    :class:`~plapsim.solver.NonConvergence` with the solve's message.
+    """
+    dw_row = np.asarray(dw_row, dtype=float)
+    if dw_row.shape != (noise_model.J,):
+        raise ValueError(f"expected {noise_model.J} increments, got shape {dw_row.shape}")
+    states = np.empty((1, 2, ctx.grid.n_cells))
+    _, _, failures, (history,) = run_rows(
+        ctx, u_n.values, noise_coefs(noise_model, [dw_row[None]]), f_n.values[None],
+        cfg or SolverConfig(), states=states,
     )
-    return solve(ctx, rhs, guess=u_n, cfg=cfg)
+    if failures:
+        raise NonConvergence(failures[0][1])
+    return ctx.grid.function(states[0, 1]), SolveReport.from_history(history)
 
 
 @dataclass(eq=False)
@@ -139,11 +218,13 @@ def run_path(
     mode: str = "full",
     increments: PathIncrements | None = None,
 ) -> Trajectory:
-    """Run the full time loop for one path.
+    """Run the full time loop for one path: :func:`run_rows` on one row.
 
     The increments are drawn from ``seed`` unless an explicit matrix is
     passed (refinement studies pass coarsened copies of one fine path).
-    The output is a deterministic function of all inputs.
+    The output is a deterministic function of all inputs.  A failed solve
+    raises :class:`~plapsim.solver.NonConvergence` naming the seed and the
+    (0-based) step, then the solve's message with its last residuals.
     """
     if mode not in ("full", "thin"):
         raise ValueError(f"mode must be 'full' or 'thin', got {mode!r}")
@@ -155,37 +236,17 @@ def run_path(
             f"increment matrix {increments.values.shape} does not match "
             f"M={pr.M}, J={noise_model.J}"
         )
-
-    u = initial.u0
-    times = np.arange(pr.M + 1) * pr.tau
-    states = None
-    if mode == "full":
-        states = np.empty((pr.M + 1, ctx.grid.n_cells))
-        states[0] = u.values
-    l2_norms = [norm_l2(u)]
-    w1p_norms = [norm_w1p(u, pr.p)]
-    violations = [constraint_violation(u)]
-    reports = []
-
-    for n in range(pr.M):
-        f_n = source.step_average(n, ctx.grid, pr.tau)
-        u, report = step(ctx, noise_model, u, increments.values[n], f_n, cfg)
-        reports.append(report)
-        if states is not None:
-            states[n + 1] = u.values
-        l2_norms.append(norm_l2(u))
-        w1p_norms.append(norm_w1p(u, pr.p))
-        violations.append(constraint_violation(u))
-
-    return Trajectory(
-        ctx.grid,
-        times,
-        states,
-        np.array(l2_norms),
-        np.array(w1p_norms),
-        np.array(violations),
-        reports,
-        increments,
-        seed,
-        mode,
+    states = np.empty((1, pr.M + 1, ctx.grid.n_cells)) if mode == "full" else None
+    w1p = np.empty((1, pr.M + 1))
+    coef = noise_coefs(noise_model, [increments.values])
+    f = source.step_table(pr.M, ctx.grid, pr.tau)
+    l2, viol, failures, histories = run_rows(
+        ctx, initial.u0.values, coef, f, cfg or SolverConfig(), states=states, w1p=w1p
     )
+    if failures:
+        n, message = failures[0]
+        raise NonConvergence(f"seed {seed} failed at step {n}: {message}")
+    reports = [SolveReport.from_history(history) for history in histories]
+    times = np.arange(pr.M + 1) * pr.tau
+    return Trajectory(ctx.grid, times, None if states is None else states[0], l2[0],
+                      w1p[0], viol[0], reports, increments, seed, mode)

@@ -237,6 +237,25 @@ def test_cli_verify_failed_solve_exit_two_names_check(small_config):
     assert not (d / "out" / "verify-capped.json").exists()
 
 
+def test_cli_run_failed_solve_exit_two_names_seed_and_step(small_config):
+    d, _ = small_config
+    capped = d / "capped.json"
+    capped.write_text(json.dumps({
+        "model": {"p": 2.0, "eps": 1e-5, "T": 0.5, "M": 20, "n_cells": 16},
+        "source": {"preset": "constant", "params": {"value": 4.0}},
+        "initial": {"preset": "constant", "params": {"value": 0.5}},
+        "noise": {"sigma": 0.5, "J": 4, "base_seed": 7},
+        "solver": {"max_newton": 1},
+    }))
+    res = run_cli(["run", "--config", str(capped), "--tag", "capped"], d)
+    assert res.returncode == 2, res.stdout + res.stderr
+    assert res.stderr.startswith(
+        "runtime error: seed 7 failed at step 6: no convergence after 1 Newton steps"
+    ), res.stderr
+    assert "residuals [" in res.stderr
+    assert not (d / "out" / "run-capped.csv").exists()
+
+
 def test_cli_mc_worker_independent(small_config):
     d, path = small_config
     res = run_cli(["mc", "--config", str(path), "--workers", "1",

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plapsim import harness, solver
+from plapsim import harness, solver, stepper
 from plapsim.harness import (
     CHECKLIST,
     McSummary,
@@ -279,16 +279,16 @@ def set_chunk(monkeypatch, ctx, paths_per_chunk):
 
 
 def spy_chunks(monkeypatch):
-    """Record the (l2, violations, failures) of every batched chunk, in order."""
+    """Record the (l2, violations, failures, histories) of every driver call, in order."""
     chunks = []
-    original = harness._mc_chunk
+    original = stepper.run_rows
 
-    def spy(*args):
-        out = original(*args)
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
         chunks.append(out)
         return out
 
-    monkeypatch.setattr(harness, "_mc_chunk", spy)
+    monkeypatch.setattr(stepper, "run_rows", spy)
     return chunks
 
 
@@ -518,8 +518,8 @@ def count_solve_rows(monkeypatch):
         calls.append(len(rhs))
         return original(ctx, rhs, guess, cfg)
 
-    monkeypatch.setattr(solver, "solve_rows", spy)
-    monkeypatch.setattr(harness, "solve_rows", spy)
+    for module in (solver, harness, stepper):
+        monkeypatch.setattr(module, "solve_rows", spy)
     return calls
 
 
@@ -539,14 +539,14 @@ def test_verify_all_stepper_rows_match_solo_runs(monkeypatch):
     # rows: the noisy and the two noise-off rows equal their run_path, and
     # the cold-start row the chain of solves from a zero guess, bit for bit
     kept = []
-    original = harness._mc_chunk
+    original = stepper.run_rows
 
     def spy(*args, **kwargs):
         out = original(*args, **kwargs)
         kept.append(kwargs["states"].copy())
         return out
 
-    monkeypatch.setattr(harness, "_mc_chunk", spy)
+    monkeypatch.setattr(stepper, "run_rows", spy)
     verify_all(cp_samples=10_000, stat_draws=50_000)
     (states,) = kept
     grid = Grid1D(32, 1.0)
@@ -610,6 +610,7 @@ def test_verify_all_names_a_failed_noise_off_row(monkeypatch):
         return u, history, failures
 
     monkeypatch.setattr(harness, "solve_rows", failing)
+    monkeypatch.setattr(stepper, "solve_rows", failing)
     expected = r"^stepper noise-off run \(seed 2\) failed at step 7: injected$"
     with pytest.raises(NonConvergence, match=expected):
         verify_all(cp_samples=1000, stat_draws=10_000)

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from plapsim.mesh import Grid1D, norm_l2
+from plapsim.mesh import Grid1D, GridFunction, norm_l2
 from plapsim.model import (
     ModelParams,
     ReactionSpec,
@@ -13,7 +13,7 @@ from plapsim.model import (
 )
 from plapsim.noise import NoiseModel
 from plapsim.operators import OperatorContext
-from plapsim.solver import solve
+from plapsim.solver import NonConvergence, SolverConfig, solve
 from plapsim.stepper import constraint_violation, run_path, step
 
 
@@ -146,6 +146,74 @@ def test_warm_start_equivalence():
         rhs = ctx.grid.function(cold.values + forcing.values + tau * f_n.values)
         cold, _ = solve(ctx, rhs, guess=ctx.grid.zeros())
     assert norm_l2(ctx.grid.function(cold.values - warm.final_state.values)) <= 1e-8
+
+
+def test_run_path_reports_equal_chained_steps():
+    # run_path and step are one time loop: every report of a path is the
+    # report of the step that makes it, bit for bit
+    ctx, nm = make_setup(p=3.0, eps=1e-3, T=0.4, M=20, L_beta=0.5,
+                         reaction=ReactionSpec("sine", 0.5), sigma=0.6, J=6)
+    source = SourceSpec("cosine", {"offset": 0.5, "amp": 20.0, "decay": 1.0, "length": 1.0})
+    initial = make_initial(ctx.grid, "cosine", {"offset": 0.5, "amp": 0.25})
+    traj = run_path(ctx, nm, initial, source, seed=11)
+    assert len({rep.iterations for rep in traj.reports}) > 1
+    u = initial.u0
+    for n, report in enumerate(traj.reports):
+        f_n = source.step_average(n, ctx.grid, ctx.params.tau)
+        u, ref = step(ctx, nm, u, traj.increments.values[n], f_n)
+        assert report.to_json() == ref.to_json(), n
+        assert np.array_equal(u.values, traj.states[n + 1]), n
+
+
+def count_gridfunctions(monkeypatch):
+    """Record every GridFunction built from now on."""
+    built = []
+    original = GridFunction.__post_init__
+
+    def counted(self):
+        built.append(1)
+        original(self)
+
+    monkeypatch.setattr(GridFunction, "__post_init__", counted)
+    return built
+
+
+def test_run_path_builds_no_gridfunction_per_step(monkeypatch):
+    source = SourceSpec("cosine", {"offset": 0.5, "amp": 1.0, "decay": 1.0, "length": 1.0})
+    built = count_gridfunctions(monkeypatch)
+    counts = []
+    for M in (10, 40):
+        ctx, nm = make_setup(p=3.0, T=0.4, M=M, sigma=0.5)
+        initial = make_initial(ctx.grid, "cosine", {"offset": 0.5, "amp": 0.25})
+        del built[:]
+        for mode in ("full", "thin"):
+            run_path(ctx, nm, initial, source, seed=2, mode=mode)
+        counts.append(len(built))
+    assert counts[0] == counts[1], counts
+
+
+def test_run_path_failure_names_seed_and_step():
+    # the source pushes the state out of the box at step 6, where the
+    # penalty needs a second Newton step
+    ctx, nm = make_setup(p=2.0, eps=1e-5, T=0.5, M=20, sigma=0.5, J=4)
+    initial = make_initial(ctx.grid, "constant", {"value": 0.5})
+    source = SourceSpec("constant", {"value": 4.0})
+    capped = SolverConfig(max_newton=1)
+    with pytest.raises(NonConvergence) as info:
+        run_path(ctx, nm, initial, source, seed=7, cfg=capped)
+    message = str(info.value)
+    prefix = "seed 7 failed at step 6: "
+    assert message.startswith(prefix + "no convergence after 1 Newton steps"), message
+    assert "residuals [" in message
+    # step keeps the solve's own message
+    tau = ctx.params.tau
+    increments = nm.sample_path(20, tau, 7).values
+    u = initial.u0
+    for n in range(6):
+        u, _ = step(ctx, nm, u, increments[n], source.step_average(n, ctx.grid, tau), capped)
+    with pytest.raises(NonConvergence) as info:
+        step(ctx, nm, u, increments[6], source.step_average(6, ctx.grid, tau), capped)
+    assert str(info.value) == message[len(prefix):]
 
 
 # ---------------------------------------------------------------------------
