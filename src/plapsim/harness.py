@@ -161,7 +161,7 @@ class McSummary:
             target.write(
                 "t,mean_l2,var_l2,hw_l2,mean_violation,var_violation,hw_violation\n"
             )
-            for row in zip(
+            for row in np.column_stack((
                 self.times,
                 self.mean_l2,
                 self.var_l2,
@@ -169,8 +169,8 @@ class McSummary:
                 self.mean_violation,
                 self.var_violation,
                 self.hw_violation,
-            ):
-                target.write(",".join(repr(float(v)) for v in row) + "\n")
+            )):
+                target.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------

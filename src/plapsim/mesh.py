@@ -168,10 +168,14 @@ def norm_l2_array(values: np.ndarray, h: float):
     return np.sqrt(h * np.vecdot(values, values))
 
 
-def norm_w1p_array(values: np.ndarray, h: float, p: float):
-    """p-th power of the discrete W^{1,p} norm of cell arrays (last axis, p unchecked)."""
-    du = np.diff(values) / h
-    return h * np.sum(np.abs(du) ** p, axis=-1) + h * np.sum(np.abs(values) ** p, axis=-1)
+def norm_w1p_array(values: np.ndarray, h: float, p: float, abs_grad=None, abs_values=None):
+    """p-th power of the discrete W^{1,p} norm of cell arrays (last axis, p unchecked).
+
+    A caller that holds |diff(values) / h| and |values| passes them in.
+    """
+    abs_grad = np.abs(np.diff(values) / h) if abs_grad is None else abs_grad
+    abs_values = np.abs(values) if abs_values is None else abs_values
+    return h * np.add.reduce(abs_grad**p, -1) + h * np.add.reduce(abs_values**p, -1)
 
 
 @contextmanager

@@ -123,7 +123,7 @@ class ReactionSpec:
 
     kind is one of "zero", "linear" (scale * r) or "sine" (scale * sin r);
     ``scale`` is the Lipschitz constant of the realized reaction in every
-    case.
+    case.  ``cos_v``, where a method takes it, is cos v computed by the caller.
     """
 
     kind: str = "zero"
@@ -143,22 +143,22 @@ class ReactionSpec:
             return self.scale * v
         return self.scale * np.sin(v)
 
-    def derivative(self, v):
+    def derivative(self, v, cos_v=None):
         v = np.asarray(v, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(v)
         if self.kind == "linear":
             return np.full_like(v, self.scale)
-        return self.scale * np.cos(v)
+        return self.scale * (np.cos(v) if cos_v is None else cos_v)
 
-    def antiderivative(self, v):
+    def antiderivative(self, v, cos_v=None):
         """Antiderivative with value 0 at 0 (enters the solver energy)."""
         v = np.asarray(v, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(v)
         if self.kind == "linear":
             return 0.5 * self.scale * v**2
-        return self.scale * (1.0 - np.cos(v))
+        return self.scale * (1.0 - (np.cos(v) if cos_v is None else cos_v))
 
 
 @dataclass(frozen=True)

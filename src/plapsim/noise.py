@@ -102,7 +102,7 @@ class PathIncrements:
         with open_target(target) as target:
             target.write(",".join(f"j{j + 1}" for j in range(self.n_modes)) + "\n")
             for row in self.values:
-                target.write(",".join(repr(float(v)) for v in row) + "\n")
+                target.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 @dataclass(frozen=True)

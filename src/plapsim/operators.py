@@ -13,7 +13,9 @@ All of them take and return plain cell arrays; validated GridFunctions
 enter and leave only through the solver and the stepper.  Every method acts
 on the last axis, so a ``(P, n_cells)`` stack of states is P independent
 problems: each row gives the numbers it gives alone, and ``energy`` returns
-one value per row.
+one value per row.  They also take a :class:`Point`, which keeps the pieces
+of u they share, so the solver computes each once per iterate; an array is
+wrapped in a fresh point, so both forms give the same bits.
 
 Under tau * L_beta < 1 the operator is strongly monotone:
 
@@ -28,6 +30,7 @@ certifies numerically (it is the exact infimum, attained at b = -a).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -41,7 +44,16 @@ from .model import (
     yosida_potential,
 )
 
-__all__ = ["OperatorContext", "TridiagonalMatrix"]
+__all__ = ["OperatorContext", "Point", "TridiagonalMatrix"]
+
+
+class _Piece(cached_property):
+    """A cached_property without the lock: the instance dict holds it after first use."""
+
+    def __get__(self, pt, owner=None):
+        if pt is None:
+            return self
+        return vars(pt).setdefault(self.attrname, self.func(pt))
 
 
 def _cells(u):
@@ -53,6 +65,39 @@ def _cells(u):
             f"got {type(u).__name__}{hint}"
         )
     return u
+
+
+class Point:
+    """A cell array ``u`` of an :class:`OperatorContext` and the pieces its formulas share.
+
+    The pieces d = diff(u) / h, |d|, |u|, |d|^(p-2), |u|^(p-2) and cos u (sine
+    reaction only) are made on first use and kept; only :meth:`put` changes them.
+    """
+
+    __slots__ = ("ctx", "u", "__dict__")  # the instance dict holds only pieces
+
+    def __init__(self, ctx: OperatorContext, u: np.ndarray):
+        self.ctx, self.u = ctx, _cells(u)
+
+    d = _Piece(lambda pt: (pt.u[..., 1:] - pt.u[..., :-1]) / pt.ctx._h)
+    abs_d = _Piece(lambda pt: np.abs(pt.d))
+    abs_u = _Piece(lambda pt: np.abs(pt.u))
+    pow_d = _Piece(lambda pt: pt.abs_d ** (pt.ctx.params.p - 2.0))
+    pow_u = _Piece(lambda pt: pt.abs_u ** (pt.ctx.params.p - 2.0))
+    cos_u = _Piece(lambda pt: np.cos(pt.u) if pt.ctx.reaction.kind == "sine" else None)
+
+    def take(self, rows) -> Point:
+        """The point of the given rows, with the pieces computed so far."""
+        out = Point(self.ctx, self.u[rows])
+        vars(out).update((k, v if v is None else v[rows]) for k, v in vars(self).items())
+        return out
+
+    def put(self, rows, other: Point, other_rows) -> None:
+        """Overwrite ``rows`` by ``other_rows`` of ``other``, which holds all our pieces."""
+        self.u[rows] = other.u[other_rows]
+        for name, piece in vars(self).items():
+            if piece is not None:
+                piece[rows] = vars(other)[name][other_rows]
 
 
 @dataclass(frozen=True)
@@ -123,13 +168,19 @@ class OperatorContext:
                 f"reaction scale {self.reaction.scale} exceeds declared "
                 f"L_beta {self.params.L_beta}"
             )
+        object.__setattr__(self, "_h", self.grid.h)  # read once: the solver's hot path
+        object.__setattr__(self, "_tau", self.params.tau)
 
-    def face_flux(self, values: np.ndarray) -> np.ndarray:
+    def point(self, u) -> Point:
+        """u as a :class:`Point` of this context (u if it is one; another's fails)."""
+        return u if isinstance(u, Point) and u.ctx is self else Point(self, u)
+
+    def face_flux(self, values) -> np.ndarray:
         """Nonlinear face flux |d|^{p-2} d of the cell array, interior faces."""
-        d = np.diff(_cells(values)) / self.grid.h
-        return np.abs(d) ** (self.params.p - 2.0) * d
+        pt = self.point(values)
+        return pt.pow_d * pt.d
 
-    def apply_plap(self, u: np.ndarray) -> np.ndarray:
+    def apply_plap(self, u) -> np.ndarray:
         """Augmented p-Laplace operator: -div(|grad u|^{p-2} grad u) + |u|^{p-2} u.
 
         Zero-flux boundary faces; in weak form, for all test fields v,
@@ -139,18 +190,19 @@ class OperatorContext:
 
         exactly (discrete summation by parts).
         """
-        div = divergence_array(self.face_flux(u), self.grid.h)
-        zeroth = np.abs(u) ** (self.params.p - 2.0) * u
-        return -div + zeroth
+        pt = self.point(u)
+        div = divergence_array(self.face_flux(pt), self._h)
+        return -div + pt.pow_u * pt.u
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
+    def apply(self, u) -> np.ndarray:
         """The full per-step operator u + tau (plap(u) + penalty(u) - reaction(u))."""
-        pr = self.params
-        return _cells(u) + pr.tau * (
-            self.apply_plap(u) + yosida_penalty(u, pr.eps) - self.reaction.evaluate(u)
+        pt = self.point(u)
+        u, pr = pt.u, self.params
+        return u + self._tau * (
+            self.apply_plap(pt) + yosida_penalty(u, pr.eps) - self.reaction.evaluate(u)
         )
 
-    def energy(self, u: np.ndarray, rhs: np.ndarray):
+    def energy(self, u, rhs: np.ndarray):
         """Strongly convex energy whose critical point solves apply(u) = rhs.
 
         E(u) = 1/2 ||u||_2^2 + tau (||u||_{W^{1,p}}^p / p
@@ -162,16 +214,16 @@ class OperatorContext:
         (1 - tau L_beta) > 0, which is what the line search leans on.
         One value per row of u.
         """
-        pr = self.params
-        h = self.grid.h
-        w1p = norm_w1p_array(_cells(u), h, pr.p)
+        pt = self.point(u)
+        u, pr, h = pt.u, self.params, self._h
+        w1p = norm_w1p_array(u, h, pr.p, pt.abs_d, pt.abs_u)
         quad = 0.5 * h * np.vecdot(u, u)
-        pen = h * np.sum(yosida_potential(u, pr.eps), axis=-1)
-        rea = h * np.sum(self.reaction.antiderivative(u), axis=-1)
+        pen = h * np.add.reduce(yosida_potential(u, pr.eps), -1)
+        rea = h * np.add.reduce(self.reaction.antiderivative(u, pt.cos_u), -1)
         load = h * np.vecdot(_cells(rhs), u)
-        return quad + pr.tau * (w1p / pr.p + pen - rea) - load
+        return quad + self._tau * (w1p / pr.p + pen - rea) - load
 
-    def jacobian(self, u: np.ndarray) -> TridiagonalMatrix:
+    def jacobian(self, u) -> TridiagonalMatrix:
         """Generalized Jacobian of :meth:`apply` at u.
 
         Identity + tau * (stiffness with face weights (p-1)|d_f|^{p-2}/h^2
@@ -179,18 +231,17 @@ class OperatorContext:
         positive definite: the diagonal dominates by at least
         1 - tau L_beta > 0.
         """
-        pr = self.params
-        g = self.grid
-        d = np.diff(_cells(u)) / g.h
-        w = (pr.p - 1.0) * np.abs(d) ** (pr.p - 2.0) / g.h**2
+        pt = self.point(u)
+        u, pr = pt.u, self.params
+        w = (pr.p - 1.0) * pt.pow_d / self._h**2
         diag_flux = np.zeros(u.shape)
         diag_flux[..., :-1] += w
         diag_flux[..., 1:] += w
         diag_local = (
-            (pr.p - 1.0) * np.abs(u) ** (pr.p - 2.0)
+            (pr.p - 1.0) * pt.pow_u
             + yosida_derivative(u, pr.eps)
-            - self.reaction.derivative(u)
+            - self.reaction.derivative(u, pt.cos_u)
         )
         return TridiagonalMatrix(
-            1.0 + pr.tau * (diag_flux + diag_local), -pr.tau * w
+            1.0 + self._tau * (diag_flux + diag_local), -self._tau * w
         )

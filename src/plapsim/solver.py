@@ -16,8 +16,10 @@ stack of independent problems (Monte Carlo paths), each row following
 exactly the iterates it follows alone: a row leaves the iteration once its
 residual meets the tolerance, and the Armijo test, the backtracking and
 the fallback act per row.  One Jacobian solve per iteration covers every
-active row.  :func:`solve` is the single-problem call: the right-hand side
-and guess come in, and the solution goes out, as validated GridFunctions.
+active row.  Each trial step is one :class:`~plapsim.operators.Point`: once
+accepted, its energy, its residual and the next Jacobian share its pieces.
+:func:`solve` is the single-problem call: the right-hand side and guess come
+in, and the solution goes out, as validated GridFunctions.
 
 ``stability_slacks`` and ``apriori_slack`` measure the two quantitative
 consequences of strong monotonicity for the inverse map: a Lipschitz bound
@@ -132,42 +134,44 @@ def _armijo(e_trial, e, decrease):
     return e_trial <= e + decrease + _SLACK_ULPS * max(1.0, abs(e))
 
 
-def _search(ctx, u, rhs, d, slope, e, cfg):
-    """Backtracking Armijo search along each row of d.
+def _search(ctx, pt, rhs, d, slope, e, cfg):
+    """Backtracking Armijo search along each row of d from the point pt.
 
-    Returns (points, energies, ok).  The first trial step is taken on every
+    Returns (point, energies, ok).  The first trial step is taken on every
     row, later ones only on the rows still waiting, which all share one
     step length.  A row that finds no acceptable step keeps its point and
     energy and has ok False.
     """
     c = cfg.sufficient_decrease
-    out_u = u + d  # the full step: 1.0 * d is d, bit for bit
-    out_e = ctx.energy(out_u, rhs).tolist()
+    out = ctx.point(pt.u + d)  # the full step: 1.0 * d is d, bit for bit
+    out_e = ctx.energy(out, rhs).tolist()
     ok = [_armijo(et, ei, c * si) for et, ei, si in zip(out_e, e, slope)]
     if all(ok):
-        return out_u, out_e, ok
+        return out, out_e, ok
     wait = [i for i, good in enumerate(ok) if not good]
-    uw, dw, rw = (u, d, rhs) if len(wait) == len(ok) else (u[wait], d[wait], rhs[wait])
+    uw, dw, rw = (pt.u, d, rhs) if len(wait) == len(ok) else (pt.u[wait], d[wait], rhs[wait])
     alpha = 1.0
     for _ in range(cfg.max_backtracks - 1):
         alpha *= cfg.backtrack_factor
-        trial = uw + alpha * dw
+        trial = ctx.point(uw + alpha * dw)
         e_trial = ctx.energy(trial, rw).tolist()
         accept = [
             _armijo(et, e[i], c * alpha * slope[i]) for et, i in zip(e_trial, wait)
         ]
         if any(accept):
-            for j, i in enumerate(wait):
-                if accept[j]:
-                    out_u[i], out_e[i], ok[i] = trial[j], e_trial[j], True
+            took = [j for j, a in enumerate(accept) if a]
+            out.put([wait[j] for j in took], trial, took)
+            for j in took:
+                out_e[wait[j]], ok[wait[j]] = e_trial[j], True
             keep = [j for j, a in enumerate(accept) if not a]
             if not keep:
-                return out_u, out_e, ok
+                return out, out_e, ok
             wait = [wait[j] for j in keep]
             uw, dw, rw = uw[keep], dw[keep], rw[keep]
+    out.put(wait, pt, wait)
     for i in wait:
-        out_u[i], out_e[i] = u[i], e[i]
-    return out_u, out_e, ok
+        out_e[i] = e[i]
+    return out, out_e, ok
 
 
 def _failure(what, it, res, tol, history, k):
@@ -203,10 +207,10 @@ def solve_rows(
     h = ctx.grid.h
     tol = cfg.tol_residual
     rows = list(range(len(guess)))  # the active rows, in increasing order
-    u = guess
-    r = ctx.apply(u) - rhs
+    pt = ctx.point(guess)
+    r = ctx.apply(pt) - rhs
     res = norm_l2_array(r, h).tolist()
-    e = ctx.energy(u, rhs).tolist()
+    e = ctx.energy(pt, rhs).tolist()
     history, finished, failures = [], [], {}
     it = 0
     while True:
@@ -226,14 +230,14 @@ def solve_rows(
                         "no convergence", it, res[i], tol, history, rows[i]
                     )
             if len(stop) == len(rows):
-                finished.append((rows, u))
+                finished.append((rows, pt.u))
                 break
-            finished.append(([rows[i] for i in stop], u[stop]))
+            finished.append(([rows[i] for i in stop], pt.u[stop]))
             stopped = set(stop)
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows, res, e = ([a[i] for i in keep] for a in (rows, res, e))
-            u, r, rhs = u[keep], r[keep], rhs[keep]
-        d = ctx.jacobian(u).solve(-r)
+            pt, r, rhs = pt.take(keep), r[keep], rhs[keep]
+        d = ctx.jacobian(pt).solve(-r)
         # directional derivatives of the energies
         slope = (h * np.vecdot(r, d)).tolist()
         uphill = [i for i, s in enumerate(slope) if not -_INF < s < 0.0]
@@ -242,15 +246,16 @@ def solve_rows(
             d[uphill] = -ru
             for i, s in zip(uphill, (-h * np.vecdot(ru, ru)).tolist()):
                 slope[i] = s
-        u_new, e_new, ok = _search(ctx, u, rhs, d, slope, e, cfg)
+        pt_new, e_new, ok = _search(ctx, pt, rhs, d, slope, e, cfg)
         if not all(ok):
             # guarded fallback; unreachable for an SPD Jacobian
             sd = [i for i, good in enumerate(ok) if not good]
             rs = r[sd]
-            u_new[sd], e_sd, ok_sd = _search(
-                ctx, u[sd], rhs[sd], -rs, (-h * np.vecdot(rs, rs)).tolist(),
+            pt_sd, e_sd, ok_sd = _search(
+                ctx, pt.take(sd), rhs[sd], -rs, (-h * np.vecdot(rs, rs)).tolist(),
                 [e[i] for i in sd], cfg,
             )
+            pt_new.put(sd, pt_sd, slice(None))
             for i, e_i, ok_i in zip(sd, e_sd, ok_sd):
                 e_new[i] = e_i
                 if not ok_i:
@@ -258,8 +263,8 @@ def solve_rows(
                         "line search failed along steepest descent",
                         it, res[i], tol, history, rows[i],
                     )
-        u, e = u_new, e_new
-        r = ctx.apply(u) - rhs
+        pt, e = pt_new, e_new
+        r = ctx.apply(pt) - rhs
         res = norm_l2_array(r, h).tolist()
         it += 1
 

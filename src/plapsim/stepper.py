@@ -198,7 +198,7 @@ class Trajectory:
                 target.write("t," + ",".join(f"c{i}" for i in range(n)) + "\n")
                 for t, state in zip(self.times, self.states):
                     target.write(
-                        repr(float(t)) + "," + ",".join(repr(float(v)) for v in state) + "\n"
+                        repr(float(t)) + "," + ",".join(map(repr, state.tolist())) + "\n"
                     )
             else:
                 target.write("t,l2_norm,v_norm_p,constraint_violation\n")

@@ -4,7 +4,7 @@ import scipy.linalg
 
 from plapsim.mesh import Grid1D, gradient, inner, norm_l2, norm_w1p
 from plapsim.model import ModelParams, ReactionSpec
-from plapsim.operators import OperatorContext, TridiagonalMatrix
+from plapsim.operators import OperatorContext, Point, TridiagonalMatrix
 
 
 def make_ctx(p=2.0, eps=0.1, tau=0.1, L_beta=0.0, reaction=None, n=8, length=1.0):
@@ -76,6 +76,96 @@ def test_operator_rows_match_single_rows():
         assert energies[k] == ctx.energy(u[k], rhs[k])
         assert np.array_equal(ctx.jacobian(u).diag[k], ctx.jacobian(u[k]).diag)
         assert np.array_equal(ctx.jacobian(u).off[k], ctx.jacobian(u[k]).off)
+
+
+def reference_evaluation(ctx, u, rhs):
+    """apply, energy and Jacobian (diag, off) as written before points shared pieces."""
+    pr, h, tau = ctx.params, ctx.grid.h, ctx.params.tau
+    p, eps, kind, scale = pr.p, pr.eps, ctx.reaction.kind, ctx.reaction.scale
+    d = np.diff(u) / h
+    flux = np.abs(d) ** (p - 2.0) * d
+    div = np.zeros(u.shape)
+    div[..., :-1] += flux
+    div[..., 1:] -= flux
+    plap = -(div / h) + np.abs(u) ** (p - 2.0) * u
+    pen = np.where(u <= 0.0, u / eps, np.where(u <= 1.0, 0.0, (u - 1.0) / eps))
+    psi = (np.minimum(u, 0.0) ** 2 + np.maximum(u - 1.0, 0.0) ** 2) / (2.0 * eps)
+    dpen = np.where((u < 0.0) | (u > 1.0), 1.0 / eps, 0.0)
+    if kind == "zero":
+        rea, drea, brea = np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    elif kind == "linear":
+        rea, drea, brea = scale * u, np.full_like(u, scale), 0.5 * scale * u**2
+    else:
+        rea, drea, brea = scale * np.sin(u), scale * np.cos(u), scale * (1.0 - np.cos(u))
+    apply = u + tau * (plap + pen - rea)
+    w1p = h * np.sum(np.abs(d) ** p, axis=-1) + h * np.sum(np.abs(u) ** p, axis=-1)
+    energy = (
+        0.5 * h * np.vecdot(u, u)
+        + tau * (w1p / p + h * np.sum(psi, axis=-1) - h * np.sum(brea, axis=-1))
+        - h * np.vecdot(rhs, u)
+    )
+    w = (p - 1.0) * np.abs(d) ** (p - 2.0) / h**2
+    diag_flux = np.zeros(u.shape)
+    diag_flux[..., :-1] += w
+    diag_flux[..., 1:] += w
+    diag_local = (p - 1.0) * np.abs(u) ** (p - 2.0) + dpen - drea
+    return apply, energy, 1.0 + tau * (diag_flux + diag_local), -tau * w
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-6])
+@pytest.mark.parametrize("kind", ["zero", "linear", "sine"])
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+def test_shared_point_is_bit_identical(p, kind, eps):
+    # apply, energy and jacobian evaluated on one Point give the bits of
+    # fresh array calls, of each row alone and of the formulas written out;
+    # cells below 0, inside [0, 1] and above 1, and equal neighbours (d = 0,
+    # where 0 ** 0 = 1 at p = 2)
+    rng = np.random.default_rng(7)
+    ctx = make_ctx(p=p, eps=eps, L_beta=0.5,
+                   reaction=ReactionSpec(kind, 0.0 if kind == "zero" else 0.5), n=9)
+    u = rng.uniform(-0.5, 1.5, (5, 9))
+    u[:, 4] = u[:, 3]
+    u[2] = 0.25
+    u[3, :3] = [-0.2, 0.5, 1.3]
+    rhs = rng.normal(size=(5, 9))
+    ref = reference_evaluation(ctx, u, rhs)
+
+    def evaluate(pt_or_u, b):
+        # the solver's order: energy, then residual, then Jacobian
+        e = ctx.energy(pt_or_u, b)
+        a = ctx.apply(pt_or_u)
+        jac = ctx.jacobian(pt_or_u)
+        return a, e, jac.diag, jac.off
+
+    shared = evaluate(ctx.point(u), rhs)
+    for got, fresh, want in zip(shared, evaluate(u, rhs), ref):
+        assert np.array_equal(got, want)
+        assert np.array_equal(fresh, want)
+    for k in range(5):
+        for got, want in zip(evaluate(u[k], rhs[k]), ref):
+            assert np.array_equal(got, want[k])
+    # row moves keep the pieces consistent with the rows they carry
+    pt = ctx.point(u)
+    evaluate(pt, rhs)
+    taken = pt.take([4, 1])
+    for got, want in zip(evaluate(taken, rhs[[4, 1]]), ref):
+        assert np.array_equal(got, want[[4, 1]])
+    merged = ctx.point(rng.uniform(-0.5, 1.5, (3, 9)))
+    ctx.energy(merged, rhs[:3])
+    merged.put([0, 2], pt, [3, 2])
+    rows = np.vstack([u[3], merged.u[1], u[2]])
+    for got, want in zip(evaluate(merged, rhs[[3, 1, 2]]), evaluate(rows, rhs[[3, 1, 2]])):
+        assert np.array_equal(got, want)
+
+
+def test_point_belongs_to_its_context():
+    ctx, other = make_ctx(p=3.0), make_ctx(p=3.0)
+    pt = ctx.point(np.full(8, 0.5))
+    assert ctx.point(pt) is pt
+    with pytest.raises(TypeError, match="got Point"):
+        other.apply(pt)
+    with pytest.raises(TypeError, match="got GridFunction"):
+        Point(ctx, ctx.grid.function(np.full(8, 0.5)))
 
 
 # ---------------------------------------------------------------------------

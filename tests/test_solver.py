@@ -5,7 +5,7 @@ import pytest
 
 from plapsim.mesh import Grid1D, norm_l2, norm_w1p
 from plapsim.model import ModelParams, ReactionSpec
-from plapsim.operators import OperatorContext
+from plapsim.operators import OperatorContext, Point
 from plapsim.solver import (
     NonConvergence,
     SolverConfig,
@@ -128,6 +128,34 @@ def test_solve_rows_mixed_guesses_match_solo_solves():
     assert len(iterations) > 1
 
 
+def test_solve_rows_forms_each_gradient_once(monkeypatch):
+    # energy, residual and Jacobian of an iterate share one Point, so the
+    # face gradient is formed once per evaluated point: the guess, each
+    # full-step trial and each backtrack (one energy evaluation each)
+    ctx = make_ctx(p=2.0, eps=1e-5, tau=0.02, L_beta=0.5,
+                   reaction=ReactionSpec("sine", 0.5), n=32)
+    x = ctx.grid.cell_centers()
+    wave = np.cos(np.pi * x)
+    rhs = 0.5 + 0.5 * wave + 0.02 * np.array([10.0, 50.0, 200.0])[:, None] * wave
+    guess = np.tile(0.5 + 0.25 * wave, (3, 1))
+    formed, energies = [], []
+    diff, make, energy = np.diff, Point.d.func, OperatorContext.energy
+    monkeypatch.setattr(np, "diff", lambda *a, **k: formed.append("diff") or diff(*a, **k))
+    monkeypatch.setattr(Point.d, "func", lambda pt: formed.append(len(pt.u)) or make(pt))
+    monkeypatch.setattr(OperatorContext, "energy",
+                        lambda self, pt, b: energies.append(len(pt.u)) or energy(self, pt, b))
+    u, history, failures = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert not failures
+    iterations = len(history) - 1
+    assert [len(rows) for rows, _, _ in history][-3:] == [3, 2, 1]
+    assert len(energies) > 1 + iterations  # some rows backtracked
+    assert formed == energies  # one gradient per evaluated point, of its rows
+    monkeypatch.undo()
+    for k in range(3):
+        ref, _ = solve(ctx, ctx.grid.function(rhs[k]), guess=ctx.grid.function(guess[k]))
+        assert np.array_equal(u[k], ref.values)
+
+
 def test_solver_determinism():
     ctx = make_ctx(p=3.0, tau=0.1)
     rhs = ctx.grid.function(np.linspace(-1.0, 2.0, 16))
@@ -149,9 +177,11 @@ def test_nonfinite_residual_raises_nonconvergence(monkeypatch):
     original = OperatorContext.apply
     calls = []
 
-    def apply(self, u):
-        calls.append(u)
-        return np.full_like(u, np.nan) if len(calls) == 2 else original(self, u)
+    def apply(self, pt):
+        # the solver evaluates the residual on a Point, not on a bare array
+        assert isinstance(pt, Point)
+        calls.append(pt)
+        return np.full_like(pt.u, np.nan) if len(calls) == 2 else original(self, pt)
 
     monkeypatch.setattr(OperatorContext, "apply", apply)
     with pytest.raises(NonConvergence, match=r"after 1 Newton steps \(residual nan"):
