@@ -35,8 +35,15 @@ REACTION_KINDS = ("zero", "linear", "sine")
 SOURCE_KINDS = ("zero", "constant", "cosine", "tabulated")
 INITIAL_KINDS = ("constant", "cosine")
 
-# 4-point Gauss-Legendre nodes/weights on [-1, 1]
-_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(4)
+# 4-point Gauss-Legendre nodes/weights on [-1, 1], the bits of
+# np.polynomial.legendre.leggauss(4), written out so that importing the
+# package does not load numpy.polynomial
+_GAUSS_NODES = np.array(
+    [-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526]
+)
+_GAUSS_WEIGHTS = np.array(
+    [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
+)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,15 @@ one value per row.  They also take a :class:`Point`, which keeps the pieces
 of u they share, so the solver computes each once per iterate; an array is
 wrapped in a fresh point, so both forms give the same bits.
 
+The Newton systems are solved by LAPACK's ``dptsv`` from the OpenBLAS that
+numpy's wheel ships (``libscipy_openblas64_*``, 64-bit integers), bound with
+ctypes.  numpy has that library loaded already, so the binding adds almost
+nothing to ``import plapsim``, where importing ``scipy.linalg`` for the same
+routine would take about two thirds of it.  Where numpy ships no such
+library (a numpy built from source, or one on Accelerate), the solve calls
+``scipy.linalg.lapack.dptsv``, imported on first use.  Both run the same
+LAPACK routine; the tests check that they give the same bits.
+
 Under tau * L_beta < 1 the operator is strongly monotone:
 
     <A(u) - A(v), u - v>_h >= (1 - tau L_beta) ||u - v||_2^2
@@ -29,11 +38,13 @@ certifies numerically (it is the exact infimum, attained at b = -a).
 
 from __future__ import annotations
 
+import glob
+import os
+from ctypes import CDLL, byref, c_double, c_int64
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
 
 from .mesh import Grid1D, GridFunction, divergence_array, norm_w1p_array
 from .model import (
@@ -45,6 +56,51 @@ from .model import (
 )
 
 __all__ = ["OperatorContext", "Point", "TridiagonalMatrix"]
+
+
+def _bundled_dptsv():
+    """``dptsv`` of the OpenBLAS in numpy's wheel, or None where numpy ships none."""
+    pkg = os.path.dirname(np.__file__)
+    for lib in sorted(
+        glob.glob(os.path.join(pkg + ".libs", "libscipy_openblas64_*"))  # Linux, Windows
+        + glob.glob(os.path.join(pkg, ".dylibs", "libscipy_openblas64_*"))  # macOS
+    ):
+        try:
+            fn = CDLL(lib).scipy_dptsv_64_
+        except (OSError, AttributeError):
+            continue
+        fn.restype = None
+        return fn
+    return None
+
+
+_BUNDLED_DPTSV = _bundled_dptsv()
+_ONE = byref(c_int64(1))
+
+
+def _ptsv(work: np.ndarray) -> int:
+    """Solve in place the SPD tridiagonal system held in ``work``; return LAPACK's info.
+
+    ``work`` is a fresh C-contiguous float64 array of shape (3, ...): the
+    diagonal, the off-diagonal (one longer, its last entry unused) and the
+    right-hand side, each read flat.  The solution overwrites ``work[2]``.
+    """
+    if _BUNDLED_DPTSV is None:
+        from scipy.linalg.lapack import dptsv
+
+        flat = work.reshape(3, -1)  # a view: work is contiguous
+        _, _, flat[2], info = dptsv(flat[0], flat[1, :-1], flat[2])
+        return info
+    # Every argument is a reference to a typed ctypes object, which ctypes
+    # passes as the pointer it is; declaring argtypes would only add about
+    # 2 us of conversion to each call.
+    size = work.size // 3
+    base = c_double.from_buffer(work)
+    n, info = byref(c_int64(size)), c_int64()
+    _BUNDLED_DPTSV(
+        n, _ONE, byref(base), byref(base, 8 * size), byref(base, 16 * size), n, byref(info)
+    )
+    return info.value
 
 
 class _Piece(cached_property):
@@ -126,22 +182,33 @@ class TridiagonalMatrix:
         return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve every row with one LAPACK ``ptsv`` (L D L^T) call.
+        """Solve every row with one LAPACK ``dptsv`` (L D L^T) call.
 
         The rows are laid end to end as one block-diagonal matrix, with a
         zero off-diagonal at each seam, so the factorization of one block
         never touches another and each row's solution is bit-identical to
-        a solve of that row alone.  The matrices are SPD by construction;
-        a LinAlgError reports one that is not.
+        a solve of that row alone.  The diagonal, the padded off-diagonal
+        and ``b`` go into one fresh (3, ...) buffer, so the inputs are left
+        as they are.  The call goes to numpy's bundled OpenBLAS, or to
+        scipy's LAPACK where numpy ships none (see the module docstring).
+        The matrices are SPD by construction; a LinAlgError reports one
+        that is not.
         """
-        off = np.zeros(self.diag.shape)
-        off[..., :-1] = self.off
-        _, _, x, info = dptsv(self.diag.ravel(), off.ravel()[:-1], b.ravel())
+        if b.shape != self.diag.shape:
+            raise ValueError(
+                f"right-hand side shape {b.shape} differs from diagonal shape {self.diag.shape}"
+            )
+        work = np.empty((3,) + b.shape)
+        work[0] = self.diag
+        work[1, ..., :-1] = self.off
+        work[1, ..., -1] = 0.0  # the seams; zeroing all of work costs more at large n
+        work[2] = b
+        info = _ptsv(work)
         if info != 0:
             raise np.linalg.LinAlgError(
                 f"tridiagonal solve failed: LAPACK ptsv info={info}"
             )
-        return x.reshape(b.shape)
+        return work[2]
 
 
 @dataclass(frozen=True)

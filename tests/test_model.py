@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plapsim import model
 from plapsim.mesh import Grid1D
 from plapsim.model import (
     InitialDatum,
@@ -176,6 +177,13 @@ def test_source_gauss_rule_exact_for_degree_seven():
     exact = (t1**8 - t0**8) / (8 * tau)
     acc = spec.step_average(n, g, tau)
     assert np.allclose(acc.values, exact, rtol=1e-13)
+
+
+def test_gauss_literals_are_leggauss_bits():
+    # the written-out rule is numpy's own, bit for bit and in its order
+    nodes, weights = np.polynomial.legendre.leggauss(4)
+    assert model._GAUSS_NODES.tobytes() == nodes.tobytes()
+    assert model._GAUSS_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_source_cosine_matches_closed_form():

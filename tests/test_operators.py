@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dptsv
 
+import plapsim
+from plapsim import operators
 from plapsim.mesh import Grid1D, gradient, inner, norm_l2, norm_w1p
 from plapsim.model import ModelParams, ReactionSpec
 from plapsim.operators import OperatorContext, Point, TridiagonalMatrix
@@ -50,6 +57,83 @@ def test_tridiagonal_solve_rejects_indefinite_and_bad_shapes():
         TridiagonalMatrix(np.array([1.0, -1.0, 1.0]), np.zeros(2)).solve(np.ones(3))
     with pytest.raises(ValueError, match="shape"):
         TridiagonalMatrix(np.ones((2, 4)), np.ones((2, 4)))
+
+
+bundled_only = pytest.mark.skipif(
+    operators._BUNDLED_DPTSV is None, reason="numpy ships no OpenBLAS library"
+)
+LAPACK_PATHS = [pytest.param("bundled", marks=bundled_only), "scipy"]
+
+
+@pytest.fixture
+def lapack_path(request, monkeypatch):
+    """Run the test through numpy's bundled dptsv or, with the lookup emptied, scipy's."""
+    if request.param == "scipy":
+        monkeypatch.setattr(operators, "_BUNDLED_DPTSV", None)
+    return request.param
+
+
+def random_spd_stack(rng, rows, n):
+    """SPD tridiagonal rows (strictly diagonally dominant) at log-uniform scales 1e-8..1e6."""
+    off_scale, diag_scale, b_scale = 10.0 ** rng.uniform(-8.0, 6.0, 3)
+    off = off_scale * rng.uniform(-1.0, 1.0, (rows, n - 1))
+    diag = diag_scale * rng.uniform(0.5, 1.5, (rows, n))
+    diag[:, 1:] += np.abs(off)
+    diag[:, :-1] += np.abs(off)
+    return diag, off, b_scale * rng.normal(size=(rows, n))
+
+
+SOLVE_SHAPES = [(1, 2), (1, 8192), (1, 9000), (40, 2), (40, 64), (3, 9000)] + [
+    (int(r), int(n))
+    for r, n in zip(np.random.default_rng(7).integers(1, 41, 24),
+                    np.random.default_rng(8).integers(2, 400, 24))
+]
+
+
+@pytest.mark.parametrize("lapack_path", LAPACK_PATHS, indirect=True)
+def test_tridiagonal_solve_rows_are_dptsv_bits(lapack_path):
+    # both LAPACK paths give every row the bits of scipy's dptsv on that row
+    # alone, and leave diag, off and b as they were
+    rng = np.random.default_rng(11)
+    for rows, n in SOLVE_SHAPES:
+        diag, off, b = random_spd_stack(rng, rows, n)
+        kept = diag.copy(), off.copy(), b.copy()
+        x = TridiagonalMatrix(diag, off).solve(b)
+        assert x.shape == (rows, n) and x.dtype == np.float64
+        for got, before in zip((diag, off, b), kept):
+            assert np.array_equal(got, before)
+        for k in range(rows):
+            _, _, ref, info = dptsv(diag[k], off[k], b[k])
+            assert info == 0 and np.array_equal(x[k], ref), (lapack_path, rows, n, k)
+        one = TridiagonalMatrix(diag[0], off[0]).solve(b[0])
+        assert one.shape == (n,) and np.array_equal(one, x[0])
+
+
+def test_scipy_path_rejects_indefinite_and_bad_shapes(monkeypatch):
+    monkeypatch.setattr(operators, "_BUNDLED_DPTSV", None)
+    test_tridiagonal_solve_rejects_indefinite_and_bad_shapes()
+
+
+def test_tridiagonal_solve_rejects_mismatched_rhs():
+    with pytest.raises(ValueError, match="right-hand side shape"):
+        TridiagonalMatrix(np.full((2, 4), 2.0), np.zeros((2, 3))).solve(np.ones(4))
+
+
+@bundled_only
+def test_import_loads_no_scipy():
+    # numpy's bundled OpenBLAS serves the solve, so a fresh `import plapsim`
+    # loads neither scipy nor the numpy modules that scipy.linalg pulls in
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(plapsim.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, plapsim\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
+        " or m.startswith(('numpy.f2py', 'numpy.polynomial'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_operator_rejects_gridfunction_with_a_clear_message():
