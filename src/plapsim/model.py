@@ -25,6 +25,7 @@ __all__ = [
     "ReactionSpec",
     "SourceSpec",
     "InitialDatum",
+    "box_excess",
     "yosida_penalty",
     "yosida_potential",
     "yosida_derivative",
@@ -87,41 +88,47 @@ class ModelParams:
         return self.T / self.M
 
 
-def yosida_penalty(v, eps: float):
+def box_excess(v):
+    """Excess of v over the box [0, 1]: v for v <= 0, zero on (0, 1], v - 1 above.
+
+    The three penalization functions below are written on it; a caller that
+    holds it passes it in as ``g``.  -0.0 keeps its sign.
+    """
+    v = np.asarray(v, dtype=float)
+    return np.where(v <= 0.0, v, np.maximum(v - 1.0, 0.0))
+
+
+def _excess(v, eps, g):
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return box_excess(v) if g is None else g
+
+
+def yosida_penalty(v, eps: float, g=None):
     """Piecewise-linear penalization of the box [0, 1].
 
     v / eps for v <= 0, zero on [0, 1], (v - 1) / eps above.  Monotone
     nondecreasing and (1/eps)-Lipschitz.  Accepts scalars or arrays.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    v = np.asarray(v, dtype=float)
-    return np.where(v <= 0.0, v / eps, np.where(v <= 1.0, 0.0, (v - 1.0) / eps))
+    return _excess(v, eps, g) / eps
 
 
-def yosida_potential(v, eps: float):
+def yosida_potential(v, eps: float, g=None):
     """Convex C^1 antiderivative of :func:`yosida_penalty`, zero on [0, 1].
 
     (v^-)^2 / (2 eps) + ((v - 1)^+)^2 / (2 eps).
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    v = np.asarray(v, dtype=float)
-    neg = np.minimum(v, 0.0)
-    exc = np.maximum(v - 1.0, 0.0)
-    return (neg**2 + exc**2) / (2.0 * eps)
+    return _excess(v, eps, g) ** 2 / (2.0 * eps)
 
 
-def yosida_derivative(v, eps: float):
+def yosida_derivative(v, eps: float, g=None):
     """Generalized derivative of the penalization: 1/eps off the box, else 0.
 
     At the kinks 0 and 1 the value 0 is used (a Clarke subgradient choice
-    that keeps the Newton matrix contributions minimal).
+    that keeps the Newton matrix contributions minimal), and at NaN too.
     """
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    v = np.asarray(v, dtype=float)
-    return np.where((v < 0.0) | (v > 1.0), 1.0 / eps, 0.0)
+    g = _excess(v, eps, g)
+    return np.where((g < 0.0) | (g > 0.0), 1.0 / eps, 0.0)
 
 
 @dataclass(frozen=True)

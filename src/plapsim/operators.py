@@ -15,7 +15,11 @@ on the last axis, so a ``(P, n_cells)`` stack of states is P independent
 problems: each row gives the numbers it gives alone, and ``energy`` returns
 one value per row.  They also take a :class:`Point`, which keeps the pieces
 of u they share, so the solver computes each once per iterate; an array is
-wrapped in a fresh point, so both forms give the same bits.
+wrapped in a fresh point, so both forms give the same bits.  A point also
+keeps the operator value A(u) and the rhs-free part E0(u) of the energy, so
+a point carried from one solve to the next (the time loop hands each step's
+solution to the next step as its guess) is not evaluated again.  The
+Jacobian is built in the buffer LAPACK solves in, and can be solved once.
 
 The Newton systems are solved by LAPACK's ``dptsv`` from the OpenBLAS that
 numpy's wheel ships (``libscipy_openblas64_*``, 64-bit integers), bound with
@@ -50,6 +54,7 @@ from .mesh import Grid1D, GridFunction, divergence_array, norm_w1p_array
 from .model import (
     ModelParams,
     ReactionSpec,
+    box_excess,
     yosida_derivative,
     yosida_penalty,
     yosida_potential,
@@ -83,8 +88,11 @@ def _ptsv(work: np.ndarray) -> int:
 
     ``work`` is a fresh C-contiguous float64 array of shape (3, ...): the
     diagonal, the off-diagonal (one longer, its last entry unused) and the
-    right-hand side, each read flat.  The solution overwrites ``work[2]``.
+    right-hand side, each read flat.  The solution overwrites ``work[2]``, and
+    the factorization the first two rows.  An empty stack has nothing to solve.
     """
+    if not work.size:
+        return 0
     if _BUNDLED_DPTSV is None:
         from scipy.linalg.lapack import dptsv
 
@@ -126,14 +134,18 @@ def _cells(u):
 class Point:
     """A cell array ``u`` of an :class:`OperatorContext` and the pieces its formulas share.
 
-    The pieces d = diff(u) / h, |d|, |u|, |d|^(p-2), |u|^(p-2) and cos u (sine
-    reaction only) are made on first use and kept; only :meth:`put` changes them.
+    The pieces d = diff(u) / h, |d|, |u|, |d|^(p-2), |u|^(p-2), cos u (sine
+    reaction only), the box excess g (:func:`~plapsim.model.box_excess`), the
+    operator value A(u) and the rhs-free part E0(u) of the energy are made on
+    first use and kept; only :meth:`put` changes them.  Pieces known already
+    are passed to the constructor by name.
     """
 
     __slots__ = ("ctx", "u", "__dict__")  # the instance dict holds only pieces
 
-    def __init__(self, ctx: OperatorContext, u: np.ndarray):
+    def __init__(self, ctx: OperatorContext, u: np.ndarray, **pieces):
         self.ctx, self.u = ctx, _cells(u)
+        vars(self).update(pieces)
 
     d = _Piece(lambda pt: (pt.u[..., 1:] - pt.u[..., :-1]) / pt.ctx._h)
     abs_d = _Piece(lambda pt: np.abs(pt.d))
@@ -141,6 +153,9 @@ class Point:
     pow_d = _Piece(lambda pt: pt.abs_d ** (pt.ctx.params.p - 2.0))
     pow_u = _Piece(lambda pt: pt.abs_u ** (pt.ctx.params.p - 2.0))
     cos_u = _Piece(lambda pt: np.cos(pt.u) if pt.ctx.reaction.kind == "sine" else None)
+    g = _Piece(lambda pt: box_excess(pt.u))
+    au = _Piece(lambda pt: pt.ctx._operator(pt))
+    e0 = _Piece(lambda pt: pt.ctx._energy0(pt))
 
     def take(self, rows) -> Point:
         """The point of the given rows, with the pieces computed so far."""
@@ -149,11 +164,14 @@ class Point:
         return out
 
     def put(self, rows, other: Point, other_rows) -> None:
-        """Overwrite ``rows`` by ``other_rows`` of ``other``, which holds all our pieces."""
+        """Overwrite ``rows`` by ``other_rows`` of ``other``, piece by piece."""
         self.u[rows] = other.u[other_rows]
         for name, piece in vars(self).items():
             if piece is not None:
-                piece[rows] = vars(other)[name][other_rows]
+                piece[rows] = getattr(other, name)[other_rows]
+
+
+_SPENT = "this matrix was factorized in place by its one solve; build it again"
 
 
 @dataclass(frozen=True)
@@ -161,7 +179,7 @@ class TridiagonalMatrix:
     """Symmetric tridiagonal matrices: main diagonals and off-diagonals.
 
     ``diag`` has shape (..., n) and ``off`` shape (..., n-1); each row is
-    one matrix.
+    one matrix.  A matrix made by :meth:`in_buffer` is solved in place, once.
     """
 
     diag: np.ndarray
@@ -175,7 +193,23 @@ class TridiagonalMatrix:
                 f"for diagonal shape {self.diag.shape}"
             )
 
+    @classmethod
+    def in_buffer(cls, work: np.ndarray) -> TridiagonalMatrix:
+        """The matrix held in a fresh C-contiguous (3, ..., n) float64 LAPACK buffer.
+
+        Row 0 is the diagonal and row 1 the off-diagonal, with a zero in its
+        last column (the seam to the next row).  :meth:`solve` then writes
+        only the right-hand side, into row 2, and LAPACK overwrites rows 0
+        and 1 with the factorization: afterwards ``diag`` and ``off`` are
+        None, and ``solve`` and ``matvec`` raise.
+        """
+        tri = cls(work[0], work[1, ..., :-1])
+        object.__setattr__(tri, "_work", work)
+        return tri
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        if self.diag is None:
+            raise ValueError(_SPENT)
         out = self.diag * v
         out[..., :-1] += self.off * v[..., 1:]
         out[..., 1:] += self.off * v[..., :-1]
@@ -189,19 +223,27 @@ class TridiagonalMatrix:
         never touches another and each row's solution is bit-identical to
         a solve of that row alone.  The diagonal, the padded off-diagonal
         and ``b`` go into one fresh (3, ...) buffer, so the inputs are left
-        as they are.  The call goes to numpy's bundled OpenBLAS, or to
-        scipy's LAPACK where numpy ships none (see the module docstring).
-        The matrices are SPD by construction; a LinAlgError reports one
-        that is not.
+        as they are; a matrix made by :meth:`in_buffer` is in its buffer
+        already, so only ``b`` is copied, and the matrix is spent.  The call
+        goes to numpy's bundled OpenBLAS, or to scipy's LAPACK where numpy
+        ships none (see the module docstring).  The matrices are SPD by
+        construction; a LinAlgError reports one that is not.
         """
+        if self.diag is None:
+            raise ValueError(_SPENT)
         if b.shape != self.diag.shape:
             raise ValueError(
                 f"right-hand side shape {b.shape} differs from diagonal shape {self.diag.shape}"
             )
-        work = np.empty((3,) + b.shape)
-        work[0] = self.diag
-        work[1, ..., :-1] = self.off
-        work[1, ..., -1] = 0.0  # the seams; zeroing all of work costs more at large n
+        work = vars(self).get("_work")
+        if work is None:
+            work = np.empty((3,) + b.shape)
+            work[0] = self.diag
+            work[1, ..., :-1] = self.off
+            work[1, ..., -1] = 0.0  # the seams; zeroing all of work costs more at large n
+        else:  # LAPACK overwrites diag and off with the factorization
+            for name in ("diag", "off", "_work"):
+                object.__setattr__(self, name, None)
         work[2] = b
         info = _ptsv(work)
         if info != 0:
@@ -262,11 +304,17 @@ class OperatorContext:
         return -div + pt.pow_u * pt.u
 
     def apply(self, u) -> np.ndarray:
-        """The full per-step operator u + tau (plap(u) + penalty(u) - reaction(u))."""
-        pt = self.point(u)
+        """The full per-step operator u + tau (plap(u) + penalty(u) - reaction(u)).
+
+        On a point, this is the array the point keeps: do not write to it.
+        """
+        return self.point(u).au
+
+    def _operator(self, pt: Point) -> np.ndarray:
+        """:meth:`apply` at a point, computed (the formula of ``Point.au``)."""
         u, pr = pt.u, self.params
         return u + self._tau * (
-            self.apply_plap(pt) + yosida_penalty(u, pr.eps) - self.reaction.evaluate(u)
+            self.apply_plap(pt) + yosida_penalty(u, pr.eps, pt.g) - self.reaction.evaluate(u)
         )
 
     def energy(self, u, rhs: np.ndarray):
@@ -279,16 +327,20 @@ class OperatorContext:
         antiderivative.  Its cellwise gradient divided by h equals
         apply(u) - rhs, and the Hessian is bounded below by
         (1 - tau L_beta) > 0, which is what the line search leans on.
-        One value per row of u.
+        One value per row of u.  A point keeps the rhs-free part E0(u), so
+        at a point evaluated before this costs one dot product.
         """
         pt = self.point(u)
+        return pt.e0 - self._h * np.vecdot(_cells(rhs), pt.u)
+
+    def _energy0(self, pt: Point):
+        """E0(u), the energy without its load term (the formula of ``Point.e0``)."""
         u, pr, h = pt.u, self.params, self._h
         w1p = norm_w1p_array(u, h, pr.p, pt.abs_d, pt.abs_u)
         quad = 0.5 * h * np.vecdot(u, u)
-        pen = h * np.add.reduce(yosida_potential(u, pr.eps), -1)
+        pen = h * np.add.reduce(yosida_potential(u, pr.eps, pt.g), -1)
         rea = h * np.add.reduce(self.reaction.antiderivative(u, pt.cos_u), -1)
-        load = h * np.vecdot(_cells(rhs), u)
-        return quad + self._tau * (w1p / pr.p + pen - rea) - load
+        return quad + self._tau * (w1p / pr.p + pen - rea)
 
     def jacobian(self, u) -> TridiagonalMatrix:
         """Generalized Jacobian of :meth:`apply` at u.
@@ -296,19 +348,24 @@ class OperatorContext:
         Identity + tau * (stiffness with face weights (p-1)|d_f|^{p-2}/h^2
         + diagonal (p-1)|u_i|^{p-2} + penalty' - reaction').  Symmetric and
         positive definite: the diagonal dominates by at least
-        1 - tau L_beta > 0.
+        1 - tau L_beta > 0.  The matrix is built in its LAPACK buffer
+        (:meth:`TridiagonalMatrix.in_buffer`), so it can be solved once.
         """
         pt = self.point(u)
         u, pr = pt.u, self.params
         w = (pr.p - 1.0) * pt.pow_d / self._h**2
-        diag_flux = np.zeros(u.shape)
-        diag_flux[..., :-1] += w
-        diag_flux[..., 1:] += w
-        diag_local = (
+        work = np.empty((3,) + u.shape)
+        diag = work[0]  # 1 + tau (flux part + local part), in that order
+        diag.fill(0.0)
+        diag[..., :-1] += w
+        diag[..., 1:] += w
+        diag += (
             (pr.p - 1.0) * pt.pow_u
-            + yosida_derivative(u, pr.eps)
+            + yosida_derivative(u, pr.eps, pt.g)
             - self.reaction.derivative(u, pt.cos_u)
         )
-        return TridiagonalMatrix(
-            1.0 + self._tau * (diag_flux + diag_local), -self._tau * w
-        )
+        diag *= self._tau
+        diag += 1.0
+        np.multiply(-self._tau, w, out=work[1, ..., :-1])
+        work[1, ..., -1] = 0.0
+        return TridiagonalMatrix.in_buffer(work)

@@ -18,6 +18,8 @@ residual meets the tolerance, and the Armijo test, the backtracking and
 the fallback act per row.  One Jacobian solve per iteration covers every
 active row.  Each trial step is one :class:`~plapsim.operators.Point`: once
 accepted, its energy, its residual and the next Jacobian share its pieces.
+The guess may be a point, and then the solutions come back as one, with
+A(u) and E0(u) of every row, ready to be the next solve's guess.
 :func:`solve` is the single-problem call: the right-hand side and guess come
 in, and the solution goes out, as validated GridFunctions.
 
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import GridFunction, norm_l2, norm_l2_array, norm_w1p
-from .operators import OperatorContext
+from .operators import OperatorContext, Point
 
 __all__ = [
     "SolverConfig",
@@ -186,18 +188,25 @@ def _failure(what, it, res, tol, history, k):
 def solve_rows(
     ctx: OperatorContext,
     rhs: np.ndarray,
-    guess: np.ndarray,
+    guess: np.ndarray | Point,
     cfg: SolverConfig,
 ):
     """Solve apply(u_k) = rhs_k for every row k of a (P, n_cells) stack.
 
-    Returns ``(u, history, failures)``: the solutions (a failed row keeps
-    its last iterate; u may be ``guess`` itself when no step was needed),
-    the history as one ``(rows, residuals, energies)`` entry of lists per
+    ``guess`` is a (P, n_cells) array or a :class:`~plapsim.operators.Point`
+    of one; a point evaluated before (the previous time step's solution)
+    gives the first residual and energy for one subtraction and one dot
+    product.  Returns ``(u, history, failures)``: the solutions, as a point
+    if ``guess`` is one and as an array otherwise (a failed row keeps its
+    last iterate; u may be ``guess`` itself when no step was needed), the
+    history as one ``(rows, residuals, energies)`` entry of lists per
     iteration (a row's Newton iterations are the entries it appears in,
     minus one), and a dict from each failed row to the
     :class:`NonConvergence` message that describes it.  Nothing is raised,
-    so the caller decides which failure to report.
+    so the caller decides which failure to report.  The returned point keeps
+    A(u) and E0(u) of every row, and its other pieces too when every row
+    stopped at the same iteration.  An empty stack returns at once, with an
+    empty history.
 
     Fields are (rows, n_cells) arrays; per-row numbers (residuals,
     energies, slopes) are lists of floats, tested row by row with the
@@ -206,8 +215,10 @@ def solve_rows(
     """
     h = ctx.grid.h
     tol = cfg.tol_residual
-    rows = list(range(len(guess)))  # the active rows, in increasing order
     pt = ctx.point(guess)
+    rows = list(range(len(pt.u)))  # the active rows, in increasing order
+    if not rows:
+        return guess, [], {}
     r = ctx.apply(pt) - rhs
     res = norm_l2_array(r, h).tolist()
     e = ctx.energy(pt, rhs).tolist()
@@ -230,9 +241,9 @@ def solve_rows(
                         "no convergence", it, res[i], tol, history, rows[i]
                     )
             if len(stop) == len(rows):
-                finished.append((rows, pt.u))
+                finished.append((rows, pt, slice(None)))
                 break
-            finished.append(([rows[i] for i in stop], pt.u[stop]))
+            finished.append(([rows[i] for i in stop], pt, stop))
             stopped = set(stop)
             keep = [i for i in range(len(rows)) if i not in stopped]
             rows, res, e = ([a[i] for i in keep] for a in (rows, res, e))
@@ -268,12 +279,16 @@ def solve_rows(
         res = norm_l2_array(r, h).tolist()
         it += 1
 
+    carry = isinstance(guess, Point)
     if len(finished) == 1:  # every row stopped at the same iteration
-        return finished[0][1], history, failures
-    u = np.empty_like(guess)
-    for rows, u_rows in finished:
-        u[rows] = u_rows
-    return u, history, failures
+        out = finished[0][1]
+    else:
+        shape = (len(history[0][0]), pt.u.shape[-1])
+        pieces = {"au": np.empty(shape), "e0": np.empty(shape[0])} if carry else {}
+        out = Point(ctx, np.empty(shape), **pieces)
+        for rows, done, stop in finished:
+            out.put(rows, done, stop)
+    return (out if carry else out.u), history, failures
 
 
 def solve(

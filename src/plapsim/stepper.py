@@ -20,9 +20,11 @@ alone.
 stack of paths, one per row of a ``(P, M)`` table of noise coefficients
 sum_j c_j dW_j, against an ``(M, n_cells)`` table of source averages, and
 solves each step of every row with one :func:`~plapsim.solver.solve_rows`
-call.  :func:`run_path` is that loop on one row over a whole path and
-:func:`step` on one row for one step; the Monte Carlo driver, the eps
-study and the verification report of :mod:`plapsim.harness` run many rows.
+call, started from the point the previous step's call returned, whose
+operator value and energy are known already.  :func:`run_path` is that
+loop on one row over a whole path and :func:`step` on one row for one step;
+the Monte Carlo driver, the eps study and the verification report of
+:mod:`plapsim.harness` run many rows.
 """
 
 from __future__ import annotations
@@ -85,9 +87,13 @@ def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
     :func:`~plapsim.solver.solve_rows` history of each step, whose row
     indices count the rows still running at that step.  ``states``, if
     given, is a (P, M+1, n_cells) array that receives the states, and
-    ``w1p`` a (P, M+1) array that receives their W^{1,p} powers.  Rows where
-    the (P,) mask ``cold`` is true start each step's solve from zero, not
-    from the last state.
+    ``w1p`` a (P, M+1) array that receives their W^{1,p} powers.
+
+    Each step's solve starts from the point the previous step's solve
+    returned (:class:`~plapsim.operators.Point`), so the operator value and
+    the energy at u_n are not evaluated again.  Rows where the (P,) mask
+    ``cold`` is true start each step's solve from zero, not from the last
+    state; a step with such a row starts every row from a fresh array.
     """
     h, p, tau = ctx.grid.h, ctx.params.p, ctx.params.tau
     P, M = coef.shape
@@ -101,24 +107,27 @@ def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
     if w1p is not None:
         w1p[:, 0] = norm_w1p_array(u0, h, p)
     alive = np.arange(P)
+    pt = ctx.point(u.copy())  # the rows still running
     failures, histories = {}, []
     for n in range(M):
-        u_n = u[alive]
+        u_n = pt.u
         rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
-        guess = u_n if cold is None else np.where(cold[alive, None], 0.0, u_n)
+        guess = pt if cold is None else np.where(cold[alive, None], 0.0, u_n)
         u_np1, history, failed = solve_rows(ctx, rhs, guess, cfg)
+        pt = ctx.point(u_np1)  # a cold start returns an array
         histories.append(history)
-        u[alive] = u_np1
+        u[alive] = pt.u
         if states is not None:
             states[:, n + 1] = u
-        l2[alive, n + 1] = norm_l2_array(u_np1, h)
-        viol[alive, n + 1] = constraint_violation_array(u_np1, h)
+        l2[alive, n + 1] = norm_l2_array(pt.u, h)
+        viol[alive, n + 1] = constraint_violation_array(pt.u, h)
         if w1p is not None:
-            w1p[alive, n + 1] = norm_w1p_array(u_np1, h, p)
+            w1p[alive, n + 1] = norm_w1p_array(pt.u, h, p, pt.abs_d, pt.abs_u)
         for i, message in failed.items():
             failures[int(alive[i])] = (n, message)
         if failed:
-            alive = np.delete(alive, list(failed))
+            keep = [i for i in range(len(alive)) if i not in failed]
+            alive, pt = alive[keep], pt.take(keep)
             if not alive.size:
                 break
     return l2, viol, failures, histories

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from plapsim import harness, solver, stepper
+from plapsim import harness, operators, solver, stepper
 from plapsim.harness import (
     CHECKLIST,
     McSummary,
@@ -397,6 +397,27 @@ def test_eps_study_chunk_invariance_and_path_identity(monkeypatch):
         outputs.append((buf.getvalue(), json.dumps(tab.metadata["halfwidths"])))
     assert outputs[1] == outputs[0]
     assert outputs[2] == outputs[0]
+
+
+@pytest.mark.skipif(operators._BUNDLED_DPTSV is None, reason="numpy ships no OpenBLAS")
+def test_mc_and_eps_study_bytes_equal_on_both_lapack_paths(monkeypatch):
+    # numpy's bundled dptsv and scipy's give the same Monte Carlo and eps
+    # study files, byte for byte
+    ctx, noise, initial, source = stiff_mc_setup()
+    outputs = []
+    for path in ("bundled", "scipy"):
+        if path == "scipy":
+            monkeypatch.setattr(operators, "_BUNDLED_DPTSV", None)
+        mc = run_mc(ctx, noise, initial, source, n_paths=6, base_seed=2)
+        tab = run_eps_study(STIFF_EPS, ctx.params, ctx.reaction, ctx.grid, noise,
+                            source, initial, n_paths=4, base_seed=2)
+        files = []
+        for out in (mc, tab):
+            buf = io.StringIO()
+            out.to_csv(buf)
+            files.append(buf.getvalue())
+        outputs.append((files, json.dumps(mc.to_dict()), json.dumps(tab.metadata)))
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize(

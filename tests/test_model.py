@@ -70,6 +70,28 @@ def test_penalty_derivative_kink_choice():
     assert yosida_derivative(1.01, 0.1) == pytest.approx(10.0)
 
 
+def test_box_excess_keeps_the_bits_of_the_branch_formulas():
+    # the three penalization functions, written on g = box_excess(v), give
+    # the bits of their branch formulas: signed zeros, the kinks 0 and 1
+    # and their neighbours, subnormals, infinities and NaN
+    tiny, small = np.nextafter(0.0, 1.0), np.finfo(float).tiny
+    v = np.array([0.0, -0.0, tiny, -tiny, small, -small, np.nextafter(0.0, -1.0),
+                  np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 0.5, -3.0, 4.0,
+                  1e308, -1e308, np.inf, -np.inf, np.nan])
+    for eps in (0.1, 1e-6, 3.0):
+        with np.errstate(all="ignore"):
+            pen = np.where(v <= 0.0, v / eps, np.where(v <= 1.0, 0.0, (v - 1.0) / eps))
+            pot = (np.minimum(v, 0.0) ** 2 + np.maximum(v - 1.0, 0.0) ** 2) / (2.0 * eps)
+            der = np.where((v < 0.0) | (v > 1.0), 1.0 / eps, 0.0)
+            g = model.box_excess(v)
+            got = [(f(v, eps), f(v, eps, g)) for f in
+                   (yosida_penalty, yosida_potential, yosida_derivative)]
+        for want, pair in zip((pen, pot, der), got):
+            for have in pair:
+                assert have.tobytes() == want.tobytes(), (eps, want, have)
+    assert np.signbit(yosida_penalty(-0.0, 0.1)) and yosida_derivative(np.nan, 0.1) == 0.0
+
+
 def test_penalty_rejects_bad_eps():
     with pytest.raises(ValueError):
         yosida_penalty(0.5, 0.0)

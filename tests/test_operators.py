@@ -62,15 +62,6 @@ def test_tridiagonal_solve_rejects_indefinite_and_bad_shapes():
 bundled_only = pytest.mark.skipif(
     operators._BUNDLED_DPTSV is None, reason="numpy ships no OpenBLAS library"
 )
-LAPACK_PATHS = [pytest.param("bundled", marks=bundled_only), "scipy"]
-
-
-@pytest.fixture
-def lapack_path(request, monkeypatch):
-    """Run the test through numpy's bundled dptsv or, with the lookup emptied, scipy's."""
-    if request.param == "scipy":
-        monkeypatch.setattr(operators, "_BUNDLED_DPTSV", None)
-    return request.param
 
 
 def random_spd_stack(rng, rows, n):
@@ -90,8 +81,7 @@ SOLVE_SHAPES = [(1, 2), (1, 8192), (1, 9000), (40, 2), (40, 64), (3, 9000)] + [
 ]
 
 
-@pytest.mark.parametrize("lapack_path", LAPACK_PATHS, indirect=True)
-def test_tridiagonal_solve_rows_are_dptsv_bits(lapack_path):
+def test_tridiagonal_solve_rows_are_dptsv_bits(lapack):
     # both LAPACK paths give every row the bits of scipy's dptsv on that row
     # alone, and leave diag, off and b as they were
     rng = np.random.default_rng(11)
@@ -104,9 +94,43 @@ def test_tridiagonal_solve_rows_are_dptsv_bits(lapack_path):
             assert np.array_equal(got, before)
         for k in range(rows):
             _, _, ref, info = dptsv(diag[k], off[k], b[k])
-            assert info == 0 and np.array_equal(x[k], ref), (lapack_path, rows, n, k)
+            assert info == 0 and np.array_equal(x[k], ref), (lapack, rows, n, k)
         one = TridiagonalMatrix(diag[0], off[0]).solve(b[0])
         assert one.shape == (n,) and np.array_equal(one, x[0])
+
+
+def test_jacobian_is_solved_in_its_buffer(lapack):
+    # the Jacobian is built in the LAPACK buffer: its solve copies only the
+    # right-hand side and gives the bits of the copy-in solve of the same
+    # matrix; the buffer then holds the factorization, so the spent matrix
+    # raises instead of answering again
+    rng = np.random.default_rng(12)
+    ctx = make_ctx(p=3.0, eps=1e-3, L_beta=0.5, reaction=ReactionSpec("sine", 0.5), n=9)
+    u = rng.uniform(-0.5, 1.5, (6, 9))
+    b = rng.normal(size=(6, 9))
+    tri = ctx.jacobian(u)
+    hand = TridiagonalMatrix(tri.diag.copy(), tri.off.copy())
+    kept = hand.diag.copy(), hand.off.copy(), b.copy()
+    x = tri.solve(b)
+    assert np.array_equal(x, hand.solve(b))
+    assert np.array_equal(hand.solve(b), x)  # a hand-built matrix solves again
+    assert np.array_equal(hand.matvec(x), TridiagonalMatrix(*kept[:2]).matvec(x))
+    for got, before in zip((hand.diag, hand.off, b), kept):
+        assert np.array_equal(got, before)
+    assert tri.diag is None and tri.off is None
+    for call in (tri.solve, tri.matvec):
+        with pytest.raises(ValueError, match="factorized in place"):
+            call(b)
+    for k in range(6):
+        assert np.array_equal(x[k], ctx.jacobian(u[k]).solve(b[k]))
+
+
+def test_empty_stack_solves_to_an_empty_array(lapack):
+    ctx = make_ctx(p=3.0)
+    empty = np.empty((0, 8))
+    for tri in (TridiagonalMatrix(empty, np.empty((0, 7))), ctx.jacobian(empty)):
+        x = tri.solve(empty)
+        assert x.shape == (0, 8) and x.dtype == np.float64
 
 
 def test_scipy_path_rejects_indefinite_and_bad_shapes(monkeypatch):

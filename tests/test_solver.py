@@ -156,6 +156,43 @@ def test_solve_rows_forms_each_gradient_once(monkeypatch):
         assert np.array_equal(u[k], ref.values)
 
 
+def test_solve_rows_empty_stack_returns_at_once(lapack):
+    # zero rows: the guess comes back with an empty history and no failures,
+    # as an array or as a point, whichever was passed
+    ctx = make_ctx(p=3.0)
+    empty = np.empty((0, 16))
+    for guess in (empty, ctx.point(empty)):
+        u, history, failures = solve_rows(ctx, empty, guess, SolverConfig())
+        assert u is guess and history == [] and failures == {}
+
+
+def test_solve_rows_point_guess_returns_the_converged_point(monkeypatch, lapack):
+    # a Point guess gives the rows of an array guess, bit for bit, and a
+    # point that keeps A(u) and E0(u) of every row, also when the rows
+    # stop at different iterations; a point already evaluated is not
+    # evaluated again
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
+                   reaction=ReactionSpec("sine", 2.0))
+    rng = np.random.default_rng(3)
+    rhs = rng.uniform(-1.0, 2.0, (6, 16))
+    guess = rng.normal(size=(6, 16))
+    u, history, _ = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert len({len(rows) for rows, _, _ in history}) > 1
+    pt, history_pt, _ = solve_rows(ctx, rhs, ctx.point(guess.copy()), SolverConfig())
+    assert isinstance(pt, Point) and np.array_equal(pt.u, u) and history_pt == history
+    assert set(vars(pt)) == {"au", "e0"}
+    assert np.array_equal(pt.au, ctx.apply(u))
+    assert np.array_equal(pt.e0, ctx.energy(u, np.zeros_like(u)))
+    at_u, formed = ctx.apply(u), []
+    for name in ("au", "e0"):
+        make = getattr(Point, name).func
+        monkeypatch.setattr(getattr(Point, name), "func",
+                            lambda p, make=make: formed.append(len(p.u)) or make(p))
+    again, history_again, _ = solve_rows(ctx, at_u, pt, SolverConfig())
+    assert again is pt and formed == []
+    assert [rows for rows, _, _ in history_again] == [list(range(6))]
+
+
 def test_solver_determinism():
     ctx = make_ctx(p=3.0, tau=0.1)
     rhs = ctx.grid.function(np.linspace(-1.0, 2.0, 16))

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from plapsim.mesh import Grid1D, GridFunction, norm_l2
+from plapsim.mesh import Grid1D, GridFunction, norm_l2, norm_l2_array
 from plapsim.model import (
     ModelParams,
     ReactionSpec,
@@ -11,10 +11,17 @@ from plapsim.model import (
     make_initial,
     yosida_penalty,
 )
-from plapsim.noise import NoiseModel
-from plapsim.operators import OperatorContext
-from plapsim.solver import NonConvergence, SolverConfig, solve
-from plapsim.stepper import constraint_violation, run_path, step
+from plapsim.noise import NoiseModel, bump_profile
+from plapsim.operators import OperatorContext, Point
+from plapsim.solver import NonConvergence, SolverConfig, solve, solve_rows
+from plapsim.stepper import (
+    constraint_violation,
+    constraint_violation_array,
+    noise_coefs,
+    run_path,
+    run_rows,
+    step,
+)
 
 
 def bisect_root(fn, lo, hi, iters=200):
@@ -163,6 +170,144 @@ def test_run_path_reports_equal_chained_steps():
         u, ref = step(ctx, nm, u, traj.increments.values[n], f_n)
         assert report.to_json() == ref.to_json(), n
         assert np.array_equal(u.values, traj.states[n + 1]), n
+
+
+# ---------------------------------------------------------------------------
+# the point carried from one step's solve to the next
+
+
+def carry_setup(kind, n_paths=12, amp=50.0):
+    """(ctx, u0, coef, f) of the Monte Carlo data ("mc") or the stiff data.
+
+    The stiff data (p = 2, eps = 1e-5, a cosine source of amplitude ``amp``)
+    make the line search backtrack and the rows stop at different iterations.
+    """
+    grid = Grid1D(24, 1.0)
+    params = ModelParams(p=2.0, eps=0.1 if kind == "mc" else 1e-5, T=0.2, M=10, L_beta=0.5)
+    ctx = OperatorContext(params, ReactionSpec("sine", 0.5), grid)
+    noise = NoiseModel(J=6, sigma=0.5)
+    u0 = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25}).u0.values
+    source = SourceSpec("zero") if kind == "mc" else SourceSpec(
+        "cosine", {"offset": 0.0, "amp": amp, "decay": 0.0, "length": 1.0})
+    coef = noise_coefs(noise, (noise.sample_path(params.M, params.tau, s).values
+                               for s in range(n_paths)))
+    return ctx, u0, coef, source.step_table(params.M, grid, params.tau)
+
+
+def array_guess_rows(ctx, u0, coef, f, cfg):
+    """The time loop with a plain-array guess at every step, evaluated afresh.
+
+    Returns (states, l2, violations, failures, histories) as run_rows does.
+    """
+    h, tau = ctx.grid.h, ctx.params.tau
+    P, M = coef.shape
+    u = np.tile(u0, (P, 1))
+    states = np.empty((P, M + 1, u0.size))
+    states[:, 0] = u
+    alive, failures, histories = np.arange(P), {}, []
+    for n in range(M):
+        u_n = u[alive]
+        rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
+        u_np1, history, failed = solve_rows(ctx, rhs, u_n, cfg)
+        assert isinstance(u_np1, np.ndarray)
+        histories.append(history)
+        u[alive] = u_np1
+        states[:, n + 1] = u
+        for i, message in failed.items():
+            failures[int(alive[i])] = (n, message)
+        alive = np.delete(alive, list(failed))
+        if not alive.size:
+            break
+    return (states, norm_l2_array(states, h), constraint_violation_array(states, h),
+            failures, histories)
+
+
+def assert_rows_match(ctx, u0, coef, f, cfg, ref, rows):
+    """run_rows on ``rows`` of coef equals the array-guess loop ``ref`` of all rows.
+
+    A failed row is compared up to its failed step; its later states stay
+    frozen while other rows run.  Returns run_rows' failures and histories.
+    """
+    states_ref, l2_ref, viol_ref, failures_ref = ref[:4]
+    M = coef.shape[1]
+    states = np.empty((len(rows), M + 1, u0.size))
+    l2, viol, failures, histories = run_rows(ctx, u0, coef[rows], f, cfg, states=states)
+    assert {rows[i]: v for i, v in failures.items()} == {
+        k: v for k, v in failures_ref.items() if k in rows}
+    for i, k in enumerate(rows):
+        end = failures_ref[k][0] + 2 if k in failures_ref else M + 1
+        assert np.array_equal(states[i, :end], states_ref[k, :end]), k
+        assert np.array_equal(l2[i, :end], l2_ref[k, :end]), k
+        assert np.array_equal(viol[i, :end], viol_ref[k, :end]), k
+        if len(failures) < len(rows):
+            assert (states[i, end:] == states[i, end - 1]).all(), k
+    return failures, histories
+
+
+@pytest.mark.parametrize(
+    "kind, amp, max_newton, failed",
+    [
+        ("mc", 50.0, 50, {}),
+        # the rows backtrack and leave the first step's solve apart
+        ("stiff", 50.0, 50, {}),
+        # path 5 fails at step 6 of 10: it is dropped from the carried point
+        # and frozen, and the other rows run to the end
+        ("stiff", 5.0, 6, {5: 6}),
+    ],
+)
+def test_run_rows_carry_is_bit_identical_to_array_guesses(lapack, kind, amp, max_newton,
+                                                          failed):
+    # each step starts from the point the last solve returned; states, norms,
+    # violations and every step's solve history equal those of the loop that
+    # evaluates a fresh array guess at every step, whatever the chunk size
+    ctx, u0, coef, f = carry_setup(kind, amp=amp)
+    cfg = SolverConfig(max_newton=max_newton)
+    P = len(coef)
+    ref = array_guess_rows(ctx, u0, coef, f, cfg)
+    assert {k: n for k, (n, _) in ref[3].items()} == failed
+    first = {len(rows) for rows, _, _ in ref[4][0]}
+    assert (len(first) > 1) == (amp == 50.0 and kind == "stiff")
+    for size in (1, 7, P):
+        for start in range(0, P, size):
+            rows = list(range(start, min(start + size, P)))
+            _, histories = assert_rows_match(ctx, u0, coef, f, cfg, ref, rows)
+            assert histories == array_guess_rows(ctx, u0, coef[rows], f, cfg)[4]
+
+
+def count_formed(monkeypatch):
+    """Rows of every A(u), E0(u) and energy evaluation from now on, by name."""
+    rows = {"au": [], "e0": [], "energy": []}
+    for name in ("au", "e0"):
+        make = getattr(Point, name).func
+        monkeypatch.setattr(getattr(Point, name), "func",
+                            lambda pt, make=make, name=name: rows[name].append(len(pt.u))
+                            or make(pt))
+    energy = OperatorContext.energy
+    monkeypatch.setattr(OperatorContext, "energy",
+                        lambda self, pt, b: rows["energy"].append(len(pt.u))
+                        or energy(self, pt, b))
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["mc", "stiff"])
+def test_run_rows_forms_au_and_e0_once_per_accepted_point(monkeypatch, lapack, kind):
+    # A(u) is formed at the initial state and once per accepted Newton
+    # iterate, E0(u) once per evaluated point: M - 1 times P fewer rows than
+    # the loop that evaluates every step's guess afresh
+    ctx, u0, coef, f = carry_setup(kind)
+    cfg = SolverConfig()
+    (P, M), counts = coef.shape, []
+    for loop in (run_rows, array_guess_rows):
+        rows = count_formed(monkeypatch)
+        histories = loop(ctx, u0, coef, f, cfg)[-1]
+        monkeypatch.undo()
+        entries = sum(len(r) for history in histories for r, _, _ in history)
+        counts.append((sum(rows["au"]), sum(rows["e0"]), sum(rows["energy"]), entries))
+    (au, e0, energy, entries), (au_ref, e0_ref, energy_ref, entries_ref) = counts
+    assert (entries, energy) == (entries_ref, energy_ref)
+    iterations = entries - M * P  # a row's iterations are its entries minus one
+    assert au == P + iterations and au_ref == M * P + iterations
+    assert e0 == energy - (M - 1) * P and e0_ref == energy_ref
 
 
 def count_gridfunctions(monkeypatch):
