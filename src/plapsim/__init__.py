@@ -24,11 +24,8 @@ from .harness import (
     verify_all,
 )
 from .mesh import (
-    FaceField,
     Grid1D,
     GridFunction,
-    divergence,
-    gradient,
     inner,
     norm_l2,
     norm_w1p,
@@ -43,18 +40,16 @@ from .model import (
     yosida_penalty,
     yosida_potential,
 )
-from .noise import NoiseModel, PathIncrements, bump_profile, bump_slope
+from .noise import NoiseModel, PathIncrements, bump_profile
 from .operators import OperatorContext, TridiagonalMatrix
 from .solver import (
     NonConvergence,
     SolveReport,
     SolverConfig,
-    apriori_bound_check,
     apriori_slack,
     solve,
-    stability_bounds,
     stability_slacks,
 )
-from .stepper import Trajectory, constraint_violation, run_path, step
+from .stepper import Trajectory, run_path, step
 
 __version__ = "0.1.0"

@@ -103,6 +103,8 @@ def _number(section, key, default, path, integer=False, minimum=None,
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}{key}: expected a number, got {value!r}")
+    if not abs(value) < float("inf"):  # json reads NaN, Infinity and -Infinity
+        raise ValidationError(f"{path}{key}: must be finite, got {value!r}")
     if integer:
         if int(value) != value:
             raise ValidationError(f"{path}{key}: expected an integer, got {value!r}")
@@ -272,8 +274,8 @@ def parse_config(
         raise ValidationError("eps_list: expected a list of at least two levels")
     eps_clean = []
     for i, e in enumerate(eps_list):
-        if isinstance(e, bool) or not isinstance(e, (int, float)) or e <= 0:
-            raise ValidationError(f"eps_list[{i}]: must be a positive number")
+        if isinstance(e, bool) or not isinstance(e, (int, float)) or not 0 < e < float("inf"):
+            raise ValidationError(f"eps_list[{i}]: must be a positive finite number")
         eps_clean.append(float(e))
     tag = raw.get("tag")
     if tag is not None and not isinstance(tag, str):

@@ -1,10 +1,10 @@
 """Cell-centered 1-D meshes and discrete norms with zero-flux boundaries.
 
 The interval (0, length) is split into ``n_cells`` uniform cells of width
-``h``.  Scalar fields live at cell centers; gradients live at the
-``n_cells - 1`` interior faces.  Boundary faces carry no flux, so the
-homogeneous Neumann condition is structural rather than an equation
-modification, and the discrete summation-by-parts identity
+``h``.  Scalar fields live at cell centers; the two-point gradient
+diff(u) / h lives at the ``n_cells - 1`` interior faces.  Boundary faces
+carry no flux, so the homogeneous Neumann condition is structural rather
+than an equation modification, and the discrete summation-by-parts identity
 
     h * sum_f grad(u)_f grad(v)_f == -h * sum_i div(grad(u))_i v_i
 
@@ -14,7 +14,7 @@ norm, because every estimate built on top of it is stated in powers.
 
 The ``*_array`` functions are the one implementation of the divergence and
 the two norms, on plain arrays; the numerical core calls them directly and
-the GridFunction versions delegate to them.  They act on the last axis, so a
+the GridFunction norms delegate to them.  They act on the last axis, so a
 ``(P, n_cells)`` stack of fields gives one result per row, bit-identical to
 the result for that row alone.
 """
@@ -29,9 +29,6 @@ import numpy as np
 __all__ = [
     "Grid1D",
     "GridFunction",
-    "FaceField",
-    "gradient",
-    "divergence",
     "inner",
     "norm_l2",
     "norm_w1p",
@@ -96,39 +93,6 @@ class GridFunction:
         object.__setattr__(
             self, "values", _frozen_array(self.values, self.grid.n_cells, "values")
         )
-
-
-@dataclass(frozen=True)
-class FaceField:
-    """Field on the interior faces of a Grid1D (boundary flux is zero)."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "values",
-            _frozen_array(self.values, self.grid.n_cells - 1, "face values"),
-        )
-
-
-def gradient(u: GridFunction) -> FaceField:
-    """Two-point gradient (u_{i+1} - u_i) / h at the interior faces.
-
-    The omitted boundary faces carry zero flux, which is how the Neumann
-    condition enters every operator built from this gradient.
-    """
-    return FaceField(u.grid, np.diff(u.values) / u.grid.h)
-
-
-def divergence(flux: FaceField) -> GridFunction:
-    """Discrete divergence (F_{i+1/2} - F_{i-1/2}) / h with zero boundary flux.
-
-    Adjoint (up to sign) of :func:`gradient` under the h-weighted inner
-    products; the pairing identity is exact, see the module docstring.
-    """
-    return GridFunction(flux.grid, divergence_array(flux.values, flux.grid.h))
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:

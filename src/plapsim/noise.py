@@ -7,7 +7,8 @@ The stochastic forcing applied at each step is
 where phi is a fixed C^1 bump supported on [1/4, 3/4]: the diffusion
 switches off before the state reaches the box boundary.  Geometric mode
 amplitudes make the squared sum of the g_j Lipschitz constants summable
-with the closed-form bound L_g = sigma^2 * 4 pi^2 (|phi'| <= 2 pi and
+with the closed-form bound L_g = sigma^2 * 4 pi^2 (phi' is
+2 pi sin(4 pi (r - 1/4)) on the support, so |phi'| <= 2 pi, and
 sum 2^{-j} <= 1).
 
 Only the scalar increments dW_j ever enter the scheme, so no abstract
@@ -21,13 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GridFunction, open_target
+from .mesh import GridFunction
 
 __all__ = [
     "NoiseModel",
     "PathIncrements",
     "bump_profile",
-    "bump_slope",
 ]
 
 SUPPORT = (0.25, 0.75)
@@ -39,15 +39,6 @@ def bump_profile(r):
     out = np.zeros_like(r)
     mask = (r > SUPPORT[0]) & (r < SUPPORT[1])
     out[mask] = np.sin(2.0 * np.pi * (r[mask] - SUPPORT[0])) ** 2
-    return out
-
-
-def bump_slope(r):
-    """Derivative of :func:`bump_profile`; bounded by 2 pi in absolute value."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    mask = (r > SUPPORT[0]) & (r < SUPPORT[1])
-    out[mask] = 2.0 * np.pi * np.sin(4.0 * np.pi * (r[mask] - SUPPORT[0]))
     return out
 
 
@@ -96,13 +87,6 @@ class PathIncrements:
             self.n_steps // factor, factor, self.n_modes
         ).sum(axis=1)
         return PathIncrements(coarse, tau=self.tau * factor, seed=self.seed)
-
-    def to_csv(self, target) -> None:
-        """Write the matrix as CSV: header j1..jJ, one row per step, LF endings."""
-        with open_target(target) as target:
-            target.write(",".join(f"j{j + 1}" for j in range(self.n_modes)) + "\n")
-            for row in self.values:
-                target.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 @dataclass(frozen=True)

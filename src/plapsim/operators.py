@@ -19,7 +19,8 @@ wrapped in a fresh point, so both forms give the same bits.  A point also
 keeps the operator value A(u) and the rhs-free part E0(u) of the energy, so
 a point carried from one solve to the next (the time loop hands each step's
 solution to the next step as its guess) is not evaluated again.  The
-Jacobian is built in the buffer LAPACK solves in, and can be solved once.
+Jacobian is a :class:`TridiagonalMatrix`: the buffer LAPACK solves in, as
+:meth:`~OperatorContext.jacobian` fills it, and one solve.
 
 The Newton systems are solved by LAPACK's ``dptsv`` from the OpenBLAS that
 numpy's wheel ships (``libscipy_openblas64_*``, 64-bit integers), bound with
@@ -171,49 +172,21 @@ class Point:
                 piece[rows] = getattr(other, name)[other_rows]
 
 
-_SPENT = "this matrix was factorized in place by its one solve; build it again"
-
-
-@dataclass(frozen=True)
 class TridiagonalMatrix:
-    """Symmetric tridiagonal matrices: main diagonals and off-diagonals.
+    """SPD tridiagonal matrices held in the buffer LAPACK solves them in.
 
-    ``diag`` has shape (..., n) and ``off`` shape (..., n-1); each row is
-    one matrix.  A matrix made by :meth:`in_buffer` is solved in place, once.
+    ``work`` is a fresh C-contiguous (3, ..., n) float64 array: row 0 holds
+    the diagonals, one matrix per row of ``work[0]``, and row 1 the
+    off-diagonals, with a zero in the last column (the seam to the next
+    matrix).  :meth:`solve` writes the right-hand side into row 2, and LAPACK
+    overwrites rows 0 and 1 with the factorization, so a matrix is solved
+    once: afterwards ``work`` is None.
     """
 
-    diag: np.ndarray
-    off: np.ndarray
+    __slots__ = ("work",)
 
-    def __post_init__(self):
-        n = self.diag.shape[-1]
-        if self.off.shape != self.diag.shape[:-1] + (n - 1,):
-            raise ValueError(
-                f"off-diagonal must have shape (..., n-1), got {self.off.shape} "
-                f"for diagonal shape {self.diag.shape}"
-            )
-
-    @classmethod
-    def in_buffer(cls, work: np.ndarray) -> TridiagonalMatrix:
-        """The matrix held in a fresh C-contiguous (3, ..., n) float64 LAPACK buffer.
-
-        Row 0 is the diagonal and row 1 the off-diagonal, with a zero in its
-        last column (the seam to the next row).  :meth:`solve` then writes
-        only the right-hand side, into row 2, and LAPACK overwrites rows 0
-        and 1 with the factorization: afterwards ``diag`` and ``off`` are
-        None, and ``solve`` and ``matvec`` raise.
-        """
-        tri = cls(work[0], work[1, ..., :-1])
-        object.__setattr__(tri, "_work", work)
-        return tri
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        if self.diag is None:
-            raise ValueError(_SPENT)
-        out = self.diag * v
-        out[..., :-1] += self.off * v[..., 1:]
-        out[..., 1:] += self.off * v[..., :-1]
-        return out
+    def __init__(self, work: np.ndarray):
+        self.work = work
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve every row with one LAPACK ``dptsv`` (L D L^T) call.
@@ -221,29 +194,22 @@ class TridiagonalMatrix:
         The rows are laid end to end as one block-diagonal matrix, with a
         zero off-diagonal at each seam, so the factorization of one block
         never touches another and each row's solution is bit-identical to
-        a solve of that row alone.  The diagonal, the padded off-diagonal
-        and ``b`` go into one fresh (3, ...) buffer, so the inputs are left
-        as they are; a matrix made by :meth:`in_buffer` is in its buffer
-        already, so only ``b`` is copied, and the matrix is spent.  The call
-        goes to numpy's bundled OpenBLAS, or to scipy's LAPACK where numpy
-        ships none (see the module docstring).  The matrices are SPD by
-        construction; a LinAlgError reports one that is not.
+        a solve of that row alone.  Only ``b`` is copied, into the buffer,
+        and the matrix is spent.  The call goes to numpy's bundled OpenBLAS,
+        or to scipy's LAPACK where numpy ships none (see the module
+        docstring).  The matrices are SPD by construction; a LinAlgError
+        reports one that is not.
         """
-        if self.diag is None:
-            raise ValueError(_SPENT)
-        if b.shape != self.diag.shape:
-            raise ValueError(
-                f"right-hand side shape {b.shape} differs from diagonal shape {self.diag.shape}"
-            )
-        work = vars(self).get("_work")
+        work = self.work
         if work is None:
-            work = np.empty((3,) + b.shape)
-            work[0] = self.diag
-            work[1, ..., :-1] = self.off
-            work[1, ..., -1] = 0.0  # the seams; zeroing all of work costs more at large n
-        else:  # LAPACK overwrites diag and off with the factorization
-            for name in ("diag", "off", "_work"):
-                object.__setattr__(self, name, None)
+            raise ValueError(
+                "this matrix was factorized in place by its one solve; build it again"
+            )
+        if b.shape != work.shape[1:]:
+            raise ValueError(
+                f"right-hand side shape {b.shape} differs from diagonal shape {work.shape[1:]}"
+            )
+        self.work = None  # LAPACK overwrites the matrix with its factorization
         work[2] = b
         info = _ptsv(work)
         if info != 0:
@@ -348,8 +314,8 @@ class OperatorContext:
         Identity + tau * (stiffness with face weights (p-1)|d_f|^{p-2}/h^2
         + diagonal (p-1)|u_i|^{p-2} + penalty' - reaction').  Symmetric and
         positive definite: the diagonal dominates by at least
-        1 - tau L_beta > 0.  The matrix is built in its LAPACK buffer
-        (:meth:`TridiagonalMatrix.in_buffer`), so it can be solved once.
+        1 - tau L_beta > 0.  The matrix is built in its LAPACK buffer, so it
+        can be solved once.
         """
         pt = self.point(u)
         u, pr = pt.u, self.params
@@ -368,4 +334,4 @@ class OperatorContext:
         diag += 1.0
         np.multiply(-self._tau, w, out=work[1, ..., :-1])
         work[1, ..., -1] = 0.0
-        return TridiagonalMatrix.in_buffer(work)
+        return TridiagonalMatrix(work)

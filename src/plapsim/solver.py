@@ -1,4 +1,4 @@
-"""Inversion of the per-step operator and its stability checks.
+"""Inversion of the per-step operator and the slacks of its stability bounds.
 
 Each time step needs one solve of apply(u) = rhs.  The operator is the
 gradient (up to the cell weight h) of a strongly convex energy, so a
@@ -26,9 +26,8 @@ in, and the solution goes out, as validated GridFunctions.
 ``stability_slacks`` and ``apriori_slack`` measure the two quantitative
 consequences of strong monotonicity for the inverse map: a Lipschitz bound
 in L2 with constant 1/(1 - tau L_beta), and an a priori bound of the
-solution's W^{1,p} power by the data.  ``stability_bounds`` and
-``apriori_bound_check`` turn those slacks into booleans with an explicit
-tolerance.
+solution's W^{1,p} power by the data; the verification report compares
+them with its tolerances.
 """
 
 from __future__ import annotations
@@ -48,10 +47,8 @@ __all__ = [
     "NonConvergence",
     "solve",
     "solve_rows",
-    "stability_bounds",
     "stability_slacks",
     "apriori_slack",
-    "apriori_bound_check",
 ]
 
 
@@ -339,19 +336,6 @@ def stability_slacks(
     return float(slack_l2), float(slack_v)
 
 
-def stability_bounds(
-    ctx: OperatorContext,
-    rhs1: GridFunction,
-    rhs2: GridFunction,
-    sol1: GridFunction,
-    sol2: GridFunction,
-    slack: float = 1e-8,
-) -> tuple[bool, bool]:
-    """Whether both inverse-map inequalities hold with the given slack."""
-    slack_l2, slack_v = stability_slacks(ctx, rhs1, rhs2, sol1, sol2)
-    return slack_l2 >= -slack, slack_v >= -slack
-
-
 def apriori_slack(ctx: OperatorContext, rhs: GridFunction, sol: GridFunction) -> float:
     """Slack (bound - left side) of the a priori bound of the solution.
 
@@ -363,12 +347,3 @@ def apriori_slack(ctx: OperatorContext, rhs: GridFunction, sol: GridFunction) ->
     bound = norm_l2(rhs) ** 2 / (4.0 * pr.tau * (1.0 - pr.tau * pr.L_beta))
     return bound - norm_w1p(sol, pr.p)
 
-
-def apriori_bound_check(
-    ctx: OperatorContext,
-    rhs: GridFunction,
-    sol: GridFunction,
-    slack: float = 1e-8,
-) -> bool:
-    """Whether the a priori bound of :func:`apriori_slack` holds with the given slack."""
-    return apriori_slack(ctx, rhs, sol) >= -slack

@@ -45,22 +45,17 @@ __all__ = [
     "run_path",
     "run_rows",
     "noise_coefs",
-    "constraint_violation",
     "constraint_violation_array",
 ]
 
 
-def constraint_violation(u: GridFunction) -> float:
-    """Integral distance of u to the box [0, 1]: h * sum((-u)^+ + (u-1)^+).
-
-    Zero exactly when every cell value lies in [0, 1]; the quantity the
-    penalization drives toward zero as eps shrinks.
-    """
-    return float(constraint_violation_array(u.values, u.grid.h))
-
-
 def constraint_violation_array(values: np.ndarray, h: float):
-    """:func:`constraint_violation` of cell arrays (last axis) on cells of width h."""
+    """Integral distance to the box [0, 1], h * sum((-u)^+ + (u-1)^+), of cell arrays.
+
+    One value per row (last axis) on cells of width h.  Zero exactly when
+    every cell value lies in [0, 1]; the quantity the penalization drives
+    toward zero as eps shrinks.
+    """
     return h * (
         np.sum(np.maximum(-values, 0.0), axis=-1)
         + np.sum(np.maximum(values - 1.0, 0.0), axis=-1)
@@ -194,7 +189,7 @@ class Trajectory:
         """Write the trajectory as CSV with '# key: value' metadata lines.
 
         Full mode: columns t, c0..c{n-1} (cell values).  Thin mode:
-        columns t, l2_norm, w1p_norm, constraint_violation.  LF endings,
+        columns t, l2_norm, v_norm_p, constraint_violation.  LF endings,
         '.' decimals, ',' separators.
         """
         with open_target(target) as target:

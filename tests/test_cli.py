@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -64,6 +65,31 @@ def test_empty_config_is_all_defaults():
 def test_p_below_two_names_the_key():
     with pytest.raises(ValidationError, match="p"):
         parse_config(data={"p": 1.5})
+
+
+NON_FINITE = [  # JSON text, and the key its ValidationError names
+    ('{"model": {"M": Infinity}}', "model.M"),
+    ('{"model": {"M": NaN}}', "model.M"),
+    ('{"model": {"p": Infinity}}', "model.p"),
+    ('{"model": {"L_beta": -Infinity}}', "model.L_beta"),
+    ('{"noise": {"base_seed": Infinity}}', "noise.base_seed"),
+    ('{"noise": {"sigma": NaN}}', "noise.sigma"),
+    ('{"reaction": {"kind": "linear", "scale": NaN}}', "reaction.scale"),
+    ('{"solver": {"tol_residual": Infinity}}', "solver.tol_residual"),
+    ('{"initial": {"preset": "cosine", "params": {"amp": NaN}}}', "initial.params.amp"),
+    ('{"eps_list": [0.1, NaN]}', "eps_list[1]"),
+    ('{"eps_list": [Infinity, 0.1]}', "eps_list[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, key", NON_FINITE,
+    ids=[f"{key}={re.search(r'NaN|-?Infinity', text)[0]}" for text, key in NON_FINITE],
+)
+def test_non_finite_numbers_name_the_key(text, key):
+    # json reads NaN and +-Infinity; each is a ValidationError naming its key
+    with pytest.raises(ValidationError, match=re.escape(key) + ":"):
+        parse_config(data=json.loads(text))
 
 
 def test_gate_rejected_with_arithmetic_in_message():
@@ -199,6 +225,20 @@ def test_cli_malformed_json_exit_one(small_config):
     res = run_cli(["run", "--config", str(bad)], d)
     assert res.returncode == 1
     assert "config error" in res.stderr
+
+
+def test_cli_non_finite_numbers_exit_one(small_config):
+    d, _ = small_config
+    bad = d / "nan.json"
+    bad.write_text('{"noise": {"sigma": NaN}}')
+    res = run_cli(["run", "--config", str(bad), "--out-dir", "nanout"], d)
+    assert res.returncode == 1
+    assert "config error" in res.stderr and "noise.sigma" in res.stderr
+    assert not (d / "nanout").exists()
+    for p in ("nan", "inf"):
+        res = run_cli(["estimate-cp", "--p", p, "--samples", "100"], d)
+        assert res.returncode == 1 and res.stdout == ""
+        assert "config error" in res.stderr
 
 
 def test_cli_estimate_cp_p2_prints_one(small_config):

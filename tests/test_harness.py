@@ -1,11 +1,14 @@
+import importlib.util
 import io
 import json
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plapsim import harness, operators, solver, stepper
+from plapsim import harness, mesh, operators, solver, stepper
 from plapsim.harness import (
     CHECKLIST,
     McSummary,
@@ -95,6 +98,9 @@ def test_estimate_cp_validation():
         estimate_cp(1.5, 1, 100)
     with pytest.raises(ValueError):
         estimate_cp(2.0, 4, 100)
+    for p in (float("nan"), float("inf")):  # NaN slips past a plain `p < 2`
+        with pytest.raises(ValueError, match="finite"):
+            estimate_cp(p, 1, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -635,3 +641,44 @@ def test_verify_all_names_a_failed_noise_off_row(monkeypatch):
     expected = r"^stepper noise-off run \(seed 2\) failed at step 7: injected$"
     with pytest.raises(NonConvergence, match=expected):
         verify_all(cp_samples=1000, stat_draws=10_000)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+
+
+def load_tracer():
+    """``perfbench/tracer.py``, loaded by path: the benchmark is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_hooks_resolve_and_round_trip():
+    # every name the tracer wraps exists where it looks it up (a class's
+    # own dict, or a module), and install then uninstall puts every binding
+    # back; a missing name breaks every `perfbench/run.py --trace 1` run
+    tracer_mod = load_tracer()
+    targets = tracer_mod._targets()
+    for owner, attr, name, _ in targets:
+        assert attr in (vars(owner) if isinstance(owner, type) else dir(owner)), name
+    owners = {id(owner): owner for owner, *_ in targets}
+    owners.update((id(m), m) for k, m in sys.modules.items() if k.split(".")[0] == "plapsim")
+    before = {key: dict(vars(owner)) for key, owner in owners.items()}
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for owner, attr, name, _ in targets:
+            assert vars(owner)[attr] is not before[id(owner)][attr], name
+        mesh.norm_l2(Grid1D(4, 1.0).zeros())  # looked up where the tracer patched it
+        assert [span[tracer_mod.NAME] for span in tracer.take()] == [
+            "mesh.gridfunction", "mesh.norms"
+        ]
+    finally:
+        tracer.uninstall()
+    for key, owner in owners.items():
+        after = dict(vars(owner))
+        assert after.keys() == before[key].keys()
+        assert all(after[k] is v for k, v in before[key].items())

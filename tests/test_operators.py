@@ -9,7 +9,7 @@ from scipy.linalg.lapack import dptsv
 
 import plapsim
 from plapsim import operators
-from plapsim.mesh import Grid1D, gradient, inner, norm_l2, norm_w1p
+from plapsim.mesh import Grid1D, inner, norm_l2, norm_w1p
 from plapsim.model import ModelParams, ReactionSpec
 from plapsim.operators import OperatorContext, Point, TridiagonalMatrix
 
@@ -23,16 +23,33 @@ def make_ctx(p=2.0, eps=0.1, tau=0.1, L_beta=0.0, reaction=None, n=8, length=1.0
 # tridiagonal matrix
 
 
-def test_tridiagonal_matvec_and_solve():
+def tridiagonal(diag, off):
+    """The matrices with these diagonals in a fresh LAPACK buffer (zero seams)."""
+    work = np.zeros((3,) + diag.shape)
+    work[0] = diag
+    work[1, ..., :-1] = off
+    return TridiagonalMatrix(work)
+
+
+def diagonals(tri):
+    """Copies of the diagonal and off-diagonal of a matrix not yet solved."""
+    return tri.work[0].copy(), tri.work[1, ..., :-1].copy()
+
+
+def matvec(diag, off, v):
+    out = diag * v
+    out[..., :-1] += off * v[..., 1:]
+    out[..., 1:] += off * v[..., :-1]
+    return out
+
+
+def test_tridiagonal_solve_matches_dense():
     rng = np.random.default_rng(0)
     diag = rng.uniform(2.0, 3.0, 12)
     off = rng.uniform(-0.5, 0.5, 11)
-    tri = TridiagonalMatrix(diag, off)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    v = rng.normal(size=12)
-    assert np.allclose(tri.matvec(v), dense @ v, rtol=1e-13)
     b = rng.normal(size=12)
-    assert np.allclose(tri.solve(b), np.linalg.solve(dense, b), rtol=1e-12)
+    assert np.allclose(tridiagonal(diag, off).solve(b), np.linalg.solve(dense, b), rtol=1e-12)
 
 
 def test_tridiagonal_stacked_rows_solve_like_single_rows():
@@ -42,21 +59,20 @@ def test_tridiagonal_stacked_rows_solve_like_single_rows():
     diag = rng.uniform(2.0, 3.0, (5, 12))
     off = rng.uniform(-0.5, 0.5, (5, 11))
     b = rng.normal(size=(5, 12))
-    x = TridiagonalMatrix(diag, off).solve(b)
+    x = tridiagonal(diag, off).solve(b)
     for k in range(5):
         ab = np.zeros((2, 12))
         ab[0, 1:] = off[k]
         ab[1] = diag[k]
         assert np.array_equal(x[k], scipy.linalg.solveh_banded(ab, b[k]))
-        assert np.array_equal(TridiagonalMatrix(diag[k], off[k]).matvec(x[k]),
-                              TridiagonalMatrix(diag, off).matvec(x)[k])
+        assert np.array_equal(matvec(diag[k], off[k], x[k]), matvec(diag, off, x)[k])
 
 
 def test_tridiagonal_solve_rejects_indefinite_and_bad_shapes():
     with pytest.raises(np.linalg.LinAlgError, match="ptsv info=2"):
-        TridiagonalMatrix(np.array([1.0, -1.0, 1.0]), np.zeros(2)).solve(np.ones(3))
+        tridiagonal(np.array([1.0, -1.0, 1.0]), np.zeros(2)).solve(np.ones(3))
     with pytest.raises(ValueError, match="shape"):
-        TridiagonalMatrix(np.ones((2, 4)), np.ones((2, 4)))
+        tridiagonal(np.ones((2, 4)), np.ones((2, 3))).solve(np.ones((2, 3)))
 
 
 bundled_only = pytest.mark.skipif(
@@ -88,39 +104,39 @@ def test_tridiagonal_solve_rows_are_dptsv_bits(lapack):
     for rows, n in SOLVE_SHAPES:
         diag, off, b = random_spd_stack(rng, rows, n)
         kept = diag.copy(), off.copy(), b.copy()
-        x = TridiagonalMatrix(diag, off).solve(b)
+        x = tridiagonal(diag, off).solve(b)
         assert x.shape == (rows, n) and x.dtype == np.float64
         for got, before in zip((diag, off, b), kept):
             assert np.array_equal(got, before)
         for k in range(rows):
             _, _, ref, info = dptsv(diag[k], off[k], b[k])
             assert info == 0 and np.array_equal(x[k], ref), (lapack, rows, n, k)
-        one = TridiagonalMatrix(diag[0], off[0]).solve(b[0])
+        one = tridiagonal(diag[0], off[0]).solve(b[0])
         assert one.shape == (n,) and np.array_equal(one, x[0])
 
 
 def test_jacobian_is_solved_in_its_buffer(lapack):
-    # the Jacobian is built in the LAPACK buffer: its solve copies only the
-    # right-hand side and gives the bits of the copy-in solve of the same
-    # matrix; the buffer then holds the factorization, so the spent matrix
-    # raises instead of answering again
+    # the Jacobian is built in the LAPACK buffer, with zero seams: its solve
+    # copies only the right-hand side and gives the bits of a hand-built
+    # buffer of the same matrix; the buffer then holds the factorization, so
+    # the spent matrix raises instead of answering again
     rng = np.random.default_rng(12)
     ctx = make_ctx(p=3.0, eps=1e-3, L_beta=0.5, reaction=ReactionSpec("sine", 0.5), n=9)
     u = rng.uniform(-0.5, 1.5, (6, 9))
     b = rng.normal(size=(6, 9))
     tri = ctx.jacobian(u)
-    hand = TridiagonalMatrix(tri.diag.copy(), tri.off.copy())
-    kept = hand.diag.copy(), hand.off.copy(), b.copy()
+    work = tri.work
+    assert work.shape == (3, 6, 9) and work.flags.c_contiguous
+    assert np.all(work[1, :, -1] == 0.0)
+    diag, off = diagonals(tri)
+    kept = b.copy()
     x = tri.solve(b)
-    assert np.array_equal(x, hand.solve(b))
-    assert np.array_equal(hand.solve(b), x)  # a hand-built matrix solves again
-    assert np.array_equal(hand.matvec(x), TridiagonalMatrix(*kept[:2]).matvec(x))
-    for got, before in zip((hand.diag, hand.off, b), kept):
-        assert np.array_equal(got, before)
-    assert tri.diag is None and tri.off is None
-    for call in (tri.solve, tri.matvec):
-        with pytest.raises(ValueError, match="factorized in place"):
-            call(b)
+    assert x.base is work
+    assert np.array_equal(x, tridiagonal(diag, off).solve(b))
+    assert np.array_equal(b, kept)
+    assert tri.work is None
+    with pytest.raises(ValueError, match="factorized in place"):
+        tri.solve(b)
     for k in range(6):
         assert np.array_equal(x[k], ctx.jacobian(u[k]).solve(b[k]))
 
@@ -128,7 +144,7 @@ def test_jacobian_is_solved_in_its_buffer(lapack):
 def test_empty_stack_solves_to_an_empty_array(lapack):
     ctx = make_ctx(p=3.0)
     empty = np.empty((0, 8))
-    for tri in (TridiagonalMatrix(empty, np.empty((0, 7))), ctx.jacobian(empty)):
+    for tri in (tridiagonal(empty, np.empty((0, 7))), ctx.jacobian(empty)):
         x = tri.solve(empty)
         assert x.shape == (0, 8) and x.dtype == np.float64
 
@@ -140,7 +156,7 @@ def test_scipy_path_rejects_indefinite_and_bad_shapes(monkeypatch):
 
 def test_tridiagonal_solve_rejects_mismatched_rhs():
     with pytest.raises(ValueError, match="right-hand side shape"):
-        TridiagonalMatrix(np.full((2, 4), 2.0), np.zeros((2, 3))).solve(np.ones(4))
+        tridiagonal(np.full((2, 4), 2.0), np.zeros((2, 3))).solve(np.ones(4))
 
 
 @bundled_only
@@ -182,8 +198,7 @@ def test_operator_rows_match_single_rows():
     for k in range(4):
         assert np.array_equal(ctx.apply(u)[k], ctx.apply(u[k]))
         assert energies[k] == ctx.energy(u[k], rhs[k])
-        assert np.array_equal(ctx.jacobian(u).diag[k], ctx.jacobian(u[k]).diag)
-        assert np.array_equal(ctx.jacobian(u).off[k], ctx.jacobian(u[k]).off)
+        assert np.array_equal(ctx.jacobian(u).work[:2, k], ctx.jacobian(u[k]).work[:2])
 
 
 def reference_evaluation(ctx, u, rhs):
@@ -242,8 +257,7 @@ def test_shared_point_is_bit_identical(p, kind, eps):
         # the solver's order: energy, then residual, then Jacobian
         e = ctx.energy(pt_or_u, b)
         a = ctx.apply(pt_or_u)
-        jac = ctx.jacobian(pt_or_u)
-        return a, e, jac.diag, jac.off
+        return (a, e) + diagonals(ctx.jacobian(pt_or_u))
 
     shared = evaluate(ctx.point(u), rhs)
     for got, fresh, want in zip(shared, evaluate(u, rhs), ref):
@@ -304,7 +318,7 @@ def test_plap_weak_form_identity():
         u = g.function(rng.normal(size=20))
         v = g.function(rng.normal(size=20))
         lhs = inner(g.function(ctx.apply_plap(u.values)), v)
-        rhs = g.h * np.dot(ctx.face_flux(u.values), gradient(v).values) + inner(
+        rhs = g.h * np.dot(ctx.face_flux(u.values), np.diff(v.values) / g.h) + inner(
             g.function(np.abs(u.values) ** (p - 2.0) * u.values), v
         )
         assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
@@ -390,12 +404,12 @@ def test_jacobian_structure_p2():
     # p = 2, state inside the box: identity + tau (3-point Laplacian + identity)
     ctx = make_ctx(p=2.0, eps=0.1, tau=0.1, n=6)
     g = ctx.grid
-    tri = ctx.jacobian(np.full(6, 0.5))
+    diag, off = diagonals(ctx.jacobian(np.full(6, 0.5)))
     h2 = g.h**2
     expected_diag = np.full(6, 1.0 + 0.1 * (2.0 / h2 + 1.0))
     expected_diag[[0, -1]] = 1.0 + 0.1 * (1.0 / h2 + 1.0)
-    assert np.allclose(tri.diag, expected_diag, rtol=1e-13)
-    assert np.allclose(tri.off, -0.1 / h2, rtol=1e-13)
+    assert np.allclose(diag, expected_diag, rtol=1e-13)
+    assert np.allclose(off, -0.1 / h2, rtol=1e-13)
 
 
 def test_jacobian_matches_finite_differences():
@@ -408,7 +422,7 @@ def test_jacobian_matches_finite_differences():
         v = rng.normal(size=32)
         step = 1e-6
         fd = (ctx.apply(u + step * v) - ctx.apply(u - step * v)) / (2 * step)
-        jv = ctx.jacobian(u).matvec(v)
+        jv = matvec(*diagonals(ctx.jacobian(u)), v)
         assert np.abs(fd - jv).max() <= 1e-5 * max(1.0, np.abs(jv).max())
 
 
@@ -420,8 +434,8 @@ def test_jacobian_symmetric_positive_definite():
                        reaction=ReactionSpec("sine", 5.0), n=24)
         margin = 1.0 - 0.1 * 5.0
         for _ in range(5):
-            tri = ctx.jacobian(rng.uniform(-0.5, 1.5, 24))
-            eigs = scipy.linalg.eigvalsh_tridiagonal(tri.diag, tri.off)
+            diag, off = diagonals(ctx.jacobian(rng.uniform(-0.5, 1.5, 24)))
+            eigs = scipy.linalg.eigvalsh_tridiagonal(diag, off)
             assert eigs.min() >= margin - 1e-10
 
 
@@ -430,7 +444,7 @@ def test_jacobian_kink_derivative_choice():
     ctx = make_ctx(p=2.0, eps=0.1, tau=0.1, n=4)
     tri = ctx.jacobian(np.array([0.0, 1.0, 0.5, 0.5]))
     inside = ctx.jacobian(np.full(4, 0.5))
-    assert np.allclose(tri.diag, inside.diag, rtol=1e-13)
+    assert np.allclose(tri.work[0], inside.work[0], rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from plapsim.noise import NoiseModel, bump_profile
 from plapsim.operators import OperatorContext, Point
 from plapsim.solver import NonConvergence, SolverConfig, solve, solve_rows
 from plapsim.stepper import (
-    constraint_violation,
     constraint_violation_array,
     noise_coefs,
     run_path,
@@ -366,17 +365,17 @@ def test_run_path_failure_names_seed_and_step():
 
 
 def test_constraint_violation_hand_values():
-    g = Grid1D(4, 1.0)
-    assert constraint_violation(g.function(np.full(4, 0.5))) == 0.0
-    assert constraint_violation(g.function(np.full(4, 1.2))) == pytest.approx(0.2)
-    g2 = Grid1D(2, 1.0)  # h = 0.5
-    assert constraint_violation(g2.function([-0.1, 0.5])) == pytest.approx(0.05)
+    h = Grid1D(4, 1.0).h
+    assert constraint_violation_array(np.full(4, 0.5), h) == 0.0
+    assert constraint_violation_array(np.full(4, 1.2), h) == pytest.approx(0.2)
+    h2 = Grid1D(2, 1.0).h  # 0.5
+    assert constraint_violation_array(np.array([-0.1, 0.5]), h2) == pytest.approx(0.05)
 
 
 def test_constraint_violation_zero_iff_in_box():
-    g = Grid1D(3, 1.0)
-    assert constraint_violation(g.function([0.0, 0.5, 1.0])) == 0.0
-    assert constraint_violation(g.function([0.0, 0.5, 1.0 + 1e-9])) > 0.0
+    h = Grid1D(3, 1.0).h
+    assert constraint_violation_array(np.array([0.0, 0.5, 1.0]), h) == 0.0
+    assert constraint_violation_array(np.array([0.0, 0.5, 1.0 + 1e-9]), h) > 0.0
 
 
 # ---------------------------------------------------------------------------
