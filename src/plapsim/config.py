@@ -15,7 +15,10 @@ workers, eps_list, tag.  ``workers`` is accepted and validated (an integer
 >= 1) so existing configs keep working, but it has no effect: ``mc`` runs
 its paths as one batch.  Model parameters may also be given as top-level
 shorthand keys (p, eps, T, M, L_beta, length, n_cells); giving the same
-key both ways is an error.  Unknown keys are rejected with their path.
+key both ways is an error.  Unknown keys are rejected with their path,
+the params of each source and initial preset included, and so is a
+preset number that is not finite.  ``null`` stands for a default only
+where that default is null (``L_beta``).
 
 L_beta defaults to the reaction scale when omitted, so the declared
 Lipschitz constant can never silently undershoot the realized reaction.
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+
+import numpy as np
 
 from .mesh import Grid1D
 from .model import (
@@ -43,6 +48,10 @@ __all__ = ["RunConfig", "ParseError", "ValidationError", "parse_config", "emit_c
 _MODEL_KEYS = ("p", "eps", "T", "M", "L_beta", "length", "n_cells")
 _SECTIONS = ("model", "reaction", "source", "noise", "solver", "output", "initial")
 _TOP_KEYS = ("levels", "n_paths", "workers", "eps_list", "tag")
+# the params keys of each source and initial-datum preset
+_SOURCE_PARAMS = {"zero": (), "constant": ("value",), "tabulated": ("times", "values"),
+                  "cosine": ("offset", "amp", "decay", "length")}
+_INITIAL_PARAMS = {"constant": ("value",), "cosine": ("offset", "amp")}
 
 
 class ParseError(Exception):
@@ -99,7 +108,7 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
 def _number(section, key, default, path, integer=False, minimum=None,
             strict_minimum=None, maximum=None):
     value = section.get(key, default)
-    if value is None:
+    if value is None and default is None:  # null only where the default is null
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}{key}: expected a number, got {value!r}")
@@ -212,15 +221,24 @@ def parse_config(
     _reject_unknown(source_raw, ("preset", "params"), "source.")
     preset = _string(source_raw, "preset", "zero", "source.", choices=SOURCE_KINDS)
     source_params = dict(_require_mapping(source_raw.get("params", {}), "source.params"))
+    _reject_unknown(source_params, _SOURCE_PARAMS[preset], "source.params.")
     if preset == "cosine":
         source_params.setdefault("offset", 0.0)
         source_params.setdefault("amp", 0.0)
         source_params.setdefault("decay", 0.0)
         source_params.setdefault("length", length)
+    if preset != "tabulated":  # numbers, checked but stored as given
+        for key in _SOURCE_PARAMS[preset]:
+            _number(source_params, key, None, "source.params.",
+                    strict_minimum=0.0 if key == "length" else None)
     try:
         source = SourceSpec(preset, source_params)
-    except ValueError as exc:
-        raise ValidationError(f"source: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"source.params: {exc}") from exc
+    if preset == "tabulated" and np.shape(source_params["values"])[1:] != (n_cells,):
+        raise ValidationError(
+            f"source.params.values: each row needs model.n_cells = {n_cells} entries"
+        )
 
     noise_raw = _require_mapping(raw.get("noise", {}), "noise")
     _reject_unknown(noise_raw, ("sigma", "J", "base_seed"), "noise.")
@@ -249,6 +267,7 @@ def parse_config(
     initial_params = dict(
         _require_mapping(initial_raw.get("params", {}), "initial.params")
     )
+    _reject_unknown(initial_params, _INITIAL_PARAMS[initial_kind], "initial.params.")
     if initial_kind == "constant":
         value = _number(initial_params, "value", 0.5, "initial.params.")
         if not 0.0 <= value <= 1.0:

@@ -108,11 +108,11 @@ def norm_l2(u: GridFunction) -> float:
 def norm_w1p(u: GridFunction, p: float) -> float:
     """p-th power of the discrete W^{1,p} norm.
 
-    Returns h * sum_f |grad(u)_f|^p + h * sum_i |u_i|^p.  Requires p >= 2;
-    for p = 2 and constant u this reduces to norm_l2(u)**2.
+    Returns h * sum_f |grad(u)_f|^p + h * sum_i |u_i|^p.  Requires a finite
+    p >= 2; for p = 2 and constant u this reduces to norm_l2(u)**2.
     """
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
+    if not 2 <= p < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"p must be finite and >= 2, got {p}")
     return float(norm_w1p_array(u.values, u.grid.h, p))
 
 

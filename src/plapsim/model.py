@@ -51,9 +51,9 @@ _GAUSS_WEIGHTS = np.array(
 class ModelParams:
     """Scheme parameters with the time-step gate tau * L_beta < 1.
 
-    tau is derived as T / M.  Construction fails for p < 2, non-positive
-    eps / T / length, M < 1, or tau * L_beta >= 1; the time stepper never
-    has to guess what to do outside the well-posed regime.
+    tau is derived as T / M.  Construction fails for p < 2, infinite or NaN
+    p, non-positive eps / T / length, M < 1, or tau * L_beta >= 1; the time
+    stepper never has to guess what to do outside the well-posed regime.
     """
 
     p: float
@@ -64,8 +64,8 @@ class ModelParams:
     length: float = 1.0
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"p must be >= 2, got {self.p}")
+        if not 2 <= self.p < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"p must be finite and >= 2, got {self.p}")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if not self.T > 0:
@@ -196,10 +196,11 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        if self.kind == "constant" and "value" not in self.params:
+        given = {key for key, value in self.params.items() if value is not None}
+        if self.kind == "constant" and "value" not in given:
             raise ValueError("constant source needs a 'value' parameter")
         if self.kind == "cosine":
-            missing = {"offset", "amp", "decay", "length"} - set(self.params)
+            missing = {"offset", "amp", "decay", "length"} - given
             if missing:
                 raise ValueError(f"cosine source missing parameters {sorted(missing)}")
         if self.kind == "tabulated":
@@ -210,6 +211,8 @@ class SourceSpec:
             values = np.asarray(self.params["values"], dtype=float)
             if times.ndim != 1 or values.shape[0] != times.size:
                 raise ValueError("tabulated source needs len(times) rows of values")
+            if not np.all(np.isfinite(times)):
+                raise ValueError("tabulated times must be finite")
             if np.any(np.diff(times) <= 0):
                 raise ValueError("tabulated times must be strictly increasing")
             if not np.all(np.isfinite(values)):

@@ -79,6 +79,10 @@ NON_FINITE = [  # JSON text, and the key its ValidationError names
     ('{"initial": {"preset": "cosine", "params": {"amp": NaN}}}', "initial.params.amp"),
     ('{"eps_list": [0.1, NaN]}', "eps_list[1]"),
     ('{"eps_list": [Infinity, 0.1]}', "eps_list[0]"),
+    ('{"source": {"preset": "constant", "params": {"value": NaN}}}', "source.params.value"),
+    ('{"source": {"preset": "cosine", "params": {"amp": Infinity}}}', "source.params.amp"),
+    ('{"source": {"preset": "tabulated", "params": {"times": [0, NaN], "values": [[0], [1]]}}}',
+     "source.params"),
 ]
 
 
@@ -90,6 +94,27 @@ def test_non_finite_numbers_name_the_key(text, key):
     # json reads NaN and +-Infinity; each is a ValidationError naming its key
     with pytest.raises(ValidationError, match=re.escape(key) + ":"):
         parse_config(data=json.loads(text))
+
+
+def test_source_params_name_the_key():
+    # numbers that are no numbers, and a table of the wrong width, are
+    # ValidationErrors naming the key; valid params are stored as given
+    for doc, key in (
+        ({"source": {"preset": "cosine", "params": {"amp": "x"}}}, "source.params.amp"),
+        ({"source": {"preset": "cosine", "params": {"length": 0}}}, "source.params.length"),
+        ({"source": {"preset": "constant", "params": {"value": None}}}, "source.params"),
+        ({"n_cells": 16, "source": {"preset": "tabulated", "params": {
+            "times": [0, 1], "values": [[0, 1, 2], [1, 1, 1]]}}}, "source.params.values"),
+        ({"n_cells": 3, "source": {"preset": "tabulated", "params": {
+            "times": [0, 1], "values": [0, 1]}}}, "source.params.values"),
+        ({"noise": {"sigma": None}}, "noise.sigma"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(key) + ":"):
+            parse_config(data=doc)
+    cfg = parse_config(data={"source": {"preset": "constant", "params": {"value": 1}}})
+    assert emit_config(cfg)["source"]["params"] == {"value": 1}
+    # a null L_beta is its documented default, the reaction scale
+    assert parse_config(data={"L_beta": None}).model.L_beta == 0.0
 
 
 def test_gate_rejected_with_arithmetic_in_message():
@@ -111,6 +136,13 @@ def test_unknown_keys_rejected_with_path():
         parse_config(data={"model": {"foo": 1}})
     with pytest.raises(ValidationError, match="noise.gamma"):
         parse_config(data={"noise": {"gamma": 1}})
+    with pytest.raises(ValidationError, match="source.params.bogus"):
+        parse_config(data={"source": {"preset": "constant",
+                                      "params": {"value": 1, "bogus": 2}}})
+    with pytest.raises(ValidationError, match="source.params.value"):
+        parse_config(data={"source": {"preset": "zero", "params": {"value": 1}}})
+    with pytest.raises(ValidationError, match="initial.params.bogus"):
+        parse_config(data={"initial": {"preset": "cosine", "params": {"bogus": 2}}})
 
 
 def test_shorthand_collision_rejected():

@@ -512,6 +512,24 @@ def test_verify_all_covers_checklist():
             assert report.coverage[module][inv], f"{module}.{inv} uncovered"
 
 
+def test_verify_all_coverage_guard_catches_drift(monkeypatch):
+    # an invariant declared in the table that no check records fails
+    # coverage_complete; every record's module and coverage follow its row
+    rows = dict(harness._PROPERTIES)
+    monkeypatch.setitem(harness._PROPERTIES, "ghost", ("mesh", "ghost_invariant", "le"))
+    report = verify_all(cp_samples=10_000, stat_draws=50_000)
+    by_name = {r["property"]: r for r in report.properties}
+    assert list(by_name) == list(rows)
+    assert by_name["coverage_complete"]["measured"] == 1.0
+    assert not by_name["coverage_complete"]["passed"] and not report.passed
+    assert [r["module"] for r in report.properties] == [m for m, _, _ in rows.values()]
+    expected = {}
+    for name, (module, invariant, _) in rows.items():
+        if invariant is not None:
+            expected.setdefault(module, {})[invariant] = [name]
+    assert report.coverage == expected
+
+
 def test_verify_all_fault_injection():
     # corrupting the monotonicity constant must break exactly that check
     report = verify_all(

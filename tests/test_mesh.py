@@ -75,8 +75,9 @@ def test_norm_w1p_examples():
 
 def test_norm_w1p_rejects_small_p():
     g = Grid1D(4, 1.0)
-    with pytest.raises(ValueError):
-        norm_w1p(g.zeros(), 1.5)
+    for p in (1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            norm_w1p(g.zeros(), p)
 
 
 def test_summation_by_parts_exact():

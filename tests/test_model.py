@@ -148,8 +148,9 @@ def test_params_tau_and_gate():
         ModelParams(p=2.0, eps=0.1, T=1.0, M=100, L_beta=100.0)  # tau L = 1
     with pytest.raises(ValueError):
         ModelParams(p=2.0, eps=0.1, T=1.0, M=100, L_beta=120.0)
-    with pytest.raises(ValueError):
-        ModelParams(p=1.5, eps=0.1, T=1.0, M=100)
+    for p in (1.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ModelParams(p=p, eps=0.1, T=1.0, M=100)
     with pytest.raises(ValueError):
         ModelParams(p=2.0, eps=0.0, T=1.0, M=100)
     with pytest.raises(ValueError):
