@@ -225,6 +225,11 @@ def main(argv=None) -> int:
             return 1
         return 0
 
+    cp_factor = getattr(args, "cp_factor", 1.0)
+    if not -float("inf") < cp_factor < float("inf"):  # NaN fails both comparisons
+        print(f"config error: cp_factor must be finite, got {cp_factor}", file=sys.stderr)
+        return 1
+
     overrides = {}
     if args.seed is not None:
         overrides["noise.base_seed"] = args.seed
@@ -255,7 +260,7 @@ def main(argv=None) -> int:
             args.subcommand,
             cfg,
             study=getattr(args, "study", "coupled"),
-            cp_factor=getattr(args, "cp_factor", 1.0),
+            cp_factor=cp_factor,
         )
     except NonConvergence as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

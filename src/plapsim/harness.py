@@ -34,10 +34,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import stepper
-from .mesh import (
-    Grid1D, divergence_array, inner, norm_l2, norm_l2_array, norm_w1p,
-    norm_w1p_array, open_target,
-)
+from .mesh import Grid1D, divergence_array, norm_l2_array, norm_w1p_array, open_target
 from .model import (
     InitialDatum,
     ModelParams,
@@ -302,7 +299,7 @@ def run_deterministic_convergence(
         traj = stepper.run_path(ctx, quiet_noise, initial, source, seed=0, cfg=solver_cfg)
         x = ctx.grid.cell_centers()
         ref = manufactured_state(0.0 if steady else T, x, length)
-        err = norm_l2(ctx.grid.function(traj.final_state.values - ref))
+        err = float(norm_l2_array(traj.states[-1] - ref, ctx.grid.h))
         values.append(ctx.params.tau if mode == "coupled" else ctx.grid.h)
         errors.append(err)
     meta = {
@@ -429,7 +426,7 @@ def _path_inputs(params, grid, noise_model, source, n_paths, base_seed):
     """(P, M) noise coefficients of seeds ``base_seed`` on, and the source table."""
     seeds = range(base_seed, base_seed + n_paths)
     paths = (noise_model.sample_path(params.M, params.tau, s).values for s in seeds)
-    coef = stepper.noise_coefs(noise_model, paths)
+    coef = np.array([noise_model.coefs(dw) for dw in paths])
     return coef, source.step_table(params.M, grid, params.tau)
 
 
@@ -485,11 +482,10 @@ def run_pathwise_refinement(
         incr = fine.coarsen(2 ** (levels - 1 - level))
         traj = stepper.run_path(ctx, noise_model, initial, source, seed=seed,
                                 cfg=solver_cfg, increments=incr)
-        runs.append(traj.final_state.values)
+        runs.append(traj.states[-1])
         taus.append(params.tau)
     ref = runs[-1]
-    grid = ctx_coarse.grid
-    errors = [norm_l2(grid.function(r - ref)) for r in runs[:-1]]
+    errors = [float(norm_l2_array(r - ref, ctx_coarse.grid.h)) for r in runs[:-1]]
     meta = {
         "quantity": "final-time L2 distance to finest level, common random numbers",
         "fine_steps": M_fine,
@@ -563,6 +559,15 @@ class VerificationReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
+def _nan_or(reduce, values):
+    """``reduce(values)`` (min or max) of a list of floats, or NaN if one is NaN.
+
+    Python's min and max drop a NaN that is not their first argument; ties
+    still keep the first of the equal values.
+    """
+    return float("nan") if any(x != x for x in values) else reduce(values)
+
+
 def verify_all(
     grid: Grid1D | None = None,
     params: ModelParams | None = None,
@@ -580,10 +585,13 @@ def verify_all(
 
     ``cp_factor`` scales the monotonicity constant 2^{2-p} used in the
     strong monotonicity check; anything above 1 corrupts the bound on
-    purpose, as a self-test that the harness can fail.  A failed check is
-    data in the report; a failed solve raises :class:`NonConvergence`
-    naming the check, the row and, for a stepper run, the step.
+    purpose, as a self-test that the harness can fail; a non-finite one
+    raises ValueError.  A failed check is data in the report; a failed
+    solve raises :class:`NonConvergence` naming the check, the row and, for
+    a stepper run, the step.
     """
+    if not -np.inf < cp_factor < np.inf:  # NaN fails both comparisons
+        raise ValueError(f"cp_factor must be finite, got {cp_factor}")
     grid = grid or Grid1D(32, 1.0)
     params = params or ModelParams(p=3.0, eps=0.1, T=0.5, M=50, L_beta=0.5)
     reaction = reaction or ReactionSpec("sine", 0.5)
@@ -624,22 +632,23 @@ def verify_all(
     record("cp_infimum", est, cp_bound)
 
     # --- mesh identities
-    u, v = map(grid.function, rng.uniform(-1.5, 2.5, (2, grid.n_cells)))
-    du = np.diff(u.values) / h
-    lhs = grid.h * np.dot(du, np.diff(v.values) / h)
-    rhs = -inner(grid.function(divergence_array(du, h)), v)
+    u, v = rng.uniform(-1.5, 2.5, (2, grid.n_cells))
+    du = np.diff(u) / h
+    lhs = h * np.dot(du, np.diff(v) / h)
+    rhs = -(h * np.dot(divergence_array(du, h), v))
     sbp = abs(lhs - rhs) / max(abs(lhs), 1e-300)
     record("mesh_summation_by_parts", sbp, 1e-12)
-    w1p2 = norm_w1p(u, 2.0)
-    ident = norm_l2(u) ** 2 + grid.h * np.dot(du, du)
+    w1p2 = float(norm_w1p_array(u, h, 2.0))
+    ident = float(norm_l2_array(u, h)) ** 2 + h * np.dot(du, du)
     rel = abs(w1p2 - ident) / max(abs(ident), 1e-300)
     record("mesh_norm_w1p_p2_identity", rel, 1e-12)
     alphas = (-2.5, -1.0, 0.5, 3.0)
-    scaled = np.multiply.outer(alphas, u.values)  # row i is alphas[i] * u
+    scaled = np.multiply.outer(alphas, u)  # row i is alphas[i] * u
     # ||a u|| = |a| ||u|| and ||a u||_{1,p}^p = |a|^p ||u||_{1,p}^p, row by row
-    cases = [(1.0, norm_l2_array(scaled, h), norm_l2(u))]
-    cases += [(p, norm_w1p_array(scaled, h, p), norm_w1p(u, p)) for p in p_values]
-    worst = max([0.0] + [
+    cases = [(1.0, norm_l2_array(scaled, h), float(norm_l2_array(u, h)))]
+    cases += [(p, norm_w1p_array(scaled, h, p), float(norm_w1p_array(u, h, p)))
+              for p in p_values]
+    worst = _nan_or(max, [0.0] + [
         abs(norm_au - abs(alpha) ** q * norm_u) / max(norm_au, 1e-300)
         for q, norms_au, norm_u in cases
         for alpha, norm_au in zip(alphas, norms_au.tolist())
@@ -684,20 +693,18 @@ def verify_all(
         gate_hits += 1
     record("params_gate", gate_hits, 2)
 
-    # --- noise
-    span = grid.function(np.linspace(-0.2, 1.2, grid.n_cells))
+    # --- noise: the forcing phi(u) * sum_j c_j dW_j of apply_diffusion
+    span = np.linspace(-0.2, 1.2, grid.n_cells)
     dw_probe = rng.standard_normal(noise_model.J)
-    forcing = noise_model.apply_diffusion(span, dw_probe)
-    outside = (span.values <= 0.25) | (span.values >= 0.75)
-    support_leak = float(np.abs(forcing.values[outside]).max(initial=0.0))
+    forcing = bump_profile(span) * noise_model.coefs(dw_probe)
+    outside = (span <= 0.25) | (span >= 0.75)
+    support_leak = float(np.abs(forcing[outside]).max(initial=0.0))
     record("noise_support", support_leak, 0.0)
     bigger = NoiseModel(J=noise_model.J + 1, sigma=noise_model.sigma)
     dw_ext = np.concatenate([dw_probe, [0.7]])
-    mid = grid.function(np.linspace(0.26, 0.74, grid.n_cells))
-    delta = bigger.apply_diffusion(mid, dw_ext).values - noise_model.apply_diffusion(
-        mid, dw_probe
-    ).values
-    expected = bigger.amplitudes[-1] * 0.7 * bump_profile(mid.values)
+    bump = bump_profile(np.linspace(0.26, 0.74, grid.n_cells))
+    delta = bump * bigger.coefs(dw_ext) - bump * noise_model.coefs(dw_probe)
+    expected = bigger.amplitudes[-1] * 0.7 * bump
     trunc_err = float(np.abs(delta - expected).max())
     trunc_tol = 1e-15 * max(1.0, float(np.abs(expected).max()))
     record("noise_truncation_decay", trunc_err, trunc_tol)
@@ -719,39 +726,34 @@ def verify_all(
     # --- operator inequalities on 100 stacked (fu, fv) pairs per p.  Each
     # pair's gap in <A x, x> >= (1 - tau L_beta) ||x||^2 + tau c ||x||_{1,p}^p
     # is taken in Python floats, as one pair at a time would be.
-    def worst_gap(x, ax, c, p):
-        worst = np.inf
+    def gaps(x, ax, c, p):
+        out = []
         for lhs, l2, w1p in zip(*(a.tolist() for a in (
             h * np.vecdot(ax, x), norm_l2_array(x, h), norm_w1p_array(x, h, p)
         ))):
             rhs = (1 - tau * lbeta) * l2 ** 2 + tau * c * w1p
-            worst = min(worst, (lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        return worst
+            out.append((lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+        return out
 
-    coercive_worst = np.inf
-    monotone_worst = np.inf
+    coercive, monotone = [], []
     for p in p_values:
         pctx = OperatorContext(replace(params, p=p), reaction, grid)
         fu, fv = rng.uniform(-1.5, 2.5, (100, 2, grid.n_cells)).swapaxes(0, 1).copy()
         au, av = pctx.apply(fu), pctx.apply(fv)
-        coercive_worst = min(coercive_worst, worst_gap(fu, au, 1.0, p))
-        monotone_worst = min(
-            monotone_worst, worst_gap(fu - fv, au - av, cp_factor * 2.0 ** (2.0 - p), p)
-        )
-    record("operator_coercivity", coercive_worst, -1e-10)
-    record("operator_strong_monotonicity", monotone_worst, -1e-10)
-    fu, fv = map(grid.function, rng.uniform(-1.5, 2.5, (2, grid.n_cells)))
-    weak_lhs = inner(grid.function(ctx.apply_plap(fu.values)), fv)
-    weak_rhs = grid.h * np.dot(ctx.face_flux(fu.values), np.diff(fv.values) / h) + inner(
-        grid.function(np.abs(fu.values) ** (params.p - 2.0) * fu.values), fv
+        coercive += gaps(fu, au, 1.0, p)
+        monotone += gaps(fu - fv, au - av, cp_factor * 2.0 ** (2.0 - p), p)
+    record("operator_coercivity", _nan_or(min, coercive), -1e-10)
+    record("operator_strong_monotonicity", _nan_or(min, monotone), -1e-10)
+    fu, fv = rng.uniform(-1.5, 2.5, (2, grid.n_cells))
+    weak_lhs = h * np.dot(ctx.apply_plap(fu), fv)
+    weak_rhs = h * np.dot(ctx.face_flux(fu), np.diff(fv) / h) + h * np.dot(
+        np.abs(fu) ** (params.p - 2.0) * fu, fv
     )
     weak_rel = abs(weak_lhs - weak_rhs) / max(abs(weak_lhs), 1e-300)
     record("operator_weak_form", weak_rel, 1e-12)
     deltas = [10.0 ** (-k) for k in range(1, 7)]
-    base = ctx.apply(fu.values)
-    dists = norm_l2_array(
-        ctx.apply(fu.values + np.multiply.outer(deltas, fv.values)) - base, h
-    ).tolist()
+    base = ctx.apply(fu)
+    dists = norm_l2_array(ctx.apply(fu + np.multiply.outer(deltas, fv)) - base, h).tolist()
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
     cont_bound = 1e-4 * max(1.0, dists[0])
     record("operator_continuity", dists[-1], cont_bound, requires=decreasing)
@@ -772,8 +774,8 @@ def verify_all(
         )
     energies = [SolveReport.from_history(history, i).energy_history
                 for i in range(len(sols))]
-    energy_jump_worst = max([0.0] + [
-        max(b - a for a, b in zip(e, e[1:])) / max(1.0, *map(abs, e))
+    energy_jump_worst = _nan_or(max, [0.0] + [
+        _nan_or(max, [b - a for a, b in zip(e, e[1:])]) / _nan_or(max, [1.0, *map(abs, e)])
         for e in energies if len(e) > 1
     ])
     iter_worst = max(map(len, energies)) - 1  # a row's Newton steps
@@ -782,29 +784,25 @@ def verify_all(
     record("solver_uniqueness", uniq_worst, 1e-8)
     record("solver_energy_nonincreasing", energy_jump_worst, 1e-12)
     record("solver_converges_within_cap", iter_worst, solver_cfg.max_newton)
-    rhs_f = grid.function(rhs_u[0])
-    d1, _ = solve(ctx, rhs_f, cfg=solver_cfg)
-    d2, _ = solve(ctx, rhs_f, cfg=solver_cfg)
+    # the public single-problem solve, twice on one rhs (the initial datum)
+    d1, _ = solve(ctx, initial.u0, cfg=solver_cfg)
+    d2, _ = solve(ctx, initial.u0, cfg=solver_cfg)
     det = np.array_equal(d1.values, d2.values)
     record("solver_determinism", 0.0 if det else 1.0, 0.0)
-    stab_l2_worst, stab_v_worst = map(min, zip(*(
-        stability_slacks(ctx, *map(grid.function, (r1, r2, s1, s2)))
-        for r1, r2, s1, s2 in zip(rhs_u[0::2], rhs_u[1::2], sols[0::2], sols[1::2])
-    )))
-    apriori_worst = min(
-        apriori_slack(ctx, grid.function(r), grid.function(s)) for r, s in zip(rhs_u, sols)
-    )
-    record("solver_stability_l2", stab_l2_worst, -1e-8)
-    record("solver_stability_w1p", stab_v_worst, -1e-8)
-    record("solver_apriori_bound", apriori_worst, -1e-8)
+    # rhs pairs (0, 1), (2, 3), ... and their zero-guess solutions
+    pairs = rhs_u[0::2], rhs_u[1::2], sols[0::2], sols[1::2]
+    stab_l2, stab_v = stability_slacks(ctx, *pairs)
+    apriori = apriori_slack(ctx, rhs_u, sols)
+    record("solver_stability_l2", _nan_or(min, stab_l2.tolist()), -1e-8)
+    record("solver_stability_w1p", _nan_or(min, stab_v.tolist()), -1e-8)
+    record("solver_apriori_bound", _nan_or(min, apriori.tolist()), -1e-8)
 
     # --- stepper: the noisy path, two noise-off paths and the noisy path
     # cold-started at every step advance together, as the rows of one state
     quiet = NoiseModel(J=noise_model.J, sigma=0.0)
     coef, f = _path_inputs(params, grid, noise_model, source, 1, seed)
-    quiet_coef = stepper.noise_coefs(
-        quiet, (quiet.sample_path(params.M, tau, s).values for s in (1, 2))
-    )
+    quiet_coef = np.array([quiet.coefs(quiet.sample_path(params.M, tau, s).values)
+                           for s in (1, 2)])
     coef = np.concatenate([coef, quiet_coef, coef])
     states = np.empty((4, params.M + 1, grid.n_cells))
     _, _, failures, _ = stepper.run_rows(

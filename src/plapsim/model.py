@@ -218,27 +218,28 @@ class SourceSpec:
             if not np.all(np.isfinite(values)):
                 raise ValueError("tabulated values must be finite")
 
-    def evaluate(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Pointwise f(t, x) for an array of spatial coordinates."""
+    def evaluate(self, t, x: np.ndarray) -> np.ndarray:
+        """Pointwise f(t, x): shape np.shape(t) + x.shape, for times t and points x."""
         x = np.asarray(x, dtype=float)
+        shape = np.shape(t) + x.shape
         if self.kind == "zero":
-            return np.zeros_like(x)
+            return np.zeros(shape)
         if self.kind == "constant":
-            return np.full_like(x, float(self.params["value"]))
+            return np.full(shape, float(self.params["value"]))
         if self.kind == "cosine":
             pr = self.params
             return float(pr["offset"]) + float(pr["amp"]) * np.exp(
-                -float(pr["decay"]) * t
-            ) * np.cos(np.pi * x / float(pr["length"]))
+                -float(pr["decay"]) * np.asarray(t)
+            )[..., None] * np.cos(np.pi * x / float(pr["length"]))
         times = np.asarray(self.params["times"], dtype=float)
         values = np.asarray(self.params["values"], dtype=float)
         if values.shape[1] != x.size:
             raise ValueError(
                 f"tabulated source has {values.shape[1]} columns, grid has {x.size}"
             )
-        out = np.empty_like(x)
-        for i in range(x.size):
-            out[i] = np.interp(t, times, values[:, i])
+        out = np.empty(shape)
+        for i in range(x.size):  # one interpolation per cell, over all times
+            out[..., i] = np.interp(t, times, values[:, i])
         return out
 
     def step_table(self, M: int, grid: Grid1D, tau: float) -> np.ndarray:
@@ -247,10 +248,7 @@ class SourceSpec:
         This table is how the stepper consumes a source.  A source that is
         constant in time gives one row broadcast to all M, without copies.
         """
-        x = grid.cell_centers()
-        if self.kind in ("zero", "constant"):
-            return np.broadcast_to(self._average(0, x, tau), (M, x.size))
-        return np.array([self._average(n, x, tau) for n in range(M)])
+        return self._averages(np.arange(M), grid.cell_centers(), tau)
 
     def step_average(self, n: int, grid: Grid1D, tau: float) -> GridFunction:
         """Average of f over [n tau, (n+1) tau] at the cell centers.
@@ -259,24 +257,24 @@ class SourceSpec:
         """
         if n < 0:
             raise ValueError(f"step index must be nonnegative, got {n}")
-        return grid.function(self._average(n, grid.cell_centers(), tau))
+        (row,) = self._averages(np.array([n]), grid.cell_centers(), tau)
+        return grid.function(row)
 
-    def _average(self, n: int, x: np.ndarray, tau: float) -> np.ndarray:
-        """Average of f over step n at the points x.
+    def _averages(self, steps: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
+        """(len(steps), x.size) averages of f over the given steps at the points x.
 
         4-point Gauss in time: exact for sources polynomial in t up to
         degree 7, so quadrature never pollutes a refinement table for
-        smooth manufactured sources.
+        smooth manufactured sources.  One :meth:`evaluate` call takes every
+        Gauss time of every step.
         """
-        if self.kind == "zero":
-            return np.zeros(x.size)
-        if self.kind == "constant":
-            return np.full(x.size, float(self.params["value"]))
-        t0 = n * tau
-        acc = np.zeros(x.size)
-        for node, weight in zip(_GAUSS_NODES, _GAUSS_WEIGHTS):
-            t = t0 + 0.5 * tau * (node + 1.0)
-            acc += weight * self.evaluate(t, x)
+        if self.kind in ("zero", "constant"):
+            return np.broadcast_to(self.evaluate(0.0, x), (steps.size, x.size))
+        t = (steps * tau)[:, None] + 0.5 * tau * (_GAUSS_NODES + 1.0)
+        f = self.evaluate(t, x)
+        acc = np.zeros((steps.size, x.size))
+        for k, weight in enumerate(_GAUSS_WEIGHTS):
+            acc += weight * f[:, k]
         return 0.5 * acc
 
 

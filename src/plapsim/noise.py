@@ -127,6 +127,14 @@ class NoiseModel:
             np.sqrt(tau) * rng.standard_normal((M, self.J)), tau=tau, seed=seed
         )
 
+    def coefs(self, dw) -> np.ndarray:
+        """Noise coefficients sum_j c_j dW_j of increments ``dw``, modes on the last axis.
+
+        The one formula of the coefficient: a (M, J) path gives (M,), one
+        (J,) row a 0-d array, and a row of a stack equals that row alone.
+        """
+        return np.vecdot(dw, self.amplitudes)
+
     def apply_diffusion(self, u: GridFunction, dw_row: np.ndarray) -> GridFunction:
         """Forcing cell i: sum_j g_j(u_i) dW_j = phi(u_i) * sum_j c_j dW_j.
 
@@ -135,8 +143,7 @@ class NoiseModel:
         dw_row = np.asarray(dw_row, dtype=float)
         if dw_row.shape != (self.J,):
             raise ValueError(f"expected {self.J} increments, got shape {dw_row.shape}")
-        coef = float(np.dot(self.amplitudes, dw_row))
-        return u.grid.function(bump_profile(u.values) * coef)
+        return u.grid.function(bump_profile(u.values) * self.coefs(dw_row))
 
     def hs_lipschitz_estimate(self, samples: int, seed: int = 0) -> float:
         """Empirical sup of sum_j |g_j(r) - g_j(s)|^2 / |r - s|^2.
@@ -158,6 +165,6 @@ class NoiseModel:
         r, s = r[keep], s[keep]
         if r.size == 0:
             return 0.0
-        sum_sq = float(np.dot(self.amplitudes, self.amplitudes))
+        sum_sq = float(self.coefs(self.amplitudes))  # sum_j c_j^2
         ratio = sum_sq * ((bump_profile(r) - bump_profile(s)) / (r - s)) ** 2
         return float(ratio.max())

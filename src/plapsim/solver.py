@@ -26,19 +26,18 @@ in, and the solution goes out, as validated GridFunctions.
 ``stability_slacks`` and ``apriori_slack`` measure the two quantitative
 consequences of strong monotonicity for the inverse map: a Lipschitz bound
 in L2 with constant 1/(1 - tau L_beta), and an a priori bound of the
-solution's W^{1,p} power by the data; the verification report compares
-them with its tolerances.
+solution's W^{1,p} power by the data, one slack per row of stacked
+problems; the verification report compares them with its tolerances.
 """
 
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import GridFunction, norm_l2, norm_l2_array, norm_w1p
+from .mesh import GridFunction, norm_l2_array, norm_w1p_array
 from .operators import OperatorContext, Point
 
 __all__ = [
@@ -66,23 +65,25 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Newton/line-search knobs.  Residuals are measured in discrete L2."""
+    """Newton knobs.  Residuals are measured in discrete L2.
+
+    The line search's constants are class attributes, not fields: the
+    step shrinks by ``backtrack_factor`` per trial, at most
+    ``max_backtracks`` trials, until the Armijo test with
+    ``sufficient_decrease`` holds.
+    """
 
     tol_residual: float = 1e-10
     max_newton: int = 50
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
-    max_backtracks: int = 40
+    backtrack_factor = 0.5
+    sufficient_decrease = 1e-4
+    max_backtracks = 40
 
     def __post_init__(self):
         if not self.tol_residual > 0:
             raise ValueError(f"tol_residual must be positive, got {self.tol_residual}")
-        if self.max_newton < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration caps must be >= 1")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0 < self.sufficient_decrease < 1:
-            raise ValueError("sufficient_decrease must lie in (0, 1)")
+        if self.max_newton < 1:
+            raise ValueError(f"max_newton must be >= 1, got {self.max_newton}")
 
 
 @dataclass
@@ -109,17 +110,6 @@ class SolveReport:
             residuals.append(r[i])
             energies.append(e[i])
         return cls(len(residuals) - 1, residuals, energies, True)
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "residual_history": list(self.residual_history),
-            "energy_history": list(self.energy_history),
-            "converged": self.converged,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # a few ulps of slack keep the Armijo test meaningful once the true decrease
@@ -312,38 +302,41 @@ def solve(
     return g.function(u[0]), SolveReport.from_history(history)
 
 
-def stability_slacks(
-    ctx: OperatorContext,
-    rhs1: GridFunction,
-    rhs2: GridFunction,
-    sol1: GridFunction,
-    sol2: GridFunction,
-) -> tuple[float, float]:
+def stability_slacks(ctx: OperatorContext, rhs1, rhs2, sol1, sol2):
     """Slacks (bound - left side) of the two inverse-map inequalities.
 
     L2 stability:  ||sol1 - sol2|| <= ||rhs1 - rhs2|| / (1 - tau L_beta)
     W^{1,p} input: tau 2^{2-p} ||sol1 - sol2||_{W^{1,p}}^p
                    <= ||rhs1 - rhs2|| * ||sol1 - sol2||
+
+    The arguments are (..., n_cells) arrays, one pair of problems per row.
+    Returns two (...) arrays: the slacks of each row, worked out in Python
+    floats from the row's norms, the bits of that row alone.
     """
-    pr = ctx.params
-    diff_rhs = ctx.grid.function(rhs1.values - rhs2.values)
-    diff_sol = ctx.grid.function(sol1.values - sol2.values)
-    drhs = norm_l2(diff_rhs)
-    dsol = norm_l2(diff_sol)
-    slack_l2 = drhs / (1.0 - pr.tau * pr.L_beta) - dsol
+    pr, h = ctx.params, ctx.grid.h
+    diff_sol = sol1 - sol2
+    norms = (norm_l2_array(rhs1 - rhs2, h), norm_l2_array(diff_sol, h),
+             norm_w1p_array(diff_sol, h, pr.p))
     cp = 2.0 ** (2.0 - pr.p)
-    slack_v = drhs * dsol - pr.tau * cp * norm_w1p(diff_sol, pr.p)
-    return float(slack_l2), float(slack_v)
+    slack_l2, slack_v = [], []
+    for drhs, dsol, w1p in zip(*(np.ravel(a).tolist() for a in norms)):
+        slack_l2.append(drhs / (1.0 - pr.tau * pr.L_beta) - dsol)
+        slack_v.append(drhs * dsol - pr.tau * cp * w1p)
+    shape = norms[0].shape
+    return np.reshape(slack_l2, shape), np.reshape(slack_v, shape)
 
 
-def apriori_slack(ctx: OperatorContext, rhs: GridFunction, sol: GridFunction) -> float:
+def apriori_slack(ctx: OperatorContext, rhs, sol):
     """Slack (bound - left side) of the a priori bound of the solution.
 
     ||sol||_{W^{1,p}}^p <= ||rhs||^2 / (4 tau (1 - tau L_beta)) is the
     energy estimate of the solve tested with its own solution, with the free
-    parameter chosen optimally at 2 (1 - tau L_beta).
+    parameter chosen optimally at 2 (1 - tau L_beta).  The arguments are
+    (..., n_cells) arrays; returns the (...) slacks, one per row, worked out
+    in Python floats as in :func:`stability_slacks`.
     """
-    pr = ctx.params
-    bound = norm_l2(rhs) ** 2 / (4.0 * pr.tau * (1.0 - pr.tau * pr.L_beta))
-    return bound - norm_w1p(sol, pr.p)
-
+    pr, h = ctx.params, ctx.grid.h
+    l2, w1p = norm_l2_array(rhs, h), norm_w1p_array(sol, h, pr.p)
+    scale = 4.0 * pr.tau * (1.0 - pr.tau * pr.L_beta)
+    rows = zip(np.ravel(l2).tolist(), np.ravel(w1p).tolist())
+    return np.reshape([r ** 2 / scale - w for r, w in rows], l2.shape)

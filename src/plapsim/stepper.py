@@ -18,11 +18,12 @@ alone.
 
 :func:`run_rows` is the one time loop.  It advances a ``(P, n_cells)``
 stack of paths, one per row of a ``(P, M)`` table of noise coefficients
-sum_j c_j dW_j, against an ``(M, n_cells)`` table of source averages, and
-solves each step of every row with one :func:`~plapsim.solver.solve_rows`
-call, started from the point the previous step's call returned, whose
-operator value and energy are known already.  :func:`run_path` is that
-loop on one row over a whole path and :func:`step` on one row for one step;
+sum_j c_j dW_j (:meth:`~plapsim.noise.NoiseModel.coefs`), against an
+``(M, n_cells)`` table of source averages, and solves each step of every
+row with one :func:`~plapsim.solver.solve_rows` call, started from the
+point the previous step's call returned, whose operator value and energy
+are known already.  :func:`run_path` is that loop on one row over a whole
+path and :func:`step` on one row for one step;
 the Monte Carlo driver, the eps study and the verification report of
 :mod:`plapsim.harness` run many rows.
 """
@@ -44,7 +45,6 @@ __all__ = [
     "step",
     "run_path",
     "run_rows",
-    "noise_coefs",
     "constraint_violation_array",
 ]
 
@@ -60,12 +60,6 @@ def constraint_violation_array(values: np.ndarray, h: float):
         np.sum(np.maximum(-values, 0.0), axis=-1)
         + np.sum(np.maximum(values - 1.0, 0.0), axis=-1)
     )
-
-
-def noise_coefs(noise_model: NoiseModel, paths) -> np.ndarray:
-    """(P, M) noise coefficients sum_j c_j dW_j of P (M, J) increment matrices."""
-    amps = noise_model.amplitudes
-    return np.array([np.vecdot(dw, amps) for dw in paths])
 
 
 def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
@@ -146,7 +140,7 @@ def step(
         raise ValueError(f"expected {noise_model.J} increments, got shape {dw_row.shape}")
     states = np.empty((1, 2, ctx.grid.n_cells))
     _, _, failures, (history,) = run_rows(
-        ctx, u_n.values, noise_coefs(noise_model, [dw_row[None]]), f_n.values[None],
+        ctx, u_n.values, noise_model.coefs(dw_row[None, None]), f_n.values[None],
         cfg or SolverConfig(), states=states,
     )
     if failures:
@@ -242,7 +236,7 @@ def run_path(
         )
     states = np.empty((1, pr.M + 1, ctx.grid.n_cells)) if mode == "full" else None
     w1p = np.empty((1, pr.M + 1))
-    coef = noise_coefs(noise_model, [increments.values])
+    coef = noise_model.coefs(increments.values[None])
     f = source.step_table(pr.M, ctx.grid, pr.tau)
     l2, viol, failures, histories = run_rows(
         ctx, initial.u0.values, coef, f, cfg or SolverConfig(), states=states, w1p=w1p

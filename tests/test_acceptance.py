@@ -147,7 +147,7 @@ def test_criterion_5_inverse_stability():
                 r2 = grid.function(rng.uniform(-1.0, 2.0, 48))
                 s1, _ = solve(ctx, r1)
                 s2, _ = solve(ctx, r2)
-                sl2, sv = stability_slacks(ctx, r1, r2, s1, s2)
+                sl2, sv = stability_slacks(ctx, r1.values, r2.values, s1.values, s2.values)
                 assert sl2 >= -1e-8
                 assert sv >= -1e-8
                 for r, s in ((r1, s1), (r2, s2)):

@@ -296,6 +296,15 @@ def test_cli_verify_exit_codes(small_config):
     assert report["passed"] is False
 
 
+def test_cli_verify_non_finite_cp_factor_exit_one(small_config):
+    d, _ = small_config
+    for value in ("nan", "inf", "-inf"):
+        res = run_cli(["verify", f"--cp-factor={value}", "--out-dir", "cpout"], d)
+        assert res.returncode == 1 and res.stdout == ""
+        assert "config error" in res.stderr and "cp_factor" in res.stderr
+    assert not (d / "cpout").exists()
+
+
 def test_cli_verify_failed_solve_exit_two_names_check(small_config):
     d, _ = small_config
     capped = d / "capped.json"

@@ -544,6 +544,57 @@ def test_verify_all_fault_injection():
     assert by_name["operator_coercivity"] is True
 
 
+def test_verify_all_rejects_non_finite_cp_factor():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="cp_factor must be finite"):
+            verify_all(cp_factor=value, cp_samples=1000, stat_draws=10_000)
+
+
+def nan_in_row(function, row):
+    """``function`` with entry ``row`` of each stacked (2-D input) result set to NaN."""
+    def patched(values, *args, **kwargs):
+        out = function(values, *args, **kwargs)
+        if np.ndim(values) == 2:
+            out = np.array(out, dtype=float)
+            out[row] = np.nan
+        return out
+    return patched
+
+
+@pytest.mark.parametrize("module, failing", [
+    # the homogeneity cases and the operator gaps reduce stacked norms
+    (harness, {"mesh_norm_homogeneity", "operator_coercivity",
+               "operator_strong_monotonicity"}),
+    # the stability and a priori slacks of the solver
+    (solver, {"solver_stability_w1p", "solver_apriori_bound"}),
+])
+def test_verify_all_nan_measurement_fails_its_check(monkeypatch, module, failing):
+    # a NaN in one row (not the first) reaches the measured value and fails
+    # the check; Python's min and max would drop it
+    monkeypatch.setattr(module, "norm_w1p_array", nan_in_row(module.norm_w1p_array, 2))
+    report = verify_all(cp_samples=1000, stat_draws=10_000)
+    failed = {r["property"]: r["measured"] for r in report.properties if not r["passed"]}
+    assert set(failed) == failing
+    assert all(np.isnan(m) for m in failed.values())
+
+
+def test_verify_all_nan_energy_fails_energy_check(monkeypatch):
+    # a NaN energy at a later Newton iteration of one uniqueness row
+    original = harness.solve_rows
+
+    def nan_energy(ctx, rhs, guess, cfg):
+        u, history, failures = original(ctx, rhs, guess, cfg)
+        if len(rhs) == 40:
+            history[1][2][-1] = float("nan")
+        return u, history, failures
+
+    monkeypatch.setattr(harness, "solve_rows", nan_energy)
+    report = verify_all(cp_samples=1000, stat_draws=10_000)
+    failed = {r["property"]: r["measured"] for r in report.properties if not r["passed"]}
+    assert list(failed) == ["solver_energy_nonincreasing"]
+    assert np.isnan(failed["solver_energy_nonincreasing"])
+
+
 def test_verify_all_json_deterministic():
     a = verify_all(cp_samples=10_000, stat_draws=50_000)
     b = verify_all(cp_samples=10_000, stat_draws=50_000)

@@ -190,8 +190,8 @@ def test_source_gauss_rule_exact_for_degree_seven():
     n = 2
 
     class Poly7(SourceSpec):
-        def evaluate(self, t, x):
-            return np.full_like(np.asarray(x, dtype=float), t**7)
+        def evaluate(self, t, x):  # shape np.shape(t) + x.shape, as SourceSpec's
+            return np.broadcast_to(np.asarray(t)[..., None] ** 7, np.shape(t) + np.shape(x))
 
     # the cosine kind routes through the Gauss accumulation, which calls
     # the overridden pointwise evaluation
@@ -200,6 +200,29 @@ def test_source_gauss_rule_exact_for_degree_seven():
     exact = (t1**8 - t0**8) / (8 * tau)
     acc = spec.step_average(n, g, tau)
     assert np.allclose(acc.values, exact, rtol=1e-13)
+
+
+def test_tabulated_step_table_matches_per_cell_interp():
+    # one interpolation per cell over every Gauss time of every step gives
+    # the bits of one scalar interpolation per cell, time and step
+    rng = np.random.default_rng(12)
+    g = Grid1D(2048, 1.0)
+    M, tau = 6, 0.07
+    times = np.array([0.0, 0.05, 0.13, 0.3, 0.5])
+    values = rng.uniform(-1.0, 1.0, (times.size, g.n_cells))
+    spec = SourceSpec("tabulated", {"times": times.tolist(), "values": values.tolist()})
+    table = spec.step_table(M, g, tau)
+    ref = np.empty((M, g.n_cells))
+    for n in range(M):
+        acc = np.zeros(g.n_cells)
+        for node, weight in zip(model._GAUSS_NODES, model._GAUSS_WEIGHTS):
+            t = n * tau + 0.5 * tau * (node + 1.0)
+            acc += weight * np.array(
+                [np.interp(t, times, values[:, i]) for i in range(g.n_cells)]
+            )
+        ref[n] = 0.5 * acc
+    assert np.array_equal(table, ref)
+    assert np.array_equal(spec.step_average(4, g, tau).values, ref[4])
 
 
 def test_gauss_literals_are_leggauss_bits():

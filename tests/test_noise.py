@@ -78,6 +78,24 @@ def test_apply_diffusion_values():
     assert np.all(model.apply_diffusion(u, np.array([0.0])).values == 0.0)
 
 
+def test_apply_diffusion_is_bump_times_coefs():
+    # the forcing is phi(u) * coefs(dw), bit for bit, and one row's
+    # coefficient is its row of a stacked call
+    rng = np.random.default_rng(9)
+    g = Grid1D(40, 1.0)
+    model = NoiseModel(J=12, sigma=0.7)
+    u = g.function(rng.uniform(-0.2, 1.2, 40))
+    dw = rng.standard_normal((3, 5, 12))
+    out = model.apply_diffusion(u, dw[1, 2])
+    assert np.array_equal(out.values, bump_profile(u.values) * model.coefs(dw[1, 2]))
+    stacked = model.coefs(dw)
+    assert stacked.shape == (3, 5)
+    for k in range(3):
+        assert np.array_equal(model.coefs(dw[k]), stacked[k])
+        for n in range(5):
+            assert model.coefs(dw[k, n]) == stacked[k, n]
+
+
 def test_apply_diffusion_support():
     g = Grid1D(14, 1.0)
     model = NoiseModel(J=6, sigma=2.0)

@@ -16,7 +16,6 @@ from plapsim.operators import OperatorContext, Point
 from plapsim.solver import NonConvergence, SolverConfig, solve, solve_rows
 from plapsim.stepper import (
     constraint_violation_array,
-    noise_coefs,
     run_path,
     run_rows,
     step,
@@ -167,7 +166,7 @@ def test_run_path_reports_equal_chained_steps():
     for n, report in enumerate(traj.reports):
         f_n = source.step_average(n, ctx.grid, ctx.params.tau)
         u, ref = step(ctx, nm, u, traj.increments.values[n], f_n)
-        assert report.to_json() == ref.to_json(), n
+        assert report == ref, n
         assert np.array_equal(u.values, traj.states[n + 1]), n
 
 
@@ -188,8 +187,8 @@ def carry_setup(kind, n_paths=12, amp=50.0):
     u0 = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25}).u0.values
     source = SourceSpec("zero") if kind == "mc" else SourceSpec(
         "cosine", {"offset": 0.0, "amp": amp, "decay": 0.0, "length": 1.0})
-    coef = noise_coefs(noise, (noise.sample_path(params.M, params.tau, s).values
-                               for s in range(n_paths)))
+    coef = np.array([noise.coefs(noise.sample_path(params.M, params.tau, s).values)
+                     for s in range(n_paths)])
     return ctx, u0, coef, source.step_table(params.M, grid, params.tau)
 
 

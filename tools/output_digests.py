@@ -1,0 +1,108 @@
+"""Print the exit code and the sha256 of stdout and of every output file.
+
+Runs ``python -m plapsim`` on a fixed set of configurations, each in its
+own temporary directory, and prints one line per configuration:
+
+    <case> exit=<code> stdout=<sha256> <file>=<sha256> ...
+
+Two checkouts produce the same lines exactly when they give the same
+outputs, byte for byte.  Run it on each side and compare:
+
+    python3 tools/output_digests.py              # this checkout
+    python3 tools/output_digests.py path/to/repo # another checkout
+
+The package is taken from ``<repo>/src`` and the benchmark configs from
+``<repo>/perfbench/workloads.py``.  The cases are ``verify`` on the
+benchmark's ``verify`` config at seeds 0 and 1 and with ``--cp-factor 1.5``
+(exit 3), ``mc`` and ``eps-study`` on their benchmark configs at seeds 0
+and 1, ``run`` on a 48-cell, M = 30 copy of ``run_large`` (full and thin
+output, and with a cosine source) and on 4 cells with a tabulated source,
+and ``converge --study coupled|spatial``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def _workloads(repo):
+    path = os.path.join(repo, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_digest_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _small_run(make_config, **model):
+    doc = make_config("run_large", 0, "out")
+    doc["model"].update({"n_cells": 48, "M": 30}, **model)
+    return doc
+
+
+def cases(make_config):
+    """(name, subcommand arguments, config document) of every case."""
+    out = []
+    for seed in (0, 1):
+        out.append((f"verify-s{seed}", ["verify"], make_config("verify", seed, "out")))
+    out.append(("verify-cp1.5", ["verify", "--cp-factor", "1.5"],
+                make_config("verify", 0, "out")))
+    for seed in (0, 1):
+        out.append((f"mc-s{seed}", ["mc"], make_config("mc", seed, "out")))
+        out.append((f"eps-s{seed}", ["eps-study"], make_config("eps_stiff", seed, "out")))
+    out.append(("run-full", ["run"], _small_run(make_config)))
+    thin = _small_run(make_config)
+    thin["output"]["mode"] = "thin"
+    out.append(("run-thin", ["run"], thin))
+    cosine = _small_run(make_config)
+    cosine["source"] = {"preset": "cosine", "params": {
+        "offset": 0.2, "amp": 0.8, "decay": 1.5, "length": 1.0}}
+    out.append(("run-cosine", ["run"], cosine))
+    table = _small_run(make_config, n_cells=4)
+    table["source"] = {"preset": "tabulated", "params": {
+        "times": [0.0, 0.3, 1.0],
+        "values": [[0.1, 0.2, 0.3, 0.4], [1.0, -0.5, 0.25, 0.0], [0.0, 0.5, 2.0, -1.0]]}}
+    out.append(("run-tabulated", ["run"], table))
+    for study in ("coupled", "spatial"):
+        out.append((f"converge-{study}", ["converge", "--study", study],
+                    make_config("verify", 0, "out")))
+    return out
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(repo, name, argv, doc):
+    """The printed line of one case."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    with tempfile.TemporaryDirectory() as cwd:
+        with open(os.path.join(cwd, "cfg.json"), "w") as fh:
+            json.dump(doc, fh)
+        done = subprocess.run(
+            [sys.executable, "-m", "plapsim", *argv, "--config", "cfg.json"],
+            cwd=cwd, env=env, capture_output=True,
+        )
+        parts = [name, f"exit={done.returncode}", f"stdout={_sha(done.stdout)}"]
+        out_dir = os.path.join(cwd, "out")
+        for fname in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
+            with open(os.path.join(out_dir, fname), "rb") as fh:
+                parts.append(f"{fname}={_sha(fh.read())}")
+    return " ".join(parts)
+
+
+def main(argv=None):
+    args = sys.argv[1:] if argv is None else argv
+    here = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+    repo = os.path.abspath(args[0] if args else here)
+    for name, sub, doc in cases(_workloads(repo).make_config):
+        print(digest(repo, name, sub, doc), flush=True)
+
+
+if __name__ == "__main__":
+    main()
