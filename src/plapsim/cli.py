@@ -37,6 +37,11 @@ from .stepper import run_path
 
 __all__ = ["main", "dispatch"]
 
+# argparse dest of each override flag -> the config key it sets
+_OVERRIDES = {"seed": "noise.base_seed", "out_dir": "output.dir", "tag": "tag",
+              "output_mode": "output.mode", "n_paths": "n_paths", "workers": "workers",
+              "levels": "levels"}
+
 
 def _canonical(cfg: RunConfig) -> str:
     return json.dumps(
@@ -230,27 +235,10 @@ def main(argv=None) -> int:
         print(f"config error: cp_factor must be finite, got {cp_factor}", file=sys.stderr)
         return 1
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["noise.base_seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["output.dir"] = args.out_dir
-    if args.tag is not None:
-        overrides["tag"] = args.tag
-    if getattr(args, "output_mode", None) is not None:
-        overrides["output.mode"] = args.output_mode
-    if getattr(args, "n_paths", None) is not None:
-        overrides["n_paths"] = args.n_paths
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if getattr(args, "levels", None) is not None:
-        overrides["levels"] = args.levels
-
+    overrides = {key: getattr(args, dest) for dest, key in _OVERRIDES.items()
+                 if getattr(args, dest, None) is not None}
     try:
-        if args.config is not None:
-            cfg = parse_config(args.config, overrides=overrides)
-        else:
-            cfg = parse_config(data={}, overrides=overrides)
+        cfg = parse_config(args.config, None if args.config is not None else {}, overrides)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -262,10 +250,7 @@ def main(argv=None) -> int:
             study=getattr(args, "study", "coupled"),
             cp_factor=cp_factor,
         )
-    except NonConvergence as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NonConvergence, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

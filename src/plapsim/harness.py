@@ -29,7 +29,7 @@ stochastic tables are recorded observations only.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -139,35 +139,23 @@ class McSummary:
         if self.n_paths < 2:
             raise ValueError(f"n_paths must be >= 2, got {self.n_paths}")
 
+    def _series(self) -> dict:
+        """The per-time series, by name: every field after ``base_seed``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
+
     def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "base_seed": self.base_seed,
-            "times": [float(t) for t in self.times],
-            "mean_l2": [float(v) for v in self.mean_l2],
-            "var_l2": [float(v) for v in self.var_l2],
-            "hw_l2": [float(v) for v in self.hw_l2],
-            "mean_violation": [float(v) for v in self.mean_violation],
-            "var_violation": [float(v) for v in self.var_violation],
-            "hw_violation": [float(v) for v in self.hw_violation],
-        }
+        out = {"n_paths": self.n_paths, "base_seed": self.base_seed}
+        for name, values in self._series().items():
+            out[name] = [float(v) for v in values]
+        return out
 
     def to_csv(self, target) -> None:
+        series = self._series()
         with open_target(target) as target:
             target.write(f"# n_paths: {self.n_paths}\n")
             target.write(f"# base_seed: {self.base_seed}\n")
-            target.write(
-                "t,mean_l2,var_l2,hw_l2,mean_violation,var_violation,hw_violation\n"
-            )
-            for row in np.column_stack((
-                self.times,
-                self.mean_l2,
-                self.var_l2,
-                self.hw_l2,
-                self.mean_violation,
-                self.var_violation,
-                self.hw_violation,
-            )):
+            target.write(",".join(["t", *list(series)[1:]]) + "\n")  # times is column t
+            for row in np.column_stack(list(series.values())):
                 target.write(",".join(map(repr, row.tolist())) + "\n")
 
 

@@ -88,16 +88,15 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Diagnostics of one nonlinear solve."""
+    """Diagnostics of one converged nonlinear solve; a failed solve raises."""
 
     iterations: int
     residual_history: list
     energy_history: list
-    converged: bool
 
     @classmethod
     def from_history(cls, history, k: int = 0) -> "SolveReport":
-        """Report of row k of a :func:`solve_rows` history, read as converged.
+        """Report of row k of a converged :func:`solve_rows` history.
 
         The row's residuals and energies are the entries it appears in; it
         leaves the history for good once it stops.
@@ -109,7 +108,7 @@ class SolveReport:
                 break
             residuals.append(r[i])
             energies.append(e[i])
-        return cls(len(residuals) - 1, residuals, energies, True)
+        return cls(len(residuals) - 1, residuals, energies)
 
 
 # a few ulps of slack keep the Armijo test meaningful once the true decrease

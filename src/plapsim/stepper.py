@@ -170,10 +170,6 @@ class Trajectory:
     mode: str
 
     @property
-    def n_steps(self) -> int:
-        return len(self.times) - 1
-
-    @property
     def final_state(self) -> GridFunction:
         if self.states is None:
             raise ValueError("thin trajectory does not store states")

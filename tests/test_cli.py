@@ -1,5 +1,7 @@
+import copy
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -7,7 +9,9 @@ import sys
 import pytest
 
 import plapsim
+from plapsim import cli
 from plapsim.config import (
+    _SCHEMA,
     ParseError,
     ValidationError,
     emit_config,
@@ -209,6 +213,227 @@ def test_parse_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         parse_config(str(bad))
+
+
+NAN, INF = float("nan"), float("inf")
+TAB = {"preset": "tabulated", "params": {"times": [0, 1], "values": [[0, 1], [1, 1]]}}
+# a document with one fault, and the exact message of its ValidationError
+FAULTS = [
+    # unknown keys, every section and the top level
+    ({"modelx": 1}, "unknown key: modelx"),
+    ({"model": {"foo": 1}}, "unknown key: model.foo"),
+    ({"reaction": {"foo": 1}}, "unknown key: reaction.foo"),
+    ({"source": {"foo": 1}}, "unknown key: source.foo"),
+    ({"noise": {"gamma": 1}}, "unknown key: noise.gamma"),
+    ({"solver": {"backtrack_factor": 0.5}}, "unknown key: solver.backtrack_factor"),
+    ({"output": {"foo": 1}}, "unknown key: output.foo"),
+    ({"initial": {"foo": 1}}, "unknown key: initial.foo"),
+    ({"source": {"preset": "constant", "params": {"value": 1, "bogus": 2}}},
+     "unknown key: source.params.bogus"),
+    ({"source": {"preset": "zero", "params": {"value": 1}}}, "unknown key: source.params.value"),
+    ({"source": {"preset": "cosine", "params": {"value": 1}}}, "unknown key: source.params.value"),
+    ({"source": {"preset": "tabulated", "params": {"amp": 1}}}, "unknown key: source.params.amp"),
+    ({"initial": {"preset": "constant", "params": {"amp": 0.1}}},
+     "unknown key: initial.params.amp"),
+    ({"initial": {"preset": "cosine", "params": {"bogus": 2}}},
+     "unknown key: initial.params.bogus"),
+    # non-object sections
+    ([], "config: expected an object"),
+    ({"model": 5}, "model: expected an object"),
+    ({"reaction": []}, "reaction: expected an object"),
+    ({"source": "x"}, "source: expected an object"),
+    ({"noise": 1}, "noise: expected an object"),
+    ({"solver": None}, "solver: expected an object"),
+    ({"output": 1}, "output: expected an object"),
+    ({"initial": 1}, "initial: expected an object"),
+    ({"source": {"params": 5}}, "source.params: expected an object"),
+    ({"initial": {"params": []}}, "initial.params: expected an object"),
+    # bounds of each numeric key
+    ({"model": {"p": 1.5}}, "model.p: must be >= 2, got 1.5"),
+    ({"p": 1}, "model.p: must be >= 2, got 1.0"),
+    ({"model": {"p": "2"}}, "model.p: expected a number, got '2'"),
+    ({"model": {"p": None}}, "model.p: expected a number, got None"),
+    ({"model": {"p": INF}}, "model.p: must be finite, got inf"),
+    ({"model": {"eps": 0}}, "model.eps: must be > 0.0, got 0.0"),
+    ({"model": {"T": -1}}, "model.T: must be > 0.0, got -1.0"),
+    ({"model": {"M": 0}}, "model.M: must be >= 1, got 0"),
+    ({"model": {"M": 1.5}}, "model.M: expected an integer, got 1.5"),
+    ({"model": {"M": NAN}}, "model.M: must be finite, got nan"),
+    ({"model": {"L_beta": -1}}, "model.L_beta: must be >= 0.0, got -1.0"),
+    ({"model": {"L_beta": "x"}}, "model.L_beta: expected a number, got 'x'"),
+    ({"model": {"length": 0}}, "model.length: must be > 0.0, got 0.0"),
+    ({"model": {"n_cells": 1}}, "model.n_cells: must be >= 2, got 1"),
+    ({"model": {"n_cells": 2.5}}, "model.n_cells: expected an integer, got 2.5"),
+    ({"model": {"n_cells": True}}, "model.n_cells: expected a number, got True"),
+    ({"reaction": {"kind": "linear", "scale": -1}}, "reaction.scale: must be >= 0.0, got -1.0"),
+    ({"reaction": {"scale": NAN}}, "reaction.scale: must be finite, got nan"),
+    ({"noise": {"sigma": -0.5}}, "noise.sigma: must be >= 0.0, got -0.5"),
+    ({"noise": {"sigma": None}}, "noise.sigma: expected a number, got None"),
+    ({"noise": {"J": 0}}, "noise.J: must be >= 1, got 0"),
+    ({"noise": {"J": 2.5}}, "noise.J: expected an integer, got 2.5"),
+    ({"noise": {"base_seed": 1.5}}, "noise.base_seed: expected an integer, got 1.5"),
+    ({"noise": {"base_seed": INF}}, "noise.base_seed: must be finite, got inf"),
+    ({"solver": {"tol_residual": 0}}, "solver.tol_residual: must be > 0.0, got 0.0"),
+    ({"solver": {"max_newton": 0}}, "solver.max_newton: must be >= 1, got 0"),
+    ({"solver": {"max_newton": 1.5}}, "solver.max_newton: expected an integer, got 1.5"),
+    ({"levels": 1}, "levels: must be >= 2, got 1"),
+    ({"n_paths": 1}, "n_paths: must be >= 2, got 1"),
+    ({"n_paths": "4"}, "n_paths: expected a number, got '4'"),
+    ({"workers": 0}, "workers: must be >= 1, got 0"),
+    ({"workers": 1.5}, "workers: expected an integer, got 1.5"),
+    # choice and string keys
+    ({"reaction": {"kind": "cubic"}},
+     "reaction.kind: must be one of ['linear', 'sine', 'zero'], got 'cubic'"),
+    ({"source": {"preset": "bogus"}},
+     "source.preset: must be one of ['constant', 'cosine', 'tabulated', 'zero'], got 'bogus'"),
+    ({"output": {"mode": "half"}}, "output.mode: must be one of ['full', 'thin'], got 'half'"),
+    ({"output": {"dir": 5}}, "output.dir: expected a string, got 5"),
+    ({"initial": {"preset": "bogus"}},
+     "initial.preset: must be one of ['constant', 'cosine'], got 'bogus'"),
+    ({"reaction": {"kind": 1}}, "reaction.kind: expected a string, got 1"),
+    ({"tag": 5}, "tag: expected a string, got 5"),
+    # eps_list
+    ({"eps_list": [0.1]}, "eps_list: expected a list of at least two levels"),
+    ({"eps_list": 0.1}, "eps_list: expected a list of at least two levels"),
+    ({"eps_list": [0.1, -0.2]}, "eps_list[1]: must be a positive finite number"),
+    ({"eps_list": [0.1, "a"]}, "eps_list[1]: must be a positive finite number"),
+    ({"eps_list": [True, 0.1]}, "eps_list[0]: must be a positive finite number"),
+    ({"eps_list": [INF, 0.1]}, "eps_list[0]: must be a positive finite number"),
+    # params faults
+    ({"source": {"preset": "constant"}},
+     "source.params: constant source needs a 'value' parameter"),
+    ({"source": {"preset": "constant", "params": {"value": None}}},
+     "source.params: constant source needs a 'value' parameter"),
+    ({"source": {"preset": "constant", "params": {"value": "x"}}},
+     "source.params.value: expected a number, got 'x'"),
+    ({"source": {"preset": "constant", "params": {"value": NAN}}},
+     "source.params.value: must be finite, got nan"),
+    ({"source": {"preset": "cosine", "params": {"amp": "x"}}},
+     "source.params.amp: expected a number, got 'x'"),
+    ({"source": {"preset": "cosine", "params": {"amp": None}}},
+     "source.params: cosine source missing parameters ['amp']"),
+    ({"source": {"preset": "cosine", "params": {"length": 0}}},
+     "source.params.length: must be > 0.0, got 0.0"),
+    ({"source": {"preset": "cosine", "params": {"decay": INF}}},
+     "source.params.decay: must be finite, got inf"),
+    ({"source": {"preset": "tabulated"}},
+     "source.params: tabulated source missing ['times', 'values']"),
+    ({"source": {"preset": "tabulated", "params": {"times": [0, 1]}}},
+     "source.params: tabulated source missing ['values']"),
+    ({"source": {"preset": "tabulated", "params": {"times": [1, 0], "values": [[0] * 64] * 2}}},
+     "source.params: tabulated times must be strictly increasing"),
+    ({"source": {"preset": "tabulated", "params": {"times": [0, NAN], "values": [[0] * 64] * 2}}},
+     "source.params: tabulated times must be finite"),
+    ({"source": {"preset": "tabulated",
+                 "params": {"times": [0, 1], "values": [[0] * 64, [NAN] * 64]}}},
+     "source.params: tabulated values must be finite"),
+    ({"source": {"preset": "tabulated", "params": {"times": [0, 1, 2], "values": [[0] * 64] * 2}}},
+     "source.params: tabulated source needs len(times) rows of values"),
+    ({"n_cells": 3, "source": TAB},
+     "source.params.values: each row needs model.n_cells = 3 entries"),
+    ({"n_cells": 2, "source": {"preset": "tabulated",
+                               "params": {"times": [0, 1], "values": [0, 1]}}},
+     "source.params.values: each row needs model.n_cells = 2 entries"),
+    ({"n_cells": 2, "source": {"preset": "tabulated",
+                               "params": {"times": [0, {}], "values": [[0, 1], [1, 1]]}}},
+     "source.params: float() argument must be a string or a real number, not 'dict'"),
+    ({"initial": {"preset": "constant", "params": {"value": 2}}},
+     "initial.params.value: must lie in [0, 1], got 2.0"),
+    ({"initial": {"preset": "constant", "params": {"value": -0.1}}},
+     "initial.params.value: must lie in [0, 1], got -0.1"),
+    ({"initial": {"preset": "constant", "params": {"value": None}}},
+     "initial.params.value: expected a number, got None"),
+    ({"initial": {"preset": "cosine", "params": {"offset": 0.9, "amp": 0.3}}},
+     "initial.params: cosine profile leaves [0, 1] (offset=0.9, amp=0.3)"),
+    ({"initial": {"preset": "cosine", "params": {"amp": NAN}}},
+     "initial.params.amp: must be finite, got nan"),
+    ({"initial": {"preset": "cosine", "params": {"offset": "x"}}},
+     "initial.params.offset: expected a number, got 'x'"),
+    # cross-checks: L_beta, the gate, the shorthand
+    ({"L_beta": 0.1, "reaction": {"kind": "sine", "scale": 1.0}},
+     "model.L_beta: 0.1 is below the reaction scale 1.0"),
+    ({"model": {"L_beta": 0.5}, "reaction": {"kind": "linear", "scale": 0.75}},
+     "model.L_beta: 0.5 is below the reaction scale 0.75"),
+    ({"M": 100, "T": 1, "L_beta": 120, "reaction": {"kind": "linear", "scale": 120}},
+     "model: tau * L_beta = 1.2 >= 1; the implicit step is only well-posed for tau < 1 / L_beta"),
+    ({"M": 10, "T": 1, "reaction": {"kind": "sine", "scale": 10}},
+     "model: tau * L_beta = 1.0 >= 1; the implicit step is only well-posed for tau < 1 / L_beta"),
+    ({"p": 2, "model": {"p": 3}}, "p given both at top level and under model"),
+    ({"n_cells": 8, "model": {"n_cells": 8}}, "n_cells given both at top level and under model"),
+]
+# a document, overrides that put one fault into it, and the message
+OVERRIDE_FAULTS = [
+    ({"noise": 5}, {"noise.base_seed": 1}, "noise.base_seed: cannot override a scalar"),
+    ({}, {"n_paths": 1}, "n_paths: must be >= 2, got 1"),
+    ({"output": {"mode": "full"}}, {"output.mode": "fat"},
+     "output.mode: must be one of ['full', 'thin'], got 'fat'"),
+]
+
+
+@pytest.mark.parametrize(
+    "data, overrides, message",
+    [(doc, None, msg) for doc, msg in FAULTS] + OVERRIDE_FAULTS,
+    ids=[f"{i}-{msg.split(':')[0].replace(' ', '_')}"
+         for i, (*_, msg) in enumerate(FAULTS + OVERRIDE_FAULTS)],
+)
+def test_single_fault_message(data, overrides, message):
+    with pytest.raises(ValidationError) as info:
+        parse_config(data=data, overrides=overrides)
+    assert str(info.value) == message
+
+
+def test_parse_config_leaves_input_unchanged():
+    doc = {
+        "p": 3, "noise": {"base_seed": 1}, "output": {"dir": "a"},
+        "source": {"preset": "cosine", "params": {"amp": 1}},
+        "initial": {"preset": "cosine", "params": {"amp": 0.2}},
+        "eps_list": [0.2, 0.1],
+    }
+    before = copy.deepcopy(doc)
+    cfg = parse_config(data=doc, overrides={"noise.base_seed": 9, "output.dir": "x",
+                                            "model.eps": 0.5})
+    assert doc == before
+    assert (cfg.base_seed, cfg.out_dir, cfg.model.eps) == (9, "x", 0.5)
+    # the emitted document is a copy too
+    emitted = emit_config(cfg)
+    emitted["noise"]["base_seed"] = 4
+    emitted["source"]["params"]["amp"] = 2
+    assert cfg.base_seed == 9 and cfg.doc["source"]["params"]["amp"] == 1
+
+
+def test_readme_schema_block_is_the_defaults():
+    # the JSON block under README "Configuration schema" shows every default
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    text = readme.split("### Configuration schema", 1)[1]
+    block = json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+    assert parse_config(data=block) == parse_config(data={})
+    assert block.keys() == parse_config(data={}).doc.keys()
+    for section, keys in _SCHEMA.items():
+        if section:
+            assert block[section].keys() == keys.keys()
+
+
+def test_cli_override_flags_land_on_their_keys(monkeypatch):
+    seen = {}
+
+    def capture(subcommand, cfg, **kwargs):
+        seen[subcommand] = cfg
+        return 0
+
+    monkeypatch.setattr(cli, "dispatch", capture)
+    for argv in (["run", "--seed", "5", "--out-dir", "d", "--tag", "t", "--output-mode", "thin"],
+                 ["mc", "--n-paths", "7", "--workers", "3"],
+                 ["converge", "--levels", "3"]):
+        assert cli.main(argv) == 0
+    flags = {"seed": ("run", 5), "out_dir": ("run", "d"), "tag": ("run", "t"),
+             "output_mode": ("run", "thin"), "n_paths": ("mc", 7), "workers": ("mc", 3),
+             "levels": ("converge", 3)}
+    assert flags.keys() == cli._OVERRIDES.keys()
+    for dest, (sub, value) in flags.items():
+        node = seen[sub].doc
+        for part in cli._OVERRIDES[dest].split("."):
+            node = node[part]
+        assert node == value, dest
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,10 @@ benchmark's ``verify`` config at seeds 0 and 1 and with ``--cp-factor 1.5``
 (exit 3), ``mc`` and ``eps-study`` on their benchmark configs at seeds 0
 and 1, ``run`` on a 48-cell, M = 30 copy of ``run_large`` (full and thin
 output, and with a cosine source) and on 4 cells with a tabulated source,
-and ``converge --study coupled|spatial``.
+``converge --study coupled|spatial``, ``run`` on ``{}`` (every default)
+and ``run --seed 5 --tag t --output-mode thin`` on a document of top-level
+model shorthand, so that defaults, shorthand and flag overrides are checked
+byte for byte through the ``# config:`` line.
 """
 
 from __future__ import annotations
@@ -71,6 +74,14 @@ def cases(make_config):
     for study in ("coupled", "spatial"):
         out.append((f"converge-{study}", ["converge", "--study", study],
                     make_config("verify", 0, "out")))
+    out.append(("run-defaults", ["run"], {}))
+    shorthand = {"p": 3, "eps": 0.05, "T": 0.5, "M": 20, "n_cells": 24, "length": 2,
+                 "L_beta": 0.5, "reaction": {"kind": "sine", "scale": 0.3},
+                 "source": {"preset": "cosine", "params": {"amp": 1}},
+                 "noise": {"sigma": 0.4, "J": 6},
+                 "initial": {"preset": "cosine", "params": {"amp": 0.2}}}
+    out.append(("run-shorthand", ["run", "--seed", "5", "--tag", "t", "--output-mode", "thin"],
+                shorthand))
     return out
 
 
