@@ -50,7 +50,6 @@ def _canonical(cfg: RunConfig) -> str:
 
 
 def _out_path(cfg: RunConfig, subcommand: str, suffix: str) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     return os.path.join(cfg.out_dir, f"{subcommand}-{cfg.resolved_tag()}.{suffix}")
 
 
@@ -155,7 +154,14 @@ def _cmd_verify(cfg: RunConfig, cp_factor: float) -> int:
 
 def dispatch(subcommand: str, cfg: RunConfig, *, study: str = "coupled",
              cp_factor: float = 1.0) -> int:
-    """Run one subcommand against a validated configuration."""
+    """Run one subcommand against a validated configuration.
+
+    The output directory is made first, so one that cannot be made fails
+    before any compute.
+    """
+    if subcommand not in ("run", "mc", "converge", "eps-study", "verify"):
+        raise ValueError(f"unknown subcommand {subcommand!r}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
     if subcommand == "run":
         return _cmd_run(cfg)
     if subcommand == "mc":
@@ -164,9 +170,7 @@ def dispatch(subcommand: str, cfg: RunConfig, *, study: str = "coupled",
         return _cmd_converge(cfg, study)
     if subcommand == "eps-study":
         return _cmd_eps_study(cfg)
-    if subcommand == "verify":
-        return _cmd_verify(cfg, cp_factor)
-    raise ValueError(f"unknown subcommand {subcommand!r}")
+    return _cmd_verify(cfg, cp_factor)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,10 +12,12 @@ trip holds by construction.
 Model parameters may also be given as top-level shorthand keys; giving the
 same key both ways is an error.  Unknown keys are rejected with their path,
 the params of each source and initial preset included, and so is a preset
-number that is not finite.  ``null`` stands for a default only where that
-default is null (``L_beta``, ``tag``).  ``workers`` is accepted and
-validated (an integer >= 1) so existing configs keep working, but it has
-no effect: ``mc`` runs its paths as one batch.  L_beta defaults to the
+number that is not finite.  So are a ``tag`` with a path separator, an
+empty ``output.dir`` and an ``eps_list`` that is not strictly monotone,
+which then fail before any compute.  ``null`` stands for a default only
+where that default is null (``L_beta``, ``tag``).  ``workers`` is accepted
+and validated (an integer >= 1) so existing configs keep working, but it
+has no effect: ``mc`` runs its paths as one batch.  L_beta defaults to the
 reaction scale when omitted, so the declared Lipschitz constant can never
 silently undershoot the realized reaction.
 """
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +222,10 @@ def _validate(raw: dict) -> dict:
                 out[key] = given.get(key, default)
     if doc["tag"] is None:
         del doc["tag"]
+    elif any(sep in doc["tag"] for sep in filter(None, (os.sep, os.altsep))):
+        raise ValidationError(f"tag: must not contain a path separator, got {doc['tag']!r}")
+    if not doc["output"]["dir"]:
+        raise ValidationError("output.dir: must not be empty")
 
     model, scale = doc["model"], doc["reaction"]["scale"]
     if model["L_beta"] is None:
@@ -268,7 +275,9 @@ def _validate(raw: dict) -> dict:
     for i, e in enumerate(eps_list):
         if isinstance(e, bool) or not isinstance(e, (int, float)) or not 0 < e < float("inf"):
             raise ValidationError(f"eps_list[{i}]: must be a positive finite number")
-    doc["eps_list"] = [float(e) for e in eps_list]
+    levels = doc["eps_list"] = [float(e) for e in eps_list]
+    if levels not in (sorted(set(levels)), sorted(set(levels), reverse=True)):
+        raise ValidationError(f"eps_list: must be strictly monotone, got {levels}")
     return doc
 
 

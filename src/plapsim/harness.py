@@ -47,8 +47,7 @@ from .model import (
 from .noise import NoiseModel, bump_profile
 from .operators import OperatorContext
 from .solver import (
-    NonConvergence, SolveReport, SolverConfig, apriori_slack, solve, solve_rows,
-    stability_slacks,
+    NonConvergence, SolverConfig, apriori_slack, solve, solve_rows, stability_slacks,
 )
 
 __all__ = [
@@ -325,11 +324,14 @@ def run_eps_study(
     together through :func:`~plapsim.stepper.run_rows` as in :func:`run_mc`,
     so every peak is bit-identical to its :func:`~plapsim.stepper.run_path`
     run, and a :class:`NonConvergence` names the eps level, then the path as
-    :func:`run_mc` does.
+    :func:`run_mc` does.  Levels that are not finite, positive and strictly
+    monotone raise ValueError before any path runs.
     """
     eps_list = [float(e) for e in eps_list]
-    if len(eps_list) < 2 or any(e <= 0 for e in eps_list):
-        raise ValueError("need at least two positive eps levels")
+    if len(eps_list) < 2 or not all(0 < e < np.inf for e in eps_list):
+        raise ValueError("need at least two positive finite eps levels")
+    if eps_list not in (sorted(set(eps_list)), sorted(set(eps_list), reverse=True)):
+        raise ValueError(f"eps levels must be strictly monotone, got {eps_list}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     inputs = _path_inputs(params, grid, noise_model, source, n_paths, base_seed)
@@ -429,15 +431,12 @@ def _run_paths(ctx, initial, coef, f, base_seed, solver_cfg):
     chunk = max(1, _BATCH_CELLS // ctx.grid.n_cells)
     for start in range(0, len(coef), chunk):
         rows = slice(start, start + chunk)
-        l2[rows], viol[rows], failures, _ = stepper.run_rows(
+        l2[rows], viol[rows], failures = stepper.run_rows(
             ctx, initial.u0.values, coef[rows], f, cfg
         )
-        if failures:
-            k = start + min(failures)
-            n, message = failures[k - start]
-            raise NonConvergence(
-                f"path {k} (seed {base_seed + k}) failed at step {n}: {message}"
-            )
+        stepper.raise_first_failure(
+            failures, lambda k: f"path {start + k} (seed {base_seed + start + k})"
+        )
     return l2, viol
 
 
@@ -751,22 +750,20 @@ def verify_all(
     draws = rng.uniform(-1.0, 2.0, (20, 2, grid.n_cells))
     rhs_u = draws[:, 0].copy()
     draws[:, 0] = 0.0  # row 2j starts from zero, row 2j+1 from guess j
-    sols, history, failures = solve_rows(
+    sols, reports = solve_rows(
         ctx, np.repeat(rhs_u, 2, axis=0), draws.reshape(40, -1), solver_cfg
     )
-    if failures:
-        i = min(failures)
-        raise NonConvergence(
-            f"solver_uniqueness: rhs {i // 2} ({('zero', 'random')[i % 2]} guess): "
-            f"{failures[i]}"
-        )
-    energies = [SolveReport.from_history(history, i).energy_history
-                for i in range(len(sols))]
+    for i, report in enumerate(reports):
+        if report.failure is not None:
+            raise NonConvergence(
+                f"solver_uniqueness: rhs {i // 2} ({('zero', 'random')[i % 2]} guess): "
+                f"{report.failure}"
+            )
     energy_jump_worst = _nan_or(max, [0.0] + [
         _nan_or(max, [b - a for a, b in zip(e, e[1:])]) / _nan_or(max, [1.0, *map(abs, e)])
-        for e in energies if len(e) > 1
+        for e in (report.energy_history for report in reports) if len(e) > 1
     ])
-    iter_worst = max(map(len, energies)) - 1  # a row's Newton steps
+    iter_worst = max(report.iterations for report in reports)
     uniq_worst = float(norm_l2_array(sols[0::2] - sols[1::2], h).max())
     sols = sols[0::2]  # from here on, the zero-guess solution of each rhs
     record("solver_uniqueness", uniq_worst, 1e-8)
@@ -793,15 +790,12 @@ def verify_all(
                            for s in (1, 2)])
     coef = np.concatenate([coef, quiet_coef, coef])
     states = np.empty((4, params.M + 1, grid.n_cells))
-    _, _, failures, _ = stepper.run_rows(
+    _, _, failures = stepper.run_rows(
         ctx, initial.u0.values, coef, f, solver_cfg, states=states, cold=np.arange(4) == 3
     )
-    if failures:
-        i = min(failures)
-        n, message = failures[i]
-        run = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
-               "noise-off run (seed 2)", f"cold-start run (seed {seed})")[i]
-        raise NonConvergence(f"stepper {run} failed at step {n}: {message}")
+    runs = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
+            "noise-off run (seed 2)", f"cold-start run (seed {seed})")
+    stepper.raise_first_failure(failures, lambda i: f"stepper {runs[i]}")
     noisy, qa, qb, cold = states
     # the scheme identity, recomputed from its terms rather than from apply
     u_n, u_np1 = noisy[:-1], noisy[1:]

@@ -19,7 +19,9 @@ the fallback act per row.  One Jacobian solve per iteration covers every
 active row.  Each trial step is one :class:`~plapsim.operators.Point`: once
 accepted, its energy, its residual and the next Jacobian share its pieces.
 The guess may be a point, and then the solutions come back as one, with
-A(u) and E0(u) of every row, ready to be the next solve's guess.
+A(u) and E0(u) of every row, ready to be the next solve's guess.  Each row
+gets one :class:`SolveReport`: its residuals and energies, and the message
+that names why it failed, if it did.
 :func:`solve` is the single-problem call: the right-hand side and guess come
 in, and the solution goes out, as validated GridFunctions.
 
@@ -32,8 +34,7 @@ problems; the verification report compares them with its tolerances.
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,29 +87,23 @@ class SolverConfig:
             raise ValueError(f"max_newton must be >= 1, got {self.max_newton}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
-    """Diagnostics of one converged nonlinear solve; a failed solve raises."""
+    """One row's Newton run: the one record of a solve.
 
-    iterations: int
-    residual_history: list
-    energy_history: list
+    The residual and the energy at each iterate, from the guess on, and
+    ``failure``, the :class:`NonConvergence` message of a failed run (None
+    if the row converged).
+    """
 
-    @classmethod
-    def from_history(cls, history, k: int = 0) -> "SolveReport":
-        """Report of row k of a converged :func:`solve_rows` history.
+    residual_history: list = field(default_factory=list)
+    energy_history: list = field(default_factory=list)
+    failure: str | None = None
 
-        The row's residuals and energies are the entries it appears in; it
-        leaves the history for good once it stops.
-        """
-        residuals, energies = [], []
-        for rows, r, e in history:
-            i = bisect.bisect_left(rows, k)
-            if i == len(rows) or rows[i] != k:
-                break
-            residuals.append(r[i])
-            energies.append(e[i])
-        return cls(len(residuals) - 1, residuals, energies)
+    @property
+    def iterations(self) -> int:
+        """Newton steps taken."""
+        return len(self.residual_history) - 1
 
 
 # a few ulps of slack keep the Armijo test meaningful once the true decrease
@@ -162,12 +157,12 @@ def _search(ctx, pt, rhs, d, slope, e, cfg):
     return out, out_e, ok
 
 
-def _failure(what, it, res, tol, history, k):
-    """NonConvergence message for row k, with its last four residuals."""
-    residuals = SolveReport.from_history(history, k).residual_history
+def _failure(what, report, tol):
+    """NonConvergence message of a row, at its last iterate so far."""
+    res = report.residual_history
     return (
-        f"{what} after {it} Newton steps (residual {res:.3e}, tol {tol:.3e}; "
-        f"residuals {residuals[-4:]})"
+        f"{what} after {report.iterations} Newton steps (residual {res[-1]:.3e}, "
+        f"tol {tol:.3e}; residuals {res[-4:]})"
     )
 
 
@@ -182,17 +177,13 @@ def solve_rows(
     ``guess`` is a (P, n_cells) array or a :class:`~plapsim.operators.Point`
     of one; a point evaluated before (the previous time step's solution)
     gives the first residual and energy for one subtraction and one dot
-    product.  Returns ``(u, history, failures)``: the solutions, as a point
-    if ``guess`` is one and as an array otherwise (a failed row keeps its
-    last iterate; u may be ``guess`` itself when no step was needed), the
-    history as one ``(rows, residuals, energies)`` entry of lists per
-    iteration (a row's Newton iterations are the entries it appears in,
-    minus one), and a dict from each failed row to the
-    :class:`NonConvergence` message that describes it.  Nothing is raised,
-    so the caller decides which failure to report.  The returned point keeps
-    A(u) and E0(u) of every row, and its other pieces too when every row
-    stopped at the same iteration.  An empty stack returns at once, with an
-    empty history.
+    product.  Returns ``(u, reports)``: the solutions, as a point if
+    ``guess`` is one and as an array otherwise (a failed row keeps its last
+    iterate; u may be ``guess`` itself when no step was needed), and one
+    :class:`SolveReport` per row.  Nothing is raised, so the caller decides
+    which failure to report.  The returned point keeps A(u) and E0(u) of
+    every row, and its other pieces too when every row stopped at the same
+    iteration.  An empty stack returns at once, with no reports.
 
     Fields are (rows, n_cells) arrays; per-row numbers (residuals,
     energies, slopes) are lists of floats, tested row by row with the
@@ -202,30 +193,31 @@ def solve_rows(
     h = ctx.grid.h
     tol = cfg.tol_residual
     pt = ctx.point(guess)
-    rows = list(range(len(pt.u)))  # the active rows, in increasing order
-    if not rows:
-        return guess, [], {}
+    reports = [SolveReport() for _ in range(len(pt.u))]
+    if not reports:
+        return guess, reports
+    rows = list(range(len(reports)))  # the active rows, in increasing order
     r = ctx.apply(pt) - rhs
     res = norm_l2_array(r, h).tolist()
     e = ctx.energy(pt, rhs).tolist()
-    history, finished, failures = [], [], {}
-    it = 0
+    finished = []
     while True:
-        history.append((rows, res, e))
-        if it >= cfg.max_newton:
+        for k, res_k, e_k in zip(rows, res, e):
+            reports[k].residual_history.append(res_k)
+            reports[k].energy_history.append(e_k)
+        if reports[rows[0]].iterations >= cfg.max_newton:  # the same for every active row
             stop = list(range(len(rows)))
         else:
             # a row goes on while tol < res < inf, so a NaN residual stops
             # it; a row whose line search failed stops too
             stop = [
-                i for i, x in enumerate(res) if not tol < x < _INF or rows[i] in failures
+                i for i, x in enumerate(res)
+                if not tol < x < _INF or reports[rows[i]].failure is not None
             ]
         if stop:
             for i in stop:
-                if rows[i] not in failures and not res[i] <= tol:
-                    failures[rows[i]] = _failure(
-                        "no convergence", it, res[i], tol, history, rows[i]
-                    )
+                if reports[rows[i]].failure is None and not res[i] <= tol:
+                    reports[rows[i]].failure = _failure("no convergence", reports[rows[i]], tol)
             if len(stop) == len(rows):
                 finished.append((rows, pt, slice(None)))
                 break
@@ -256,25 +248,22 @@ def solve_rows(
             for i, e_i, ok_i in zip(sd, e_sd, ok_sd):
                 e_new[i] = e_i
                 if not ok_i:
-                    failures[rows[i]] = _failure(
-                        "line search failed along steepest descent",
-                        it, res[i], tol, history, rows[i],
-                    )
+                    reports[rows[i]].failure = _failure(
+                        "line search failed along steepest descent", reports[rows[i]], tol)
         pt, e = pt_new, e_new
         r = ctx.apply(pt) - rhs
         res = norm_l2_array(r, h).tolist()
-        it += 1
 
     carry = isinstance(guess, Point)
     if len(finished) == 1:  # every row stopped at the same iteration
         out = finished[0][1]
     else:
-        shape = (len(history[0][0]), pt.u.shape[-1])
+        shape = (len(reports), pt.u.shape[-1])
         pieces = {"au": np.empty(shape), "e0": np.empty(shape[0])} if carry else {}
         out = Point(ctx, np.empty(shape), **pieces)
         for rows, done, stop in finished:
             out.put(rows, done, stop)
-    return (out if carry else out.u), history, failures
+    return (out if carry else out.u), reports
 
 
 def solve(
@@ -283,22 +272,23 @@ def solve(
     guess: GridFunction | None = None,
     cfg: SolverConfig | None = None,
 ) -> tuple[GridFunction, SolveReport]:
-    """Solve apply(u) = rhs; returns the solution and a SolveReport.
+    """Solve apply(u) = rhs; returns the solution and its converged SolveReport.
 
     The result satisfies ||apply(u) - rhs||_{L2,h} <= cfg.tol_residual and,
     by strong monotonicity, is independent of the starting guess up to
-    residual tolerance.  Raises :class:`NonConvergence` if the Newton cap
-    is exhausted, the line search fails or the residual turns non-finite.
-    Valid contexts can hit the cap (see :class:`NonConvergence`), so
-    callers must expect it.  This is :func:`solve_rows` on one row.
+    residual tolerance.  Raises :class:`NonConvergence` with the report's
+    ``failure`` if the Newton cap is exhausted, the line search fails or the
+    residual turns non-finite.  Valid contexts can hit the cap (see
+    :class:`NonConvergence`), so callers must expect it.  This is
+    :func:`solve_rows` on one row.
     """
     cfg = cfg or SolverConfig()
     g = ctx.grid
     u0 = np.zeros(g.n_cells) if guess is None else guess.values
-    u, history, failures = solve_rows(ctx, rhs.values[None], u0[None], cfg)
-    if failures:
-        raise NonConvergence(failures[0])
-    return g.function(u[0]), SolveReport.from_history(history)
+    u, (report,) = solve_rows(ctx, rhs.values[None], u0[None], cfg)
+    if report.failure is not None:
+        raise NonConvergence(report.failure)
+    return g.function(u[0]), report
 
 
 def stability_slacks(ctx: OperatorContext, rhs1, rhs2, sol1, sol2):

@@ -25,7 +25,9 @@ point the previous step's call returned, whose operator value and energy
 are known already.  :func:`run_path` is that loop on one row over a whole
 path and :func:`step` on one row for one step;
 the Monte Carlo driver, the eps study and the verification report of
-:mod:`plapsim.harness` run many rows.
+:mod:`plapsim.harness` run many rows.  Only ``run_path`` and ``step`` keep
+each step's :class:`~plapsim.solver.SolveReport`; :func:`raise_first_failure`
+words every "<row> failed at step n: ..." message.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "step",
     "run_path",
     "run_rows",
+    "raise_first_failure",
     "constraint_violation_array",
 ]
 
@@ -62,7 +65,7 @@ def constraint_violation_array(values: np.ndarray, h: float):
     )
 
 
-def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
+def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None, reports=None):
     """Advance one path per row of ``coef`` from ``u0``, as the rows of one state.
 
     ``u0`` is the (n_cells,) initial state of every row, ``coef`` the (P, M)
@@ -70,13 +73,14 @@ def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
     number of steps M is ``coef.shape[1]``.  Each row follows exactly the
     iterates it follows alone.
 
-    Returns ``(l2, viol, failures, histories)``: the (P, M+1) L2 norms and
-    box violations, {row: (step, message)} for the rows whose solve failed
-    (a failed row is frozen and its later entries are meaningless), and the
-    :func:`~plapsim.solver.solve_rows` history of each step, whose row
-    indices count the rows still running at that step.  ``states``, if
-    given, is a (P, M+1, n_cells) array that receives the states, and
-    ``w1p`` a (P, M+1) array that receives their W^{1,p} powers.
+    Returns ``(l2, viol, failures)``: the (P, M+1) L2 norms and box
+    violations, and {row: (step, message)} for the rows whose solve failed
+    (a failed row is frozen and its later entries are meaningless).
+    ``states``, if given, is a (P, M+1, n_cells) array that receives the
+    states, ``w1p`` a (P, M+1) array that receives their W^{1,p} powers,
+    and ``reports`` P lists that receive the
+    :class:`~plapsim.solver.SolveReport` of each step the row solved, up to
+    and including a failed one.
 
     Each step's solve starts from the point the previous step's solve
     returned (:class:`~plapsim.operators.Point`), so the operator value and
@@ -97,14 +101,13 @@ def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
         w1p[:, 0] = norm_w1p_array(u0, h, p)
     alive = np.arange(P)
     pt = ctx.point(u.copy())  # the rows still running
-    failures, histories = {}, []
+    failures = {}
     for n in range(M):
         u_n = pt.u
         rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
         guess = pt if cold is None else np.where(cold[alive, None], 0.0, u_n)
-        u_np1, history, failed = solve_rows(ctx, rhs, guess, cfg)
+        u_np1, solved = solve_rows(ctx, rhs, guess, cfg)
         pt = ctx.point(u_np1)  # a cold start returns an array
-        histories.append(history)
         u[alive] = pt.u
         if states is not None:
             states[:, n + 1] = u
@@ -112,14 +115,30 @@ def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None):
         viol[alive, n + 1] = constraint_violation_array(pt.u, h)
         if w1p is not None:
             w1p[alive, n + 1] = norm_w1p_array(pt.u, h, p, pt.abs_d, pt.abs_u)
-        for i, message in failed.items():
-            failures[int(alive[i])] = (n, message)
-        if failed:
-            keep = [i for i in range(len(alive)) if i not in failed]
+        for k, report in zip(alive.tolist(), solved):
+            if reports is not None:
+                reports[k].append(report)
+            if report.failure is not None:
+                failures[k] = (n, report.failure)
+        keep = [i for i, report in enumerate(solved) if report.failure is None]
+        if len(keep) < len(alive):
             alive, pt = alive[keep], pt.take(keep)
             if not alive.size:
                 break
-    return l2, viol, failures, histories
+    return l2, viol, failures
+
+
+def raise_first_failure(failures, label):
+    """Raise NonConvergence for the smallest failed row of :func:`run_rows`.
+
+    ``failures`` is run_rows' {row: (step, message)} and ``label(k)`` names
+    row k; the message reads "<label> failed at step <n>: <message>", the
+    step 0-based.  Nothing happens when no row failed.
+    """
+    if failures:
+        k = min(failures)
+        n, message = failures[k]
+        raise NonConvergence(f"{label(k)} failed at step {n}: {message}")
 
 
 def step(
@@ -138,14 +157,13 @@ def step(
     dw_row = np.asarray(dw_row, dtype=float)
     if dw_row.shape != (noise_model.J,):
         raise ValueError(f"expected {noise_model.J} increments, got shape {dw_row.shape}")
-    states = np.empty((1, 2, ctx.grid.n_cells))
-    _, _, failures, (history,) = run_rows(
-        ctx, u_n.values, noise_model.coefs(dw_row[None, None]), f_n.values[None],
-        cfg or SolverConfig(), states=states,
-    )
-    if failures:
-        raise NonConvergence(failures[0][1])
-    return ctx.grid.function(states[0, 1]), SolveReport.from_history(history)
+    states, reports = np.empty((1, 2, ctx.grid.n_cells)), [[]]
+    run_rows(ctx, u_n.values, noise_model.coefs(dw_row[None, None]), f_n.values[None],
+             cfg or SolverConfig(), states=states, reports=reports)
+    (report,) = reports[0]
+    if report.failure is not None:
+        raise NonConvergence(report.failure)
+    return ctx.grid.function(states[0, 1]), report
 
 
 @dataclass(eq=False)
@@ -234,13 +252,10 @@ def run_path(
     w1p = np.empty((1, pr.M + 1))
     coef = noise_model.coefs(increments.values[None])
     f = source.step_table(pr.M, ctx.grid, pr.tau)
-    l2, viol, failures, histories = run_rows(
-        ctx, initial.u0.values, coef, f, cfg or SolverConfig(), states=states, w1p=w1p
-    )
-    if failures:
-        n, message = failures[0]
-        raise NonConvergence(f"seed {seed} failed at step {n}: {message}")
-    reports = [SolveReport.from_history(history) for history in histories]
+    reports = [[]]
+    l2, viol, failures = run_rows(ctx, initial.u0.values, coef, f, cfg or SolverConfig(),
+                                  states=states, w1p=w1p, reports=reports)
+    raise_first_failure(failures, lambda k: f"seed {seed}")
     times = np.arange(pr.M + 1) * pr.tau
     return Trajectory(ctx.grid, times, None if states is None else states[0], l2[0],
-                      w1p[0], viol[0], reports, increments, seed, mode)
+                      w1p[0], viol[0], reports[0], increments, seed, mode)

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import plapsim
-from plapsim import cli
+from plapsim import cli, stepper
 from plapsim.config import (
     _SCHEMA,
     ParseError,
@@ -177,6 +177,18 @@ def test_eps_list_validation():
         parse_config(data={"eps_list": [0.1]})
     with pytest.raises(ValidationError, match="eps_list"):
         parse_config(data={"eps_list": [0.1, -0.2]})
+
+
+@pytest.mark.parametrize("levels", [[0.1, 0.2, 0.05], [0.1, 0.1], [0.01, 0.1, 0.1]])
+def test_eps_list_must_be_strictly_monotone(levels):
+    with pytest.raises(ValidationError) as info:
+        parse_config(data={"eps_list": levels})
+    assert str(info.value) == f"eps_list: must be strictly monotone, got {levels}"
+
+
+def test_eps_list_either_direction_accepted():
+    assert parse_config(data={"eps_list": [0.01, 0.1, 1]}).eps_list == (0.01, 0.1, 1.0)
+    assert parse_config(data={"eps_list": [1, 0.1]}).eps_list == (1.0, 0.1)
 
 
 def test_round_trip_identity():
@@ -434,6 +446,55 @@ def test_cli_override_flags_land_on_their_keys(monkeypatch):
         for part in cli._OVERRIDES[dest].split("."):
             node = node[part]
         assert node == value, dest
+
+
+def spy_run_rows(monkeypatch):
+    """Record every call of the time loop from now on."""
+    calls, original = [], stepper.run_rows
+    monkeypatch.setattr(stepper, "run_rows",
+                        lambda *a, **k: calls.append(len(a[2])) or original(*a, **k))
+    return calls
+
+
+TINY = {"model": {"n_cells": 8, "M": 5, "T": 0.1}, "n_paths": 2}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--tag", "a/b"], "tag: must not contain a path separator, got 'a/b'"),
+    (["mc", "--tag", "sub/"], "tag: must not contain a path separator, got 'sub/'"),
+    (["run", "--out-dir", ""], "output.dir: must not be empty"),
+    (["eps-study", "--out-dir", ""], "output.dir: must not be empty"),
+])
+def test_cli_bad_output_name_fails_before_compute(monkeypatch, capsys, tmp_path, argv,
+                                                  message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY))
+    calls = spy_run_rows(monkeypatch)
+    assert cli.main([*argv, "--config", "cfg.json"]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert calls == []
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_cli_unmakeable_output_dir_fails_before_compute(monkeypatch, capsys, tmp_path):
+    # a directory below a plain file cannot be made: exit 2 before any step
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY))
+    (tmp_path / "blocker").write_text("")
+    calls = spy_run_rows(monkeypatch)
+    assert cli.main(["run", "--config", "cfg.json", "--out-dir", "blocker/sub"]) == 2
+    assert capsys.readouterr().err.startswith("runtime error: [Errno")
+    assert calls == []
+
+
+def test_cli_non_monotone_eps_list_fails_before_compute(monkeypatch, capsys, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({**TINY, "eps_list": [0.1, 0.2, 0.05]}))
+    calls = spy_run_rows(monkeypatch)
+    assert cli.main(["eps-study", "--config", "cfg.json"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: eps_list: must be strictly monotone, got [0.1, 0.2, 0.05]\n")
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

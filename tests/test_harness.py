@@ -2,6 +2,7 @@ import importlib.util
 import io
 import json
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -219,6 +220,26 @@ def test_eps_study_validation():
                       make_initial(grid, "constant", {"value": 0.5}), n_paths=0)
 
 
+@pytest.mark.parametrize("eps_list, message", [
+    ([0.1, 0.2, 0.05], "eps levels must be strictly monotone"),
+    ([0.1, 0.1], "eps levels must be strictly monotone"),
+    ([0.05, 0.1, 0.1], "eps levels must be strictly monotone"),
+    ([0.1, float("nan")], "need at least two positive finite eps levels"),
+    ([0.1, float("inf")], "need at least two positive finite eps levels"),
+])
+def test_eps_study_rejects_bad_levels_before_the_first(monkeypatch, eps_list, message):
+    # a level list that is not strictly monotone, repeats included, or that
+    # holds a level that is not a finite positive number, is refused before
+    # any path runs, not after one or every level has run
+    grid, params, noise = eps_study_setup(0.0)
+    chunks = spy_chunks(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_eps_study(eps_list, params, ReactionSpec("zero"), grid, noise,
+                      SourceSpec("zero"), make_initial(grid, "constant", {"value": 0.5}),
+                      n_paths=2)
+    assert chunks == []
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 
@@ -280,12 +301,36 @@ def mc_setups():
     return {"smooth": (ctx, noise, initial, SourceSpec("zero")), "stiff": stiff_mc_setup()}
 
 
+def test_mc_memory_grows_only_with_its_path_tables():
+    # run_mc keeps no per-step solve record: from M = 20 to M = 160, its
+    # tracemalloc peak grows by about five (P, M) tables of doubles (the
+    # noise coefficients, and the norms and violations held both by the
+    # driver and by the time loop), not by a record per Newton iteration,
+    # which made it about 32 tables
+    P, Ms, peaks = 32, (20, 160), []
+    grid = Grid1D(8, 1.0)
+    noise = NoiseModel(J=6, sigma=0.5)
+    initial = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
+    for M in Ms:
+        params = ModelParams(p=2.0, eps=0.1, T=0.02 * M, M=M, L_beta=0.5)
+        ctx = OperatorContext(params, ReactionSpec("sine", 0.5), grid)
+        run_mc(ctx, noise, initial, SourceSpec("zero"), n_paths=2)  # warm caches
+        tracemalloc.start()
+        try:
+            run_mc(ctx, noise, initial, SourceSpec("zero"), n_paths=P)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    tables = (peaks[1] - peaks[0]) / (8 * P * (Ms[1] - Ms[0]))
+    assert tables < 8, tables
+
+
 def set_chunk(monkeypatch, ctx, paths_per_chunk):
     monkeypatch.setattr(harness, "_BATCH_CELLS", paths_per_chunk * ctx.grid.n_cells)
 
 
 def spy_chunks(monkeypatch):
-    """Record the (l2, violations, failures, histories) of every driver call, in order."""
+    """Record the (l2, violations, failures) of every driver call, in order."""
     chunks = []
     original = stepper.run_rows
 
@@ -579,14 +624,16 @@ def test_verify_all_nan_measurement_fails_its_check(monkeypatch, module, failing
 
 
 def test_verify_all_nan_energy_fails_energy_check(monkeypatch):
-    # a NaN energy at a later Newton iteration of one uniqueness row
+    # a NaN energy at a later Newton iteration of one uniqueness row: the
+    # last row still running at iteration 1
     original = harness.solve_rows
 
     def nan_energy(ctx, rhs, guess, cfg):
-        u, history, failures = original(ctx, rhs, guess, cfg)
+        u, reports = original(ctx, rhs, guess, cfg)
         if len(rhs) == 40:
-            history[1][2][-1] = float("nan")
-        return u, history, failures
+            last = [rep for rep in reports if rep.iterations >= 1][-1]
+            last.energy_history[1] = float("nan")
+        return u, reports
 
     monkeypatch.setattr(harness, "solve_rows", nan_energy)
     report = verify_all(cp_samples=1000, stat_draws=10_000)
@@ -699,11 +746,11 @@ def test_verify_all_names_a_failed_noise_off_row(monkeypatch):
     original = harness.solve_rows
 
     def failing(ctx, rhs, guess, cfg):
-        u, history, failures = original(ctx, rhs, guess, cfg)
+        u, reports = original(ctx, rhs, guess, cfg)
         calls.append(len(rhs))
         if calls == [40] + [4] * 8:  # the uniqueness stack, then steps 0..7
-            failures[2] = "injected"
-        return u, history, failures
+            reports[2].failure = "injected"
+        return u, reports
 
     monkeypatch.setattr(harness, "solve_rows", failing)
     monkeypatch.setattr(stepper, "solve_rows", failing)

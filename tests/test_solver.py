@@ -106,21 +106,45 @@ def test_solve_rows_mixed_guesses_match_solo_solves():
     rhs = rng.uniform(-1.0, 2.0, (6, 16))
     guess = rng.normal(size=(6, 16))
     guess[::2] = 0.0
-    u, history, failures = solve_rows(ctx, rhs, guess, SolverConfig())
-    assert not failures
+    u, reports = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert all(rep.failure is None for rep in reports)
     iterations = set()
     for k in range(6):
         ref, report = solve(ctx, ctx.grid.function(rhs[k]),
                             guess=ctx.grid.function(guess[k]))
         assert np.array_equal(u[k], ref.values), k
-        assert [r[rows.index(k)] for rows, r, _ in history if k in rows] == (
-            report.residual_history
-        )
-        assert [e[rows.index(k)] for rows, _, e in history if k in rows] == (
-            report.energy_history
-        )
+        assert reports[k].residual_history == report.residual_history
+        assert reports[k].energy_history == report.energy_history
         iterations.add(report.iterations)
     assert len(iterations) > 1
+
+
+def test_failed_row_report_matches_its_solo_solve():
+    # rows 1 and 2 need 15 and 14 Newton steps, the others at most 13: at a
+    # cap of 13 the two fail inside the stack with the message that solve
+    # raises on the row alone, and each row's report equals its one-row
+    # report, residuals and energies bit for bit
+    rng = np.random.default_rng(3)
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
+                   reaction=ReactionSpec("sine", 2.0))
+    rhs = rng.uniform(-1.0, 2.0, (6, 16))
+    guess = rng.normal(size=(6, 16))
+    cfg = SolverConfig(max_newton=13)
+    _, reports = solve_rows(ctx, rhs, guess, cfg)
+    assert [k for k, rep in enumerate(reports) if rep.failure is not None] == [1, 2]
+    for k, report in enumerate(reports):
+        _, (alone,) = solve_rows(ctx, rhs[k:k + 1], guess[k:k + 1], cfg)
+        assert report == alone, k
+        b, g = ctx.grid.function(rhs[k]), ctx.grid.function(guess[k])
+        if report.failure is None:
+            assert solve(ctx, b, guess=g, cfg=cfg)[1] == report, k
+            continue
+        assert report.iterations == 13
+        with pytest.raises(NonConvergence) as info:
+            solve(ctx, b, guess=g, cfg=cfg)
+        assert str(info.value) == report.failure
+        assert report.failure.startswith("no convergence after 13 Newton steps")
+        assert str(report.residual_history[-4:]) in report.failure
 
 
 def test_solve_rows_forms_each_gradient_once(monkeypatch):
@@ -139,10 +163,12 @@ def test_solve_rows_forms_each_gradient_once(monkeypatch):
     monkeypatch.setattr(Point.d, "func", lambda pt: formed.append(len(pt.u)) or make(pt))
     monkeypatch.setattr(OperatorContext, "energy",
                         lambda self, pt, b: energies.append(len(pt.u)) or energy(self, pt, b))
-    u, history, failures = solve_rows(ctx, rhs, guess, SolverConfig())
-    assert not failures
-    iterations = len(history) - 1
-    assert [len(rows) for rows, _, _ in history][-3:] == [3, 2, 1]
+    u, reports = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert all(rep.failure is None for rep in reports)
+    iterations = max(rep.iterations for rep in reports)
+    # the rows still running at each iteration: they leave one by one
+    running = [sum(rep.iterations >= it for rep in reports) for it in range(iterations + 1)]
+    assert running[-3:] == [3, 2, 1]
     assert len(energies) > 1 + iterations  # some rows backtracked
     assert formed == energies  # one gradient per evaluated point, of its rows
     monkeypatch.undo()
@@ -152,13 +178,13 @@ def test_solve_rows_forms_each_gradient_once(monkeypatch):
 
 
 def test_solve_rows_empty_stack_returns_at_once(lapack):
-    # zero rows: the guess comes back with an empty history and no failures,
-    # as an array or as a point, whichever was passed
+    # zero rows: the guess comes back with no reports, as an array or as a
+    # point, whichever was passed
     ctx = make_ctx(p=3.0)
     empty = np.empty((0, 16))
     for guess in (empty, ctx.point(empty)):
-        u, history, failures = solve_rows(ctx, empty, guess, SolverConfig())
-        assert u is guess and history == [] and failures == {}
+        u, reports = solve_rows(ctx, empty, guess, SolverConfig())
+        assert u is guess and reports == []
 
 
 def test_solve_rows_point_guess_returns_the_converged_point(monkeypatch, lapack):
@@ -171,10 +197,10 @@ def test_solve_rows_point_guess_returns_the_converged_point(monkeypatch, lapack)
     rng = np.random.default_rng(3)
     rhs = rng.uniform(-1.0, 2.0, (6, 16))
     guess = rng.normal(size=(6, 16))
-    u, history, _ = solve_rows(ctx, rhs, guess, SolverConfig())
-    assert len({len(rows) for rows, _, _ in history}) > 1
-    pt, history_pt, _ = solve_rows(ctx, rhs, ctx.point(guess.copy()), SolverConfig())
-    assert isinstance(pt, Point) and np.array_equal(pt.u, u) and history_pt == history
+    u, reports = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert len({rep.iterations for rep in reports}) > 1
+    pt, reports_pt = solve_rows(ctx, rhs, ctx.point(guess.copy()), SolverConfig())
+    assert isinstance(pt, Point) and np.array_equal(pt.u, u) and reports_pt == reports
     assert set(vars(pt)) == {"au", "e0"}
     assert np.array_equal(pt.au, ctx.apply(u))
     assert np.array_equal(pt.e0, ctx.energy(u, np.zeros_like(u)))
@@ -183,9 +209,9 @@ def test_solve_rows_point_guess_returns_the_converged_point(monkeypatch, lapack)
         make = getattr(Point, name).func
         monkeypatch.setattr(getattr(Point, name), "func",
                             lambda p, make=make: formed.append(len(p.u)) or make(p))
-    again, history_again, _ = solve_rows(ctx, at_u, pt, SolverConfig())
+    again, reports_again = solve_rows(ctx, at_u, pt, SolverConfig())
     assert again is pt and formed == []
-    assert [rows for rows, _, _ in history_again] == [list(range(6))]
+    assert [rep.iterations for rep in reports_again] == [0] * 6
 
 
 def test_solver_determinism():

@@ -193,41 +193,48 @@ def carry_setup(kind, n_paths=12, amp=50.0):
 def array_guess_rows(ctx, u0, coef, f, cfg):
     """The time loop with a plain-array guess at every step, evaluated afresh.
 
-    Returns (states, l2, violations, failures, histories) as run_rows does.
+    Returns (states, l2, violations, failures, reports): the first four as
+    run_rows returns or fills them, and reports as run_rows fills its
+    ``reports`` argument, one list of step reports per row.
     """
     h, tau = ctx.grid.h, ctx.params.tau
     P, M = coef.shape
     u = np.tile(u0, (P, 1))
     states = np.empty((P, M + 1, u0.size))
     states[:, 0] = u
-    alive, failures, histories = np.arange(P), {}, []
+    alive, failures, reports = np.arange(P), {}, [[] for _ in range(P)]
     for n in range(M):
         u_n = u[alive]
         rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
-        u_np1, history, failed = solve_rows(ctx, rhs, u_n, cfg)
+        u_np1, solved = solve_rows(ctx, rhs, u_n, cfg)
         assert isinstance(u_np1, np.ndarray)
-        histories.append(history)
         u[alive] = u_np1
         states[:, n + 1] = u
-        for i, message in failed.items():
-            failures[int(alive[i])] = (n, message)
-        alive = np.delete(alive, list(failed))
+        failed = []
+        for i, report in enumerate(solved):
+            reports[alive[i]].append(report)
+            if report.failure is not None:
+                failures[int(alive[i])] = (n, report.failure)
+                failed.append(i)
+        alive = np.delete(alive, failed)
         if not alive.size:
             break
     return (states, norm_l2_array(states, h), constraint_violation_array(states, h),
-            failures, histories)
+            failures, reports)
 
 
 def assert_rows_match(ctx, u0, coef, f, cfg, ref, rows):
     """run_rows on ``rows`` of coef equals the array-guess loop ``ref`` of all rows.
 
     A failed row is compared up to its failed step; its later states stay
-    frozen while other rows run.  Returns run_rows' failures and histories.
+    frozen while other rows run.  Returns run_rows' failures and reports.
     """
     states_ref, l2_ref, viol_ref, failures_ref = ref[:4]
     M = coef.shape[1]
     states = np.empty((len(rows), M + 1, u0.size))
-    l2, viol, failures, histories = run_rows(ctx, u0, coef[rows], f, cfg, states=states)
+    reports = [[] for _ in rows]
+    l2, viol, failures = run_rows(ctx, u0, coef[rows], f, cfg, states=states,
+                                  reports=reports)
     assert {rows[i]: v for i, v in failures.items()} == {
         k: v for k, v in failures_ref.items() if k in rows}
     for i, k in enumerate(rows):
@@ -237,7 +244,7 @@ def assert_rows_match(ctx, u0, coef, f, cfg, ref, rows):
         assert np.array_equal(viol[i, :end], viol_ref[k, :end]), k
         if len(failures) < len(rows):
             assert (states[i, end:] == states[i, end - 1]).all(), k
-    return failures, histories
+    return failures, reports
 
 
 @pytest.mark.parametrize(
@@ -254,20 +261,22 @@ def assert_rows_match(ctx, u0, coef, f, cfg, ref, rows):
 def test_run_rows_carry_is_bit_identical_to_array_guesses(lapack, kind, amp, max_newton,
                                                           failed):
     # each step starts from the point the last solve returned; states, norms,
-    # violations and every step's solve history equal those of the loop that
-    # evaluates a fresh array guess at every step, whatever the chunk size
+    # violations and every step's solve report, row by row, equal those of
+    # the loop that evaluates a fresh array guess at every step, whatever
+    # the chunk size
     ctx, u0, coef, f = carry_setup(kind, amp=amp)
     cfg = SolverConfig(max_newton=max_newton)
     P = len(coef)
     ref = array_guess_rows(ctx, u0, coef, f, cfg)
     assert {k: n for k, (n, _) in ref[3].items()} == failed
-    first = {len(rows) for rows, _, _ in ref[4][0]}
+    first = {steps[0].iterations for steps in ref[4]}
     assert (len(first) > 1) == (amp == 50.0 and kind == "stiff")
     for size in (1, 7, P):
         for start in range(0, P, size):
             rows = list(range(start, min(start + size, P)))
-            _, histories = assert_rows_match(ctx, u0, coef, f, cfg, ref, rows)
-            assert histories == array_guess_rows(ctx, u0, coef[rows], f, cfg)[4]
+            _, reports = assert_rows_match(ctx, u0, coef, f, cfg, ref, rows)
+            assert reports == [ref[4][k] for k in rows]
+            assert reports == array_guess_rows(ctx, u0, coef[rows], f, cfg)[4]
 
 
 def count_formed(monkeypatch):
@@ -293,11 +302,18 @@ def test_run_rows_forms_au_and_e0_once_per_accepted_point(monkeypatch, lapack, k
     ctx, u0, coef, f = carry_setup(kind)
     cfg = SolverConfig()
     (P, M), counts = coef.shape, []
-    for loop in (run_rows, array_guess_rows):
+
+    def carried(*args):
+        reports = [[] for _ in range(P)]
+        run_rows(*args, reports=reports)
+        return reports
+
+    for loop in (carried, lambda *args: array_guess_rows(*args)[-1]):
         rows = count_formed(monkeypatch)
-        histories = loop(ctx, u0, coef, f, cfg)[-1]
+        reports = loop(ctx, u0, coef, f, cfg)
         monkeypatch.undo()
-        entries = sum(len(r) for history in histories for r, _, _ in history)
+        # a step's entries are its residuals: the guess's and one per iteration
+        entries = sum(len(rep.residual_history) for steps in reports for rep in steps)
         counts.append((sum(rows["au"]), sum(rows["e0"]), sum(rows["energy"]), entries))
     (au, e0, energy, entries), (au_ref, e0_ref, energy_ref, entries_ref) = counts
     assert (entries, energy) == (entries_ref, energy_ref)

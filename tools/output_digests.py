@@ -1,9 +1,9 @@
-"""Print the exit code and the sha256 of stdout and of every output file.
+"""Print the exit code and the sha256 of stdout, stderr and every output file.
 
 Runs ``python -m plapsim`` on a fixed set of configurations, each in its
 own temporary directory, and prints one line per configuration:
 
-    <case> exit=<code> stdout=<sha256> <file>=<sha256> ...
+    <case> exit=<code> stdout=<sha256> stderr=<sha256> <file>=<sha256> ...
 
 Two checkouts produce the same lines exactly when they give the same
 outputs, byte for byte.  Run it on each side and compare:
@@ -20,7 +20,11 @@ output, and with a cosine source) and on 4 cells with a tabulated source,
 ``converge --study coupled|spatial``, ``run`` on ``{}`` (every default)
 and ``run --seed 5 --tag t --output-mode thin`` on a document of top-level
 model shorthand, so that defaults, shorthand and flag overrides are checked
-byte for byte through the ``# config:`` line.
+byte for byte through the ``# config:`` line.  Five more cases fail with a
+capped Newton solve (exit 2), so that the failure message of each site is
+checked byte for byte through stderr: ``run`` at step 6, ``mc`` on path 1
+at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config, and
+``verify`` in its uniqueness stack and in its stepper runs.
 """
 
 from __future__ import annotations
@@ -82,7 +86,38 @@ def cases(make_config):
                  "initial": {"preset": "cosine", "params": {"amp": 0.2}}}
     out.append(("run-shorthand", ["run", "--seed", "5", "--tag", "t", "--output-mode", "thin"],
                 shorthand))
+    out += _failure_cases(make_config)
     return out
+
+
+def _failure_cases(make_config):
+    """Cases that end in a capped Newton solve, one per failure site."""
+    stiff = {"p": 2, "eps": 1e-5, "L_beta": 0.5,
+             "reaction": {"kind": "sine", "scale": 0.5},
+             "initial": {"preset": "cosine", "params": {"offset": 0.5, "amp": 0.25}}}
+    # the source pushes the state out of the box; one Newton step fails at step 6
+    run = {"p": 2, "eps": 1e-5, "T": 0.5, "M": 20, "n_cells": 16,
+           "noise": {"sigma": 0.5, "J": 4, "base_seed": 7},
+           "source": {"preset": "constant", "params": {"value": 4.0}},
+           "solver": {"max_newton": 1}}
+    # path 2 fails at step 0 and path 1 at step 1; path 1 is named
+    mc = dict(stiff, T=0.2, M=10, n_cells=24, n_paths=12,
+              noise={"sigma": 0.5, "J": 6, "base_seed": 0},
+              source={"preset": "cosine", "params": {"amp": 20.0}},
+              solver={"max_newton": 6})
+    # the first three levels pass; path 1 fails at eps 1e-5
+    eps = make_config("eps_stiff", 0, "out")
+    eps["solver"] = {"max_newton": 10}
+    unique = make_config("verify", 0, "out")
+    unique["solver"] = {"max_newton": 1}
+    # the uniqueness stack passes; the noisy run stalls at step 12
+    stepper = dict(stiff, T=0.5, M=20, n_cells=32,
+                   noise={"sigma": 0.5, "J": 12, "base_seed": 0},
+                   source={"preset": "constant", "params": {"value": 2.0}},
+                   solver={"max_newton": 6})
+    return [("fail-run", ["run"], run), ("fail-mc", ["mc"], mc),
+            ("fail-eps", ["eps-study"], eps), ("fail-verify-solver", ["verify"], unique),
+            ("fail-verify-stepper", ["verify"], stepper)]
 
 
 def _sha(data: bytes) -> str:
@@ -99,7 +134,8 @@ def digest(repo, name, argv, doc):
             [sys.executable, "-m", "plapsim", *argv, "--config", "cfg.json"],
             cwd=cwd, env=env, capture_output=True,
         )
-        parts = [name, f"exit={done.returncode}", f"stdout={_sha(done.stdout)}"]
+        parts = [name, f"exit={done.returncode}", f"stdout={_sha(done.stdout)}",
+                 f"stderr={_sha(done.stderr)}"]
         out_dir = os.path.join(cwd, "out")
         for fname in sorted(os.listdir(out_dir)) if os.path.isdir(out_dir) else []:
             with open(os.path.join(out_dir, fname), "rb") as fh:
