@@ -9,10 +9,11 @@ Subcommands:
     verify       inequality report            -> verify-<tag>.json, exit 3 on failure
     estimate-cp  print the monotonicity constant estimate
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error,
-3 verification failure.  All file contents are deterministic functions of
-the configuration and seeds (the default tag is derived from the base
-seed, never from a clock), so identical invocations produce byte-identical
+Exit codes: 0 success, 1 configuration error, 2 runtime error (a failed
+solve, a failed write, or a table too large to allocate), 3 verification
+failure.  All file contents are deterministic functions of the
+configuration and seeds (the default tag is derived from the base seed,
+never from a clock), so identical invocations produce byte-identical
 outputs.
 """
 
@@ -254,7 +255,7 @@ def main(argv=None) -> int:
             study=getattr(args, "study", "coupled"),
             cp_factor=cp_factor,
         )
-    except (NonConvergence, OSError) as exc:
+    except (NonConvergence, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,16 +9,17 @@ keeps the validated document, every default filled in, as
 ``RunConfig.doc``, and ``emit_config`` returns a copy of it, so the round
 trip holds by construction.
 
-Model parameters may also be given as top-level shorthand keys; giving the
-same key both ways is an error.  Unknown keys are rejected with their path,
-the params of each source and initial preset included, and so is a preset
-number that is not finite.  So are a ``tag`` with a path separator, an
-empty ``output.dir`` and an ``eps_list`` that is not strictly monotone,
-which then fail before any compute.  ``null`` stands for a default only
-where that default is null (``L_beta``, ``tag``).  ``workers`` is accepted
-and validated (an integer >= 1) so existing configs keep working, but it
-has no effect: ``mc`` runs its paths as one batch.  L_beta defaults to the
-reaction scale when omitted, so the declared Lipschitz constant can never
+Model parameters may also be given as top-level shorthand keys; giving
+the same key both ways is an error.  Unknown keys are rejected with
+their path, the params of each source and initial preset included, and
+so is a preset number that is not finite.  So are a ``tag`` with a path
+separator, an empty ``output.dir``, a NUL character in either, and an
+``eps_list`` that is not strictly monotone, which then fail before any
+compute.  ``null`` stands for a default only where that default is null
+(``L_beta``, ``tag``).  ``workers`` is accepted and validated (an
+integer >= 1) so existing configs keep working, but it has no effect:
+``mc`` runs its paths as one batch.  L_beta defaults to the reaction
+scale when omitted, so the declared Lipschitz constant can never
 silently undershoot the realized reaction.
 """
 
@@ -34,10 +35,12 @@ import numpy as np
 from .mesh import Grid1D
 from .model import (
     INITIAL_KINDS,
+    INITIAL_PARAMS,
     REACTION_KINDS,
     ModelParams,
     ReactionSpec,
     SOURCE_KINDS,
+    SOURCE_PARAMS,
     SourceSpec,
     make_initial,
 )
@@ -82,11 +85,6 @@ _SCHEMA = {
 }
 # the keys allowed at the top level: sections, top-level keys, model shorthand
 _TOP_KEYS = {*_SCHEMA, *_SCHEMA[""], *_SCHEMA["model"]} - {""}
-# the params keys of each source preset, and of each initial-datum preset
-# with its defaults
-_SOURCE_PARAMS = {"zero": (), "constant": ("value",), "tabulated": ("times", "values"),
-                  "cosine": ("offset", "amp", "decay", "length")}
-_INITIAL_PARAMS = {"constant": {"value": 0.5}, "cosine": {"offset": 0.5, "amp": 0.25}}
 
 
 class ParseError(Exception):
@@ -220,6 +218,9 @@ def _validate(raw: dict) -> dict:
                 out[key] = _string(given, key, default, path, check)
             else:
                 out[key] = given.get(key, default)
+    for key, value in (("tag", doc["tag"]), ("output.dir", doc["output"]["dir"])):
+        if value is not None and "\0" in value:
+            raise ValidationError(f"{key}: must not contain a NUL character, got {value!r}")
     if doc["tag"] is None:
         del doc["tag"]
     elif any(sep in doc["tag"] for sep in filter(None, (os.sep, os.altsep))):
@@ -238,19 +239,19 @@ def _validate(raw: dict) -> dict:
     source = doc["source"]
     preset = source["preset"]
     params = dict(_require_mapping(source["params"], "source.params"))
-    _reject_unknown(params, _SOURCE_PARAMS[preset], "source.params.")
+    _reject_unknown(params, SOURCE_PARAMS[preset], "source.params.")
     if preset == "cosine":
         params = {"offset": 0.0, "amp": 0.0, "decay": 0.0, "length": model["length"],
                   **params}
     if preset != "tabulated":  # numbers, checked but stored as given
-        for key in _SOURCE_PARAMS[preset]:
+        for key in SOURCE_PARAMS[preset]:
             _number(params, key, None, "source.params.",
                     strict_minimum=0.0 if key == "length" else None)
     source["params"] = params
 
     initial = doc["initial"]
     given = _require_mapping(initial["params"], "initial.params")
-    defaults = _INITIAL_PARAMS[initial["preset"]]
+    defaults = INITIAL_PARAMS[initial["preset"]]
     _reject_unknown(given, defaults, "initial.params.")
     params = initial["params"] = {
         key: _number(given, key, default, "initial.params.")

@@ -17,10 +17,10 @@ Four kinds of output, all reproducible from explicit seeds:
   direction.  Its 40 uniqueness problems are one stacked ``solve_rows`` call.
 
 Every experiment advances its paths through the one time loop of the
-scheme, :func:`~plapsim.stepper.run_rows`: the deterministic and pathwise
-studies through ``run_path`` (one row), ``run_mc`` and the eps study with
-all paths at one eps as the rows of one state, ``verify_all`` with its four
-stepper runs as four rows.
+scheme, :func:`~plapsim.stepper.run_rows`, which chunks the rows and names
+the first failed one: the deterministic and pathwise studies through
+``run_path`` (one row), ``run_mc`` and the eps study with all paths at one
+eps as its rows, ``verify_all`` with its four stepper runs as four rows.
 
 No convergence rate for the stochastic scheme is asserted anywhere: the
 stochastic tables are recorded observations only.
@@ -324,8 +324,9 @@ def run_eps_study(
     together through :func:`~plapsim.stepper.run_rows` as in :func:`run_mc`,
     so every peak is bit-identical to its :func:`~plapsim.stepper.run_path`
     run, and a :class:`NonConvergence` names the eps level, then the path as
-    :func:`run_mc` does.  Levels that are not finite, positive and strictly
-    monotone raise ValueError before any path runs.
+    :func:`run_mc` does: the level is part of each row's label.  Levels
+    that are not finite, positive and strictly monotone raise ValueError
+    before any path runs.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or not all(0 < e < np.inf for e in eps_list):
@@ -334,14 +335,14 @@ def run_eps_study(
         raise ValueError(f"eps levels must be strictly monotone, got {eps_list}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    inputs = _path_inputs(params, grid, noise_model, source, n_paths, base_seed)
+    coef = _seed_coefs(noise_model, params, range(base_seed, base_seed + n_paths))
+    f = source.step_table(params.M, grid, params.tau)
+    cfg = solver_cfg or SolverConfig()
     means, halfwidths = [], []
     for eps in eps_list:
         ctx = OperatorContext(replace(params, eps=eps), reaction, grid)
-        try:
-            _, viol = _run_paths(ctx, initial, *inputs, base_seed, solver_cfg)
-        except NonConvergence as err:
-            raise NonConvergence(f"eps {eps!r}: {err}") from None
+        _, viol = stepper.run_rows(ctx, initial.u0.values, coef, f, cfg,
+                                   lambda k: f"eps {eps!r}: path {k} (seed {base_seed + k})")
         peaks = viol.max(axis=1)
         means.append(float(peaks.mean()))
         if n_paths > 1:
@@ -362,12 +363,6 @@ def run_eps_study(
 # Monte Carlo
 
 
-#: At most this many cells (paths x n_cells) advance together in one
-#: ``run_rows`` call of ``run_mc`` and ``run_eps_study``; a chunk holds at
-#: least one path.  Bounds memory at large P x n.
-_BATCH_CELLS = 1 << 16
-
-
 def run_mc(
     ctx: OperatorContext,
     noise_model: NoiseModel,
@@ -380,23 +375,22 @@ def run_mc(
     """Monte Carlo over ``n_paths`` independent paths with per-path seeds.
 
     Path k draws its increments from seed ``base_seed + k``.  The paths
-    advance together through :func:`~plapsim.stepper.run_rows`, the time
-    loop that :func:`~plapsim.stepper.run_path` runs on one row, as the rows
-    of one ``(P, n_cells)`` state in chunks of at most ``_BATCH_CELLS``
-    cells.  Each row follows its own iterates, so every path's numbers are
-    bit-identical to its ``run_path`` run, and the summary, reduced in path
-    order, does not depend on the chunk size.
-
-    A path whose solve fails is frozen while the rest of its chunk runs to
-    the end; then :class:`NonConvergence` names the failed path with the
-    smallest index, its seed, the (0-based) step and its last residuals,
-    whatever the chunk size.
+    are the rows of :func:`~plapsim.stepper.run_rows`, the time loop that
+    :func:`~plapsim.stepper.run_path` runs on one row, so every path's
+    numbers are bit-identical to its ``run_path`` run, and the summary,
+    reduced in path order, does not depend on run_rows' chunk size.  A
+    failed solve raises :class:`NonConvergence` naming the smallest failed
+    path, its seed, the (0-based) step and its last residuals.
     """
     if n_paths < 2:
         raise ValueError(f"n_paths must be >= 2, got {n_paths}")
-    inputs = _path_inputs(ctx.params, ctx.grid, noise_model, source, n_paths, base_seed)
-    l2, viol = _run_paths(ctx, initial, *inputs, base_seed, solver_cfg)
-    times = np.arange(ctx.params.M + 1) * ctx.params.tau
+    pr = ctx.params
+    coef = _seed_coefs(noise_model, pr, range(base_seed, base_seed + n_paths))
+    l2, viol = stepper.run_rows(
+        ctx, initial.u0.values, coef, source.step_table(pr.M, ctx.grid, pr.tau),
+        solver_cfg or SolverConfig(), lambda k: f"path {k} (seed {base_seed + k})",
+    )
+    times = np.arange(pr.M + 1) * pr.tau
     var_l2 = l2.var(axis=0, ddof=1)
     var_viol = viol.var(axis=0, ddof=1)
     return McSummary(
@@ -412,32 +406,10 @@ def run_mc(
     )
 
 
-def _path_inputs(params, grid, noise_model, source, n_paths, base_seed):
-    """(P, M) noise coefficients of seeds ``base_seed`` on, and the source table."""
-    seeds = range(base_seed, base_seed + n_paths)
+def _seed_coefs(noise_model, params, seeds):
+    """(len(seeds), M) noise coefficients of the paths drawn from ``seeds``."""
     paths = (noise_model.sample_path(params.M, params.tau, s).values for s in seeds)
-    coef = np.array([noise_model.coefs(dw) for dw in paths])
-    return coef, source.step_table(params.M, grid, params.tau)
-
-
-def _run_paths(ctx, initial, coef, f, base_seed, solver_cfg):
-    """Run the paths of :func:`_path_inputs` on ``ctx`` in chunks of paths.
-
-    Returns their (P, M+1) L2 norms and box violations.
-    """
-    cfg = solver_cfg or SolverConfig()
-    l2 = np.empty((len(coef), ctx.params.M + 1))
-    viol = np.empty_like(l2)
-    chunk = max(1, _BATCH_CELLS // ctx.grid.n_cells)
-    for start in range(0, len(coef), chunk):
-        rows = slice(start, start + chunk)
-        l2[rows], viol[rows], failures = stepper.run_rows(
-            ctx, initial.u0.values, coef[rows], f, cfg
-        )
-        stepper.raise_first_failure(
-            failures, lambda k: f"path {start + k} (seed {base_seed + start + k})"
-        )
-    return l2, viol
+    return np.array([noise_model.coefs(dw) for dw in paths])
 
 
 def run_pathwise_refinement(
@@ -784,18 +756,15 @@ def verify_all(
 
     # --- stepper: the noisy path, two noise-off paths and the noisy path
     # cold-started at every step advance together, as the rows of one state
+    coef = _seed_coefs(noise_model, params, [seed])
     quiet = NoiseModel(J=noise_model.J, sigma=0.0)
-    coef, f = _path_inputs(params, grid, noise_model, source, 1, seed)
-    quiet_coef = np.array([quiet.coefs(quiet.sample_path(params.M, tau, s).values)
-                           for s in (1, 2)])
-    coef = np.concatenate([coef, quiet_coef, coef])
+    coef = np.concatenate([coef, _seed_coefs(quiet, params, [1, 2]), coef])
+    f = source.step_table(params.M, grid, tau)
     states = np.empty((4, params.M + 1, grid.n_cells))
-    _, _, failures = stepper.run_rows(
-        ctx, initial.u0.values, coef, f, solver_cfg, states=states, cold=np.arange(4) == 3
-    )
     runs = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
             "noise-off run (seed 2)", f"cold-start run (seed {seed})")
-    stepper.raise_first_failure(failures, lambda i: f"stepper {runs[i]}")
+    stepper.run_rows(ctx, initial.u0.values, coef, f, solver_cfg,
+                     lambda i: f"stepper {runs[i]}", states=states, cold=np.arange(4) == 3)
     noisy, qa, qb, cold = states
     # the scheme identity, recomputed from its terms rather than from apply
     u_n, u_np1 = noisy[:-1], noisy[1:]

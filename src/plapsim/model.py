@@ -33,8 +33,13 @@ __all__ = [
 ]
 
 REACTION_KINDS = ("zero", "linear", "sine")
-SOURCE_KINDS = ("zero", "constant", "cosine", "tabulated")
-INITIAL_KINDS = ("constant", "cosine")
+#: source preset -> the params it requires
+SOURCE_PARAMS = {"zero": (), "constant": ("value",),
+                 "cosine": ("offset", "amp", "decay", "length"), "tabulated": ("times", "values")}
+SOURCE_KINDS = tuple(SOURCE_PARAMS)
+#: initial-datum preset -> its params, with their defaults
+INITIAL_PARAMS = {"constant": {"value": 0.5}, "cosine": {"offset": 0.5, "amp": 0.25}}
+INITIAL_KINDS = tuple(INITIAL_PARAMS)
 
 # 4-point Gauss-Legendre nodes/weights on [-1, 1], the bits of
 # np.polynomial.legendre.leggauss(4), written out so that importing the
@@ -196,17 +201,17 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.kind!r}")
-        given = {key for key, value in self.params.items() if value is not None}
-        if self.kind == "constant" and "value" not in given:
+        # a null number is missing; a null table fails the shape check below
+        given = {key for key, value in self.params.items()
+                 if value is not None or self.kind == "tabulated"}
+        missing = sorted(set(SOURCE_PARAMS[self.kind]) - given)
+        if missing and self.kind == "constant":
             raise ValueError("constant source needs a 'value' parameter")
-        if self.kind == "cosine":
-            missing = {"offset", "amp", "decay", "length"} - given
-            if missing:
-                raise ValueError(f"cosine source missing parameters {sorted(missing)}")
+        if missing and self.kind == "cosine":
+            raise ValueError(f"cosine source missing parameters {missing}")
         if self.kind == "tabulated":
-            missing = {"times", "values"} - set(self.params)
             if missing:
-                raise ValueError(f"tabulated source missing {sorted(missing)}")
+                raise ValueError(f"tabulated source missing {missing}")
             times = np.asarray(self.params["times"], dtype=float)
             values = np.asarray(self.params["values"], dtype=float)
             if times.ndim != 1 or values.shape[0] != times.size:
@@ -294,17 +299,14 @@ def make_initial(grid: Grid1D, kind: str = "constant", params: dict | None = Non
     """Build an initial datum preset.
 
     constant: {"value": c}; cosine: {"offset": a, "amp": b} giving
-    a + b * cos(pi x / length).  The box constraint is validated either way.
+    a + b * cos(pi x / length); a param left out takes its default from
+    ``INITIAL_PARAMS``.  The box constraint is validated either way.
     """
-    params = params or {}
+    if kind not in INITIAL_PARAMS:
+        raise ValueError(f"unknown initial datum kind {kind!r}")
+    params = {**INITIAL_PARAMS[kind], **(params or {})}
     if kind == "constant":
-        value = float(params.get("value", 0.5))
-        return InitialDatum(grid.function(np.full(grid.n_cells, value)))
-    if kind == "cosine":
-        offset = float(params.get("offset", 0.5))
-        amp = float(params.get("amp", 0.25))
-        x = grid.cell_centers()
-        return InitialDatum(
-            grid.function(offset + amp * np.cos(np.pi * x / grid.length))
-        )
-    raise ValueError(f"unknown initial datum kind {kind!r}")
+        return InitialDatum(grid.function(np.full(grid.n_cells, float(params["value"]))))
+    x = grid.cell_centers()
+    offset, amp = float(params["offset"]), float(params["amp"])
+    return InitialDatum(grid.function(offset + amp * np.cos(np.pi * x / grid.length)))

@@ -16,18 +16,19 @@ cellwise within the solver tolerance.  Trajectories store the increments
 they consumed so that this identity can be re-verified from the output
 alone.
 
-:func:`run_rows` is the one time loop.  It advances a ``(P, n_cells)``
-stack of paths, one per row of a ``(P, M)`` table of noise coefficients
-sum_j c_j dW_j (:meth:`~plapsim.noise.NoiseModel.coefs`), against an
-``(M, n_cells)`` table of source averages, and solves each step of every
-row with one :func:`~plapsim.solver.solve_rows` call, started from the
-point the previous step's call returned, whose operator value and energy
-are known already.  :func:`run_path` is that loop on one row over a whole
-path and :func:`step` on one row for one step;
-the Monte Carlo driver, the eps study and the verification report of
-:mod:`plapsim.harness` run many rows.  Only ``run_path`` and ``step`` keep
-each step's :class:`~plapsim.solver.SolveReport`; :func:`raise_first_failure`
-words every "<row> failed at step n: ..." message.
+:func:`run_rows` is the one time loop.  It advances paths, one per row
+of a ``(P, M)`` table of noise coefficients sum_j c_j dW_j
+(:meth:`~plapsim.noise.NoiseModel.coefs`), against an ``(M, n_cells)``
+table of source averages, in chunks of at most ``_BATCH_CELLS`` cells.
+Each step of a chunk is one :func:`~plapsim.solver.solve_rows` call,
+started from the point the previous step's call returned, whose operator
+value and energy are known already.  It fills the ``(P, M+1)`` norm and
+violation tables and words every "<row> failed at step n: ..." message.
+:func:`run_path` is that loop on one row over a whole path and
+:func:`step` on one row for one step; the Monte Carlo study, the eps
+study and the verification report of :mod:`plapsim.harness` run many rows.
+Only ``run_path`` and ``step`` keep each step's
+:class:`~plapsim.solver.SolveReport`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ __all__ = [
     "step",
     "run_path",
     "run_rows",
-    "raise_first_failure",
     "constraint_violation_array",
 ]
 
@@ -65,22 +65,30 @@ def constraint_violation_array(values: np.ndarray, h: float):
     )
 
 
-def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None, reports=None):
+#: At most this many cells (rows x n_cells) advance together in one chunk
+#: of :func:`run_rows`; a chunk holds at least one row.  Bounds memory at
+#: large P x n.
+_BATCH_CELLS = 1 << 16
+
+
+def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, reports=None):
     """Advance one path per row of ``coef`` from ``u0``, as the rows of one state.
 
     ``u0`` is the (n_cells,) initial state of every row, ``coef`` the (P, M)
     noise coefficients and ``f`` the (M, n_cells) source averages; the
-    number of steps M is ``coef.shape[1]``.  Each row follows exactly the
-    iterates it follows alone.
+    number of steps M is ``coef.shape[1]``.  The rows advance in chunks of
+    at most ``_BATCH_CELLS`` cells, and each row follows exactly the
+    iterates it follows alone, whatever the chunk.
 
-    Returns ``(l2, viol, failures)``: the (P, M+1) L2 norms and box
-    violations, and {row: (step, message)} for the rows whose solve failed
-    (a failed row is frozen and its later entries are meaningless).
+    Returns ``(l2, viol)``, the (P, M+1) L2 norms and box violations.
     ``states``, if given, is a (P, M+1, n_cells) array that receives the
     states, ``w1p`` a (P, M+1) array that receives their W^{1,p} powers,
     and ``reports`` P lists that receive the
     :class:`~plapsim.solver.SolveReport` of each step the row solved, up to
-    and including a failed one.
+    and including a failed one.  A failed row is frozen while the rest of
+    its chunk runs to the end; then :class:`NonConvergence` reads
+    "<label(k)> failed at step <n>: <message>" for the smallest failed row
+    k, the step 0-based.
 
     Each step's solve starts from the point the previous step's solve
     returned (:class:`~plapsim.operators.Point`), so the operator value and
@@ -90,55 +98,47 @@ def run_rows(ctx, u0, coef, f, cfg, states=None, w1p=None, cold=None, reports=No
     """
     h, p, tau = ctx.grid.h, ctx.params.p, ctx.params.tau
     P, M = coef.shape
-    u = np.tile(u0, (P, 1))
     l2 = np.empty((P, M + 1))
     viol = np.empty_like(l2)
     l2[:, 0] = norm_l2_array(u0, h)
     viol[:, 0] = constraint_violation_array(u0, h)
     if states is not None:
-        states[:, 0] = u
+        states[:, 0] = u0
     if w1p is not None:
         w1p[:, 0] = norm_w1p_array(u0, h, p)
-    alive = np.arange(P)
-    pt = ctx.point(u.copy())  # the rows still running
-    failures = {}
-    for n in range(M):
-        u_n = pt.u
-        rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
-        guess = pt if cold is None else np.where(cold[alive, None], 0.0, u_n)
-        u_np1, solved = solve_rows(ctx, rhs, guess, cfg)
-        pt = ctx.point(u_np1)  # a cold start returns an array
-        u[alive] = pt.u
-        if states is not None:
-            states[:, n + 1] = u
-        l2[alive, n + 1] = norm_l2_array(pt.u, h)
-        viol[alive, n + 1] = constraint_violation_array(pt.u, h)
-        if w1p is not None:
-            w1p[alive, n + 1] = norm_w1p_array(pt.u, h, p, pt.abs_d, pt.abs_u)
-        for k, report in zip(alive.tolist(), solved):
-            if reports is not None:
-                reports[k].append(report)
-            if report.failure is not None:
-                failures[k] = (n, report.failure)
-        keep = [i for i, report in enumerate(solved) if report.failure is None]
-        if len(keep) < len(alive):
-            alive, pt = alive[keep], pt.take(keep)
-            if not alive.size:
-                break
-    return l2, viol, failures
-
-
-def raise_first_failure(failures, label):
-    """Raise NonConvergence for the smallest failed row of :func:`run_rows`.
-
-    ``failures`` is run_rows' {row: (step, message)} and ``label(k)`` names
-    row k; the message reads "<label> failed at step <n>: <message>", the
-    step 0-based.  Nothing happens when no row failed.
-    """
-    if failures:
-        k = min(failures)
-        n, message = failures[k]
-        raise NonConvergence(f"{label(k)} failed at step {n}: {message}")
+    size = max(1, _BATCH_CELLS // u0.size)
+    for start in range(0, P, size):
+        chunk = slice(start, start + size)
+        alive = np.arange(P)[chunk]  # the chunk's rows still running
+        pt = ctx.point(np.tile(u0, (alive.size, 1)))
+        failed = []  # (row, step, message)
+        for n in range(M):
+            u_n = pt.u
+            rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
+            guess = pt if cold is None else np.where(cold[alive, None], 0.0, u_n)
+            u_np1, solved = solve_rows(ctx, rhs, guess, cfg)
+            pt = ctx.point(u_np1)  # a cold start returns an array
+            if states is not None:  # a failed row keeps its last state
+                states[chunk, n + 1] = states[chunk, n]
+                states[alive, n + 1] = pt.u
+            l2[alive, n + 1] = norm_l2_array(pt.u, h)
+            viol[alive, n + 1] = constraint_violation_array(pt.u, h)
+            if w1p is not None:
+                w1p[alive, n + 1] = norm_w1p_array(pt.u, h, p, pt.abs_d, pt.abs_u)
+            for k, report in zip(alive.tolist(), solved):
+                if reports is not None:
+                    reports[k].append(report)
+                if report.failure is not None:
+                    failed.append((k, n, report.failure))
+            keep = [i for i, report in enumerate(solved) if report.failure is None]
+            if len(keep) < alive.size:
+                alive, pt = alive[keep], pt.take(keep)
+                if not alive.size:
+                    break
+        if failed:
+            k, n, message = min(failed)
+            raise NonConvergence(f"{label(k)} failed at step {n}: {message}")
+    return l2, viol
 
 
 def step(
@@ -158,12 +158,12 @@ def step(
     if dw_row.shape != (noise_model.J,):
         raise ValueError(f"expected {noise_model.J} increments, got shape {dw_row.shape}")
     states, reports = np.empty((1, 2, ctx.grid.n_cells)), [[]]
-    run_rows(ctx, u_n.values, noise_model.coefs(dw_row[None, None]), f_n.values[None],
-             cfg or SolverConfig(), states=states, reports=reports)
-    (report,) = reports[0]
-    if report.failure is not None:
-        raise NonConvergence(report.failure)
-    return ctx.grid.function(states[0, 1]), report
+    try:
+        run_rows(ctx, u_n.values, noise_model.coefs(dw_row[None, None]), f_n.values[None],
+                 cfg or SolverConfig(), str, states=states, reports=reports)
+    except NonConvergence:  # raised again without the row's label
+        raise NonConvergence(reports[0][0].failure) from None
+    return ctx.grid.function(states[0, 1]), reports[0][0]
 
 
 @dataclass(eq=False)
@@ -253,9 +253,8 @@ def run_path(
     coef = noise_model.coefs(increments.values[None])
     f = source.step_table(pr.M, ctx.grid, pr.tau)
     reports = [[]]
-    l2, viol, failures = run_rows(ctx, initial.u0.values, coef, f, cfg or SolverConfig(),
-                                  states=states, w1p=w1p, reports=reports)
-    raise_first_failure(failures, lambda k: f"seed {seed}")
+    l2, viol = run_rows(ctx, initial.u0.values, coef, f, cfg or SolverConfig(),
+                        lambda k: f"seed {seed}", states=states, w1p=w1p, reports=reports)
     times = np.arange(pr.M + 1) * pr.tau
     return Trajectory(ctx.grid, times, None if states is None else states[0], l2[0],
                       w1p[0], viol[0], reports[0], increments, seed, mode)

@@ -379,6 +379,9 @@ OVERRIDE_FAULTS = [
     ({}, {"n_paths": 1}, "n_paths: must be >= 2, got 1"),
     ({"output": {"mode": "full"}}, {"output.mode": "fat"},
      "output.mode: must be one of ['full', 'thin'], got 'fat'"),
+    ({}, {"tag": "a\0b"}, "tag: must not contain a NUL character, got 'a\\x00b'"),
+    ({}, {"output.dir": "o\0x"},
+     "output.dir: must not contain a NUL character, got 'o\\x00x'"),
 ]
 
 
@@ -464,6 +467,10 @@ TINY = {"model": {"n_cells": 8, "M": 5, "T": 0.1}, "n_paths": 2}
     (["mc", "--tag", "sub/"], "tag: must not contain a path separator, got 'sub/'"),
     (["run", "--out-dir", ""], "output.dir: must not be empty"),
     (["eps-study", "--out-dir", ""], "output.dir: must not be empty"),
+    # a NUL cannot be in a file name; it used to fail only when the output
+    # was written, with a ValueError traceback
+    (["run", "--tag", "a\0b"], "tag: must not contain a NUL character, got 'a\\x00b'"),
+    (["mc", "--out-dir", "o\0x"], "output.dir: must not contain a NUL character, got 'o\\x00x'"),
 ])
 def test_cli_bad_output_name_fails_before_compute(monkeypatch, capsys, tmp_path, argv,
                                                   message):
@@ -474,6 +481,22 @@ def test_cli_bad_output_name_fails_before_compute(monkeypatch, capsys, tmp_path,
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert calls == []
     assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study"])
+def test_cli_memory_error_is_a_runtime_error(monkeypatch, capsys, tmp_path, subcommand):
+    # a table too large to allocate exits 2 like a failed solve, not 1 (the
+    # config-error code) with a traceback, and leaves no output file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY))
+
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(stepper, "run_rows", too_large)
+    assert cli.main([subcommand, "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == "runtime error: Unable to allocate 74.5 GiB for an array\n"
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_cli_unmakeable_output_dir_fails_before_compute(monkeypatch, capsys, tmp_path):

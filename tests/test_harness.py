@@ -232,12 +232,12 @@ def test_eps_study_rejects_bad_levels_before_the_first(monkeypatch, eps_list, me
     # holds a level that is not a finite positive number, is refused before
     # any path runs, not after one or every level has run
     grid, params, noise = eps_study_setup(0.0)
-    chunks = spy_chunks(monkeypatch)
+    calls, stacks = spy_time_loop(monkeypatch)
     with pytest.raises(ValueError, match=message):
         run_eps_study(eps_list, params, ReactionSpec("zero"), grid, noise,
                       SourceSpec("zero"), make_initial(grid, "constant", {"value": 0.5}),
                       n_paths=2)
-    assert chunks == []
+    assert calls == stacks == []
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +303,10 @@ def mc_setups():
 
 def test_mc_memory_grows_only_with_its_path_tables():
     # run_mc keeps no per-step solve record: from M = 20 to M = 160, its
-    # tracemalloc peak grows by about five (P, M) tables of doubles (the
-    # noise coefficients, and the norms and violations held both by the
-    # driver and by the time loop), not by a record per Newton iteration,
-    # which made it about 32 tables
+    # tracemalloc peak grows by about three (P, M) tables of doubles (the
+    # noise coefficients, the norms and the violations), not by a record per
+    # Newton iteration, which made it about 32 tables, nor by a second copy
+    # of the norms and violations, which made it five
     P, Ms, peaks = 32, (20, 160), []
     grid = Grid1D(8, 1.0)
     noise = NoiseModel(J=6, sigma=0.5)
@@ -322,25 +322,28 @@ def test_mc_memory_grows_only_with_its_path_tables():
         finally:
             tracemalloc.stop()
     tables = (peaks[1] - peaks[0]) / (8 * P * (Ms[1] - Ms[0]))
-    assert tables < 8, tables
+    assert tables < 4, tables
 
 
 def set_chunk(monkeypatch, ctx, paths_per_chunk):
-    monkeypatch.setattr(harness, "_BATCH_CELLS", paths_per_chunk * ctx.grid.n_cells)
+    monkeypatch.setattr(stepper, "_BATCH_CELLS", paths_per_chunk * ctx.grid.n_cells)
 
 
-def spy_chunks(monkeypatch):
-    """Record the (l2, violations, failures) of every driver call, in order."""
-    chunks = []
-    original = stepper.run_rows
+def spy_time_loop(monkeypatch):
+    """Record the (l2, violations) of every run_rows call and the rows of
+    every solve_rows stack, each in order."""
+    calls, stacks = [], []
+    run_rows, solve_rows = stepper.run_rows, stepper.solve_rows
+    monkeypatch.setattr(stepper, "run_rows",
+                        lambda *a, **k: calls.append(run_rows(*a, **k)) or calls[-1])
+    monkeypatch.setattr(stepper, "solve_rows",
+                        lambda ctx, rhs, *a: stacks.append(len(rhs)) or solve_rows(ctx, rhs, *a))
+    return calls, stacks
 
-    def spy(*args, **kwargs):
-        out = original(*args, **kwargs)
-        chunks.append(out)
-        return out
 
-    monkeypatch.setattr(stepper, "run_rows", spy)
-    return chunks
+def chunk_stacks(n_rows, size, M):
+    """The solve_rows stack sizes of M steps of n_rows rows in chunks of size."""
+    return [min(size, n_rows - s) for s in range(0, n_rows, size) for _ in range(M)]
 
 
 @pytest.mark.parametrize("name", ["smooth", "stiff"])
@@ -350,7 +353,7 @@ def test_mc_chunk_invariance_and_path_identity(monkeypatch, name):
     # for bit
     ctx, noise, initial, source = mc_setups()[name]
     n_paths, base_seed = 12, 3
-    chunks = spy_chunks(monkeypatch)
+    calls, stacks = spy_time_loop(monkeypatch)
     refs = [
         run_path(ctx, noise, initial, source, seed=base_seed + k, mode="thin")
         for k in range(n_paths)
@@ -360,16 +363,13 @@ def test_mc_chunk_invariance_and_path_identity(monkeypatch, name):
     outputs = []
     for size in (1, 7, n_paths):
         set_chunk(monkeypatch, ctx, size)
-        del chunks[:]
+        del calls[:], stacks[:]
         out = run_mc(ctx, noise, initial, source, n_paths=n_paths, base_seed=base_seed)
-        assert [len(c[0]) for c in chunks] == [
-            min(size, n_paths - s) for s in range(0, n_paths, size)
-        ]
+        assert stacks == chunk_stacks(n_paths, size, ctx.params.M)
         buf = io.StringIO()
         out.to_csv(buf)
         outputs.append((json.dumps(out.to_dict()), buf.getvalue()))
-        l2 = np.concatenate([c[0] for c in chunks])
-        viol = np.concatenate([c[1] for c in chunks])
+        ((l2, viol),) = calls
         for k, ref in enumerate(refs):
             assert np.array_equal(l2[k], ref.l2_norms), (size, k)
             assert np.array_equal(viol[k], ref.violations), (size, k)
@@ -415,7 +415,7 @@ def test_eps_study_chunk_invariance_and_path_identity(monkeypatch):
     # that of its own run_path at the same eps, bit for bit
     ctx, noise, initial, source = stiff_mc_setup()
     n_paths, base_seed = 7, 5
-    chunks = spy_chunks(monkeypatch)
+    calls, stacks = spy_time_loop(monkeypatch)
     refs = []
     for eps in STIFF_EPS:
         level = OperatorContext(replace(ctx.params, eps=eps), ctx.reaction, ctx.grid)
@@ -435,13 +435,12 @@ def test_eps_study_chunk_invariance_and_path_identity(monkeypatch):
     outputs = []
     for size in (1, 3, n_paths):
         set_chunk(monkeypatch, ctx, size)
-        del chunks[:], drawn[:]
+        del calls[:], stacks[:], drawn[:]
         tab = run_eps_study(STIFF_EPS, ctx.params, ctx.reaction, ctx.grid, noise,
                             source, initial, n_paths=n_paths, base_seed=base_seed)
         assert drawn == list(range(base_seed, base_seed + n_paths))
-        sizes = [min(size, n_paths - s) for s in range(0, n_paths, size)]
-        assert [len(c[1]) for c in chunks] == sizes * len(STIFF_EPS)
-        peaks = np.concatenate([c[1] for c in chunks]).max(axis=1)
+        assert stacks == chunk_stacks(n_paths, size, ctx.params.M) * len(STIFF_EPS)
+        peaks = np.concatenate([c[1] for c in calls]).max(axis=1)
         assert np.array_equal(peaks.reshape(ref_peaks.shape), ref_peaks), size
         buf = io.StringIO()
         tab.to_csv(buf)

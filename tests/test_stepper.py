@@ -227,24 +227,32 @@ def assert_rows_match(ctx, u0, coef, f, cfg, ref, rows):
     """run_rows on ``rows`` of coef equals the array-guess loop ``ref`` of all rows.
 
     A failed row is compared up to its failed step; its later states stay
-    frozen while other rows run.  Returns run_rows' failures and reports.
+    frozen while other rows run, and run_rows raises, naming the smallest
+    failed row, its step and its message, and returns no norms.  Returns
+    run_rows' reports.
     """
     states_ref, l2_ref, viol_ref, failures_ref = ref[:4]
     M = coef.shape[1]
     states = np.empty((len(rows), M + 1, u0.size))
     reports = [[] for _ in rows]
-    l2, viol, failures = run_rows(ctx, u0, coef[rows], f, cfg, states=states,
-                                  reports=reports)
-    assert {rows[i]: v for i, v in failures.items()} == {
-        k: v for k, v in failures_ref.items() if k in rows}
+    failed = sorted(k for k in failures_ref if k in rows)
+    l2 = viol = None
+    try:
+        l2, viol = run_rows(ctx, u0, coef[rows], f, cfg, lambda i: f"row {rows[i]}",
+                            states=states, reports=reports)
+    except NonConvergence as err:
+        n, message = failures_ref[failed[0]]
+        assert str(err) == f"row {failed[0]} failed at step {n}: {message}"
+    assert (l2 is None) == bool(failed)
     for i, k in enumerate(rows):
         end = failures_ref[k][0] + 2 if k in failures_ref else M + 1
         assert np.array_equal(states[i, :end], states_ref[k, :end]), k
-        assert np.array_equal(l2[i, :end], l2_ref[k, :end]), k
-        assert np.array_equal(viol[i, :end], viol_ref[k, :end]), k
-        if len(failures) < len(rows):
+        if l2 is not None:
+            assert np.array_equal(l2[i, :end], l2_ref[k, :end]), k
+            assert np.array_equal(viol[i, :end], viol_ref[k, :end]), k
+        if len(failed) < len(rows):
             assert (states[i, end:] == states[i, end - 1]).all(), k
-    return failures, reports
+    return reports
 
 
 @pytest.mark.parametrize(
@@ -274,7 +282,7 @@ def test_run_rows_carry_is_bit_identical_to_array_guesses(lapack, kind, amp, max
     for size in (1, 7, P):
         for start in range(0, P, size):
             rows = list(range(start, min(start + size, P)))
-            _, reports = assert_rows_match(ctx, u0, coef, f, cfg, ref, rows)
+            reports = assert_rows_match(ctx, u0, coef, f, cfg, ref, rows)
             assert reports == [ref[4][k] for k in rows]
             assert reports == array_guess_rows(ctx, u0, coef[rows], f, cfg)[4]
 
@@ -305,7 +313,7 @@ def test_run_rows_forms_au_and_e0_once_per_accepted_point(monkeypatch, lapack, k
 
     def carried(*args):
         reports = [[] for _ in range(P)]
-        run_rows(*args, reports=reports)
+        run_rows(*args, str, reports=reports)
         return reports
 
     for loop in (carried, lambda *args: array_guess_rows(*args)[-1]):

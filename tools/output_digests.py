@@ -24,7 +24,10 @@ byte for byte through the ``# config:`` line.  Five more cases fail with a
 capped Newton solve (exit 2), so that the failure message of each site is
 checked byte for byte through stderr: ``run`` at step 6, ``mc`` on path 1
 at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config, and
-``verify`` in its uniqueness stack and in its stepper runs.
+``verify`` in its uniqueness stack and in its stepper runs.  Two ``mc``
+cases on 16384 cells advance their 6 paths in two chunks of the time loop
+(4 paths, then 2): one passes, and one fails on path 4, in the second
+chunk, so that the chunk loop is checked too.
 """
 
 from __future__ import annotations
@@ -91,7 +94,8 @@ def cases(make_config):
 
 
 def _failure_cases(make_config):
-    """Cases that end in a capped Newton solve, one per failure site."""
+    """Cases that end in a capped Newton solve, one per failure site, and the
+    passing twin of the chunked ``mc`` one."""
     stiff = {"p": 2, "eps": 1e-5, "L_beta": 0.5,
              "reaction": {"kind": "sine", "scale": 0.5},
              "initial": {"preset": "cosine", "params": {"offset": 0.5, "amp": 0.25}}}
@@ -115,9 +119,18 @@ def _failure_cases(make_config):
                    noise={"sigma": 0.5, "J": 12, "base_seed": 0},
                    source={"preset": "constant", "params": {"value": 2.0}},
                    solver={"max_newton": 6})
+    # 16384 cells: 4 paths per chunk, so the 6 paths run in two chunks; with
+    # 7 Newton steps path 4, in the second chunk, fails at step 0
+    chunks = dict(stiff, eps=1e-3, T=0.2, M=2, n_cells=16384, n_paths=6,
+                  noise={"sigma": 5.0, "J": 6, "base_seed": 9},
+                  source={"preset": "cosine", "params": {"amp": 20.0}})
     return [("fail-run", ["run"], run), ("fail-mc", ["mc"], mc),
             ("fail-eps", ["eps-study"], eps), ("fail-verify-solver", ["verify"], unique),
-            ("fail-verify-stepper", ["verify"], stepper)]
+            ("fail-verify-stepper", ["verify"], stepper),
+            ("mc-chunks", ["mc"], dict(chunks, solver={"tol_residual": 1e-8,
+                                                       "max_newton": 50})),
+            ("fail-mc-chunks", ["mc"], dict(chunks, solver={"tol_residual": 1e-8,
+                                                            "max_newton": 7}))]
 
 
 def _sha(data: bytes) -> str:
