@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands, each declared once as a row of ``_SUBCOMMANDS``:
 
     run          one trajectory               -> <outdir>/run-<tag>.csv
     mc           Monte Carlo summary          -> mc-<tag>.csv and mc-<tag>.json
@@ -9,12 +9,12 @@ Subcommands:
     verify       inequality report            -> verify-<tag>.json, exit 3 on failure
     estimate-cp  print the monotonicity constant estimate
 
-Exit codes: 0 success, 1 configuration error, 2 runtime error (a failed
-solve, a failed write, or a table too large to allocate), 3 verification
-failure.  All file contents are deterministic functions of the
-configuration and seeds (the default tag is derived from the base seed,
-never from a clock), so identical invocations produce byte-identical
-outputs.
+Exit codes, for every subcommand: 0 success (also ``--help``), 1 config
+error (a bad document, flag or argument, or a usage error), 2 runtime error
+(a failed solve or write, or a table too large to allocate), 3 verification
+failure.  File contents are deterministic functions of the configuration
+and seeds (the default tag is derived from the base seed, never from a
+clock), so identical invocations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import json
 import os
 import sys
 
-from .config import ParseError, RunConfig, ValidationError, emit_config, parse_config
+from .config import _SCHEMA, ParseError, RunConfig, ValidationError, emit_config, parse_config
 from .harness import (
     estimate_cp,
     run_deterministic_convergence,
@@ -42,19 +42,29 @@ __all__ = ["main", "dispatch"]
 _OVERRIDES = {"seed": "noise.base_seed", "out_dir": "output.dir", "tag": "tag",
               "output_mode": "output.mode", "n_paths": "n_paths", "workers": "workers",
               "levels": "levels"}
-
-
-def _canonical(cfg: RunConfig) -> str:
-    return json.dumps(
-        emit_config(cfg, simulation_only=True), sort_keys=True, separators=(",", ":")
-    )
+# what an override flag's help says after "override <key>"
+_NOTES = {"tag": " (default s<seed>)",
+          "workers": " (accepted and validated for existing configs; "
+                     "no effect: the paths run as one batch)"}
+# the arguments of every subcommand that runs on a configuration
+_CONFIG_ARGS = (("--config", {"help": "JSON configuration file"}), "seed", "out_dir", "tag")
 
 
 def _out_path(cfg: RunConfig, subcommand: str, suffix: str) -> str:
     return os.path.join(cfg.out_dir, f"{subcommand}-{cfg.resolved_tag()}.{suffix}")
 
 
-def _cmd_run(cfg: RunConfig) -> int:
+def _write_csv(cfg: RunConfig, subcommand: str, result) -> int:
+    """Write ``result`` to <subcommand>-<tag>.csv with a '# config:' line."""
+    path = _out_path(cfg, subcommand, "csv")
+    config = json.dumps(emit_config(cfg, simulation_only=True), sort_keys=True,
+                        separators=(",", ":"))
+    result.to_csv(path, metadata={"config": config})
+    print(path)
+    return 0
+
+
+def _cmd_run(cfg: RunConfig, **_) -> int:
     ctx = OperatorContext(cfg.model, cfg.reaction, cfg.grid())
     traj = run_path(
         ctx,
@@ -65,13 +75,10 @@ def _cmd_run(cfg: RunConfig) -> int:
         cfg=cfg.solver,
         mode=cfg.output_mode,
     )
-    path = _out_path(cfg, "run", "csv")
-    traj.to_csv(path, metadata={"config": _canonical(cfg)})
-    print(path)
-    return 0
+    return _write_csv(cfg, "run", traj)
 
 
-def _cmd_mc(cfg: RunConfig) -> int:
+def _cmd_mc(cfg: RunConfig, **_) -> int:
     ctx = OperatorContext(cfg.model, cfg.reaction, cfg.grid())
     summary = run_mc(
         ctx,
@@ -96,18 +103,14 @@ def _cmd_mc(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_converge(cfg: RunConfig, study: str) -> int:
+def _cmd_converge(cfg: RunConfig, study: str, **_) -> int:
     table = run_deterministic_convergence(
         mode=study, levels=cfg.levels, solver_cfg=cfg.solver
     )
-    table.metadata["config"] = _canonical(cfg)
-    path = _out_path(cfg, "converge", "csv")
-    table.to_csv(path)
-    print(path)
-    return 0
+    return _write_csv(cfg, "converge", table)
 
 
-def _cmd_eps_study(cfg: RunConfig) -> int:
+def _cmd_eps_study(cfg: RunConfig, **_) -> int:
     table = run_eps_study(
         cfg.eps_list,
         cfg.model,
@@ -120,14 +123,10 @@ def _cmd_eps_study(cfg: RunConfig) -> int:
         base_seed=cfg.base_seed,
         solver_cfg=cfg.solver,
     )
-    table.metadata["config"] = _canonical(cfg)
-    path = _out_path(cfg, "eps-study", "csv")
-    table.to_csv(path)
-    print(path)
-    return 0
+    return _write_csv(cfg, "eps-study", table)
 
 
-def _cmd_verify(cfg: RunConfig, cp_factor: float) -> int:
+def _cmd_verify(cfg: RunConfig, cp_factor: float, **_) -> int:
     report = verify_all(
         grid=cfg.grid(),
         params=cfg.model,
@@ -153,6 +152,37 @@ def _cmd_verify(cfg: RunConfig, cp_factor: float) -> int:
     return 0 if report.passed else 3
 
 
+def _cmd_estimate_cp(args) -> int:
+    try:
+        print(repr(estimate_cp(args.p, args.d, args.samples, args.seed)))
+    except ValueError as exc:  # an argument out of range
+        raise ValidationError(exc) from None
+    return 0
+
+
+# name -> (help, arguments, runner).  An argument is an _OVERRIDES dest or a
+# (flag, add_argument keywords) pair.  A subcommand with _CONFIG_ARGS runs
+# through dispatch, any other on its parsed arguments alone.
+_SUBCOMMANDS = {
+    "run": ("simulate one trajectory", (*_CONFIG_ARGS, "output_mode"), _cmd_run),
+    "mc": ("Monte Carlo over many paths", (*_CONFIG_ARGS, "n_paths", "workers"), _cmd_mc),
+    "converge": ("deterministic refinement study", (*_CONFIG_ARGS, "levels", (
+        "--study", {"choices": ("coupled", "spatial"), "default": "coupled"})), _cmd_converge),
+    "eps-study": ("penalization strength study", (*_CONFIG_ARGS, "n_paths"), _cmd_eps_study),
+    "verify": ("run the inequality verification report", (
+        *_CONFIG_ARGS,
+        ("--cp-factor", {"type": float, "default": 1.0,
+                         "help": "fault injection: scale the monotonicity constant"}),
+    ), _cmd_verify),
+    "estimate-cp": ("estimate the monotonicity constant", (
+        ("--p", {"type": float, "required": True}),
+        ("--d", {"type": int, "default": 1, "choices": (1, 2, 3)}),
+        ("--samples", {"type": int, "default": 10**6}),
+        ("--seed", {"type": int, "default": 0}),
+    ), _cmd_estimate_cp),
+}
+
+
 def dispatch(subcommand: str, cfg: RunConfig, *, study: str = "coupled",
              cp_factor: float = 1.0) -> int:
     """Run one subcommand against a validated configuration.
@@ -160,18 +190,11 @@ def dispatch(subcommand: str, cfg: RunConfig, *, study: str = "coupled",
     The output directory is made first, so one that cannot be made fails
     before any compute.
     """
-    if subcommand not in ("run", "mc", "converge", "eps-study", "verify"):
+    _, arguments, runner = _SUBCOMMANDS.get(subcommand, (None, (), None))
+    if _CONFIG_ARGS[0] not in arguments:
         raise ValueError(f"unknown subcommand {subcommand!r}")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    if subcommand == "run":
-        return _cmd_run(cfg)
-    if subcommand == "mc":
-        return _cmd_mc(cfg)
-    if subcommand == "converge":
-        return _cmd_converge(cfg, study)
-    if subcommand == "eps-study":
-        return _cmd_eps_study(cfg)
-    return _cmd_verify(cfg, cp_factor)
+    return runner(cfg, study=study, cp_factor=cp_factor)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,81 +203,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Penalized stochastic p-Laplace simulator and verifier",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="JSON configuration file")
-        sp.add_argument("--seed", type=int, help="override noise.base_seed")
-        sp.add_argument("--out-dir", help="override output.dir")
-        sp.add_argument("--tag", help="output file tag (default s<seed>)")
-
-    sp = sub.add_parser("run", help="simulate one trajectory")
-    common(sp)
-    sp.add_argument("--output-mode", choices=("full", "thin"),
-                    help="override output.mode")
-
-    sp = sub.add_parser("mc", help="Monte Carlo over many paths")
-    common(sp)
-    sp.add_argument("--n-paths", type=int, help="override n_paths")
-    sp.add_argument(
-        "--workers", type=int,
-        help="override workers (accepted and validated for existing configs; "
-        "no effect: the paths run as one batch)",
-    )
-
-    sp = sub.add_parser("converge", help="deterministic refinement study")
-    common(sp)
-    sp.add_argument("--levels", type=int, help="override levels")
-    sp.add_argument("--study", choices=("coupled", "spatial"), default="coupled")
-
-    sp = sub.add_parser("eps-study", help="penalization strength study")
-    common(sp)
-    sp.add_argument("--n-paths", type=int, help="override n_paths")
-
-    sp = sub.add_parser("verify", help="run the inequality verification report")
-    common(sp)
-    sp.add_argument("--cp-factor", type=float, default=1.0,
-                    help="fault injection: scale the monotonicity constant")
-
-    sp = sub.add_parser("estimate-cp", help="estimate the monotonicity constant")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--d", type=int, default=1, choices=(1, 2, 3))
-    sp.add_argument("--samples", type=int, default=10**6)
-    sp.add_argument("--seed", type=int, default=0)
-
+    for name, (help_text, arguments, _) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            if isinstance(arg, tuple):
+                sp.add_argument(arg[0], **arg[1])
+                continue
+            section, _, key = _OVERRIDES[arg].rpartition(".")
+            check = _SCHEMA[section][key][1]  # a dict of bounds or a tuple of choices
+            kwargs = {"help": f"override {_OVERRIDES[arg]}{_NOTES.get(arg, '')}"}
+            if isinstance(check, dict):
+                kwargs["type"] = int if check.get("integer") else float
+            elif check:
+                kwargs["choices"] = check
+            sp.add_argument("--" + arg.replace("_", "-"), **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-
-    if args.subcommand == "estimate-cp":
-        try:
-            print(repr(estimate_cp(args.p, args.d, args.samples, args.seed)))
-        except ValueError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
-        return 0
-
-    cp_factor = getattr(args, "cp_factor", 1.0)
-    if not -float("inf") < cp_factor < float("inf"):  # NaN fails both comparisons
-        print(f"config error: cp_factor must be finite, got {cp_factor}", file=sys.stderr)
-        return 1
-
-    overrides = {key: getattr(args, dest) for dest, key in _OVERRIDES.items()
-                 if getattr(args, dest, None) is not None}
     try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 after a usage error, 0 after --help
+        return 1 if exc.code else 0
+    try:
+        if "config" not in args:  # a subcommand without _CONFIG_ARGS
+            return _SUBCOMMANDS[args.subcommand][2](args)
+        cp_factor = getattr(args, "cp_factor", 1.0)
+        if not abs(cp_factor) < float("inf"):  # NaN fails the comparison
+            raise ValidationError(f"cp_factor must be finite, got {cp_factor}")
+        overrides = {key: getattr(args, dest) for dest, key in _OVERRIDES.items()
+                     if getattr(args, dest, None) is not None}
         cfg = parse_config(args.config, None if args.config is not None else {}, overrides)
+        return dispatch(args.subcommand, cfg, study=getattr(args, "study", "coupled"),
+                        cp_factor=cp_factor)
     except (ParseError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        return dispatch(
-            args.subcommand,
-            cfg,
-            study=getattr(args, "study", "coupled"),
-            cp_factor=cp_factor,
-        )
     except (NonConvergence, OSError, MemoryError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2

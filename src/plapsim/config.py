@@ -67,7 +67,7 @@ _SCHEMA = {
     "noise": {
         "sigma": (0.5, {"minimum": 0.0}),
         "J": (16, {"integer": True, "minimum": 1}),
-        "base_seed": (0, {"integer": True}),
+        "base_seed": (0, {"integer": True, "minimum": 0}),
     },
     "solver": {
         "tol_residual": (1e-10, {"strict_minimum": 0.0}),

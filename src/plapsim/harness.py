@@ -105,10 +105,13 @@ class RefinementTable:
                 out.append(float(np.log(ep / ec) / np.log(vp / vc)))
         return out
 
-    def to_csv(self, target) -> None:
+    def to_csv(self, target, metadata: dict | None = None) -> None:
+        """Write the rows as CSV under '# key: value' lines of ``self.metadata``
+        and ``metadata``, sorted by key."""
+        meta = {**self.metadata, **(metadata or {})}
         with open_target(target) as target:
-            for key in sorted(self.metadata):
-                target.write(f"# {key}: {self.metadata[key]}\n")
+            for key in sorted(meta):
+                target.write(f"# {key}: {meta[key]}\n")
             target.write(f"{self.parameter},error,ratio\n")
             ratios = self.ratios()
             for i, (v, e) in enumerate(zip(self.values, self.errors)):

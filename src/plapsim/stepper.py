@@ -172,8 +172,10 @@ class Trajectory:
 
     mode "full" keeps every state, as row n of the (M+1, n_cells) array
     ``states``; mode "thin" keeps only the per-time summary (L2 norm,
-    W^{1,p} power, constraint violation) and sets ``states`` to None, which
-    is what Monte Carlo aggregation needs and keeps long runs cheap.
+    W^{1,p} power, constraint violation) and sets ``states`` to None.  Thin
+    mode drops the (M+1, n_cells) states but not the source table: the
+    source is tabulated at all M x 4 Gauss times before step 0, so peak
+    memory still grows with M (ROADMAP direction 5).
     """
 
     grid: Grid1D

@@ -383,13 +383,19 @@ OVERRIDE_FAULTS = [
     ({}, {"output.dir": "o\0x"},
      "output.dir: must not contain a NUL character, got 'o\\x00x'"),
 ]
+# a negative seed used to pass and die in numpy's generator, after the
+# output directory was made
+SEED_FAULTS = [
+    ({"noise": {"base_seed": -1}}, None, "noise.base_seed: must be >= 0, got -1"),
+    ({}, {"noise.base_seed": -3}, "noise.base_seed: must be >= 0, got -3"),
+]
 
 
 @pytest.mark.parametrize(
     "data, overrides, message",
-    [(doc, None, msg) for doc, msg in FAULTS] + OVERRIDE_FAULTS,
+    [(doc, None, msg) for doc, msg in FAULTS] + OVERRIDE_FAULTS + SEED_FAULTS,
     ids=[f"{i}-{msg.split(':')[0].replace(' ', '_')}"
-         for i, (*_, msg) in enumerate(FAULTS + OVERRIDE_FAULTS)],
+         for i, (*_, msg) in enumerate(FAULTS + OVERRIDE_FAULTS + SEED_FAULTS)],
 )
 def test_single_fault_message(data, overrides, message):
     with pytest.raises(ValidationError) as info:
@@ -483,7 +489,7 @@ def test_cli_bad_output_name_fails_before_compute(monkeypatch, capsys, tmp_path,
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
-@pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study"])
+@pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study", "estimate-cp"])
 def test_cli_memory_error_is_a_runtime_error(monkeypatch, capsys, tmp_path, subcommand):
     # a table too large to allocate exits 2 like a failed solve, not 1 (the
     # config-error code) with a traceback, and leaves no output file
@@ -494,9 +500,36 @@ def test_cli_memory_error_is_a_runtime_error(monkeypatch, capsys, tmp_path, subc
         raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
     monkeypatch.setattr(stepper, "run_rows", too_large)
-    assert cli.main([subcommand, "--config", "cfg.json"]) == 2
+    monkeypatch.setattr(cli, "estimate_cp", too_large)
+    args = ["--p", "3"] if subcommand == "estimate-cp" else ["--config", "cfg.json"]
+    assert cli.main([subcommand, *args]) == 2
     assert capsys.readouterr().err == "runtime error: Unable to allocate 74.5 GiB for an array\n"
-    assert os.listdir(tmp_path / "out") == []
+    if subcommand == "estimate-cp":
+        assert os.listdir(tmp_path) == ["cfg.json"]
+    else:
+        assert os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--seed", "abc"], "plapsim run: error: argument --seed: invalid int value: 'abc'"),
+    (["run", "--output-mode", "bogus"],
+     "plapsim run: error: argument --output-mode: invalid choice: 'bogus'"),
+    (["mc", "--n-paths", "1.5"], "plapsim mc: error: argument --n-paths: invalid int value: '1.5'"),
+    ([], "plapsim: error: the following arguments are required: subcommand"),
+], ids=["seed", "output-mode", "n-paths", "no-subcommand"])
+def test_cli_usage_error_is_a_config_error(monkeypatch, capsys, tmp_path, argv, message):
+    # argparse exits 2 after a usage error, which is the runtime-error code
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: plapsim") and message in err
+    assert os.listdir(tmp_path) == []
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli.main(["run", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: plapsim run") and "override output.mode" in out and err == ""
 
 
 def test_cli_unmakeable_output_dir_fails_before_compute(monkeypatch, capsys, tmp_path):

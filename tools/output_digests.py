@@ -27,7 +27,10 @@ at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config, and
 ``verify`` in its uniqueness stack and in its stepper runs.  Two ``mc``
 cases on 16384 cells advance their 6 paths in two chunks of the time loop
 (4 paths, then 2): one passes, and one fails on path 4, in the second
-chunk, so that the chunk loop is checked too.
+chunk, so that the chunk loop is checked too.  The last three cases check
+the front door: ``estimate-cp --p 3 --samples 1000`` (no config document),
+``usage`` (``run --seed abc``, an argparse usage error, exit 1) and
+``bad-seed`` (``run --seed -1``, a config error, exit 1).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ def _small_run(make_config, **model):
 
 
 def cases(make_config):
-    """(name, subcommand arguments, config document) of every case."""
+    """(name, subcommand arguments, config document or None) of every case."""
     out = []
     for seed in (0, 1):
         out.append((f"verify-s{seed}", ["verify"], make_config("verify", seed, "out")))
@@ -90,6 +93,9 @@ def cases(make_config):
     out.append(("run-shorthand", ["run", "--seed", "5", "--tag", "t", "--output-mode", "thin"],
                 shorthand))
     out += _failure_cases(make_config)
+    out += [("estimate-cp", ["estimate-cp", "--p", "3", "--samples", "1000"], None),
+            ("usage", ["run", "--seed", "abc"], {}),
+            ("bad-seed", ["run", "--seed", "-1"], {})]
     return out
 
 
@@ -141,11 +147,12 @@ def digest(repo, name, argv, doc):
     """The printed line of one case."""
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
     with tempfile.TemporaryDirectory() as cwd:
-        with open(os.path.join(cwd, "cfg.json"), "w") as fh:
-            json.dump(doc, fh)
+        if doc is not None:
+            with open(os.path.join(cwd, "cfg.json"), "w") as fh:
+                json.dump(doc, fh)
+            argv = [*argv, "--config", "cfg.json"]
         done = subprocess.run(
-            [sys.executable, "-m", "plapsim", *argv, "--config", "cfg.json"],
-            cwd=cwd, env=env, capture_output=True,
+            [sys.executable, "-m", "plapsim", *argv], cwd=cwd, env=env, capture_output=True,
         )
         parts = [name, f"exit={done.returncode}", f"stdout={_sha(done.stdout)}",
                  f"stderr={_sha(done.stderr)}"]
