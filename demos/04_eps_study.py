@@ -10,6 +10,7 @@ from plapsim import (
     Grid1D,
     ModelParams,
     NoiseModel,
+    OperatorContext,
     ReactionSpec,
     SourceSpec,
     make_initial,
@@ -17,17 +18,15 @@ from plapsim import (
 )
 
 grid = Grid1D(32, 1.0)
-params = ModelParams(p=2.0, eps=0.1, T=0.3, M=30, L_beta=0.0)
-reaction = ReactionSpec("zero")
+ctx = OperatorContext(ModelParams(p=2.0, eps=0.1, T=0.3, M=30, L_beta=0.0),
+                      ReactionSpec("zero"), grid)
 
 forced = run_eps_study(
-    [0.1, 0.05, 0.025, 0.0125],
-    params,
-    reaction,
-    grid,
+    ctx,
     NoiseModel(J=8, sigma=0.3),
-    SourceSpec("constant", {"value": 5.0}),
     make_initial(grid, "constant", {"value": 0.5}),
+    SourceSpec("constant", {"value": 5.0}),
+    [0.1, 0.05, 0.025, 0.0125],
     n_paths=16,
     base_seed=1,
 )
@@ -40,13 +39,11 @@ for i, (eps, v) in enumerate(zip(forced.values, forced.errors)):
     print(f"  {eps:8.4f} {v:20.6f} {hw[i]:12.2e} {ratio}")
 
 confined = run_eps_study(
-    [0.1, 0.05, 0.025],
-    params,
-    reaction,
-    grid,
+    ctx,
     NoiseModel(J=8, sigma=0.0),
-    SourceSpec("zero"),
     make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25}),
+    SourceSpec("zero"),
+    [0.1, 0.05, 0.025],
     n_paths=1,
 )
 print()

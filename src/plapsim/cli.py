@@ -32,7 +32,6 @@ from .harness import (
     run_mc,
     verify_all,
 )
-from .operators import OperatorContext
 from .solver import NonConvergence
 from .stepper import run_path
 
@@ -65,12 +64,8 @@ def _write_csv(cfg: RunConfig, subcommand: str, result) -> int:
 
 
 def _cmd_run(cfg: RunConfig, **_) -> int:
-    ctx = OperatorContext(cfg.model, cfg.reaction, cfg.grid())
     traj = run_path(
-        ctx,
-        cfg.noise,
-        cfg.initial(),
-        cfg.source,
+        *cfg.problem(),
         seed=cfg.base_seed,
         cfg=cfg.solver,
         mode=cfg.output_mode,
@@ -79,12 +74,8 @@ def _cmd_run(cfg: RunConfig, **_) -> int:
 
 
 def _cmd_mc(cfg: RunConfig, **_) -> int:
-    ctx = OperatorContext(cfg.model, cfg.reaction, cfg.grid())
     summary = run_mc(
-        ctx,
-        cfg.noise,
-        cfg.initial(),
-        cfg.source,
+        *cfg.problem(),
         n_paths=cfg.n_paths,
         base_seed=cfg.base_seed,
         solver_cfg=cfg.solver,
@@ -112,13 +103,8 @@ def _cmd_converge(cfg: RunConfig, study: str, **_) -> int:
 
 def _cmd_eps_study(cfg: RunConfig, **_) -> int:
     table = run_eps_study(
+        *cfg.problem(),
         cfg.eps_list,
-        cfg.model,
-        cfg.reaction,
-        cfg.grid(),
-        cfg.noise,
-        cfg.source,
-        cfg.initial(),
         n_paths=cfg.n_paths,
         base_seed=cfg.base_seed,
         solver_cfg=cfg.solver,
@@ -128,12 +114,7 @@ def _cmd_eps_study(cfg: RunConfig, **_) -> int:
 
 def _cmd_verify(cfg: RunConfig, cp_factor: float, **_) -> int:
     report = verify_all(
-        grid=cfg.grid(),
-        params=cfg.model,
-        reaction=cfg.reaction,
-        noise_model=cfg.noise,
-        source=cfg.source,
-        initial=cfg.initial(),
+        *cfg.problem(),
         solver_cfg=cfg.solver,
         seed=cfg.base_seed,
         cp_factor=cp_factor,

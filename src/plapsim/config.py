@@ -7,7 +7,8 @@ declares each key once, with its default and its check; the unknown-key
 sets and the top-level model shorthand are read from it.  ``parse_config``
 keeps the validated document, every default filled in, as
 ``RunConfig.doc``, and ``emit_config`` returns a copy of it, so the round
-trip holds by construction.
+trip holds by construction.  ``RunConfig.problem()`` returns the leading
+arguments of every path driver, ``(ctx, noise, initial, source)``.
 
 Model parameters may also be given as top-level shorthand keys; giving
 the same key both ways is an error.  Unknown keys are rejected with
@@ -45,6 +46,7 @@ from .model import (
     make_initial,
 )
 from .noise import NoiseModel
+from .operators import OperatorContext
 from .solver import SolverConfig
 
 __all__ = ["RunConfig", "ParseError", "ValidationError", "parse_config", "emit_config"]
@@ -119,11 +121,11 @@ class RunConfig:
     eps_list = property(lambda self: tuple(self.doc["eps_list"]))
     tag = property(lambda self: self.doc.get("tag"))
 
-    def grid(self) -> Grid1D:
-        return Grid1D(self.n_cells, self.model.length)
-
-    def initial(self):
-        return make_initial(self.grid(), self.initial_kind, self.initial_params)
+    def problem(self):
+        grid = Grid1D(self.n_cells, self.doc["model"]["length"])
+        ctx = OperatorContext(self.model, self.reaction, grid)
+        initial = make_initial(grid, self.initial_kind, self.initial_params)
+        return ctx, self.noise, initial, self.source
 
     def resolved_tag(self) -> str:
         return self.tag if self.tag is not None else f"s{self.base_seed}"
@@ -310,7 +312,7 @@ def parse_config(
 
     model = doc["model"]
     try:
-        params = ModelParams(**{k: v for k, v in model.items() if k != "n_cells"})
+        params = ModelParams(**{k: v for k, v in model.items() if k not in ("length", "n_cells")})
     except ValueError as exc:
         raise ValidationError(f"model: {exc}") from exc
     source = doc["source"]

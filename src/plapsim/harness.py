@@ -16,9 +16,10 @@ Four kinds of output, all reproducible from explicit seeds:
   direction.  Each verdict is derived from its measured value, bound and
   direction.  Its 40 uniqueness problems are one stacked ``solve_rows`` call.
 
-Every experiment advances its paths through the one time loop of the
-scheme, :func:`~plapsim.stepper.run_rows`, which chunks the rows and names
-the first failed one: the deterministic and pathwise studies through
+Every path driver takes ``(ctx, noise_model, initial, source)`` first, as
+``RunConfig.problem()`` returns them, and runs its paths through the one
+time loop, :func:`~plapsim.stepper.run_rows`, which chunks the rows and
+names the first failed one: the deterministic and pathwise studies through
 ``run_path`` (one row), ``run_mc`` and the eps study with all paths at one
 eps as its rows, ``verify_all`` with its four stepper runs as four rows.
 
@@ -179,6 +180,8 @@ def estimate_cp(p: float, d: int = 1, samples: int = 10**6, seed: int = 0) -> fl
         raise ValueError(f"d must be 1, 2 or 3, got {d}")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n_uni = max(samples // 3, 1)
     n_gau = max(samples // 3, 1)
@@ -210,43 +213,40 @@ def estimate_cp(p: float, d: int = 1, samples: int = 10**6, seed: int = 0) -> fl
 # manufactured deterministic problem
 
 
-def manufactured_state(t, x, length: float = 1.0):
-    """Smooth reference state 1/2 + (1/4) e^{-t} cos(pi x / length).
+def manufactured_state(t, x):
+    """Smooth reference state 1/2 + (1/4) e^{-t} cos(pi x) on the unit interval.
 
     Ranges over [1/4, 3/4], so the box penalization never activates, and
     has zero normal derivative at both ends of the interval.
     """
-    return 0.5 + 0.25 * np.exp(-t) * np.cos(np.pi * np.asarray(x) / length)
+    return 0.5 + 0.25 * np.exp(-t) * np.cos(np.pi * np.asarray(x))
 
 
 def manufactured_problem(
     n_cells: int,
     M: int,
     T: float = 0.5,
-    length: float = 1.0,
     steady: bool = False,
-    eps: float = 0.1,
 ):
-    """Build (ctx, initial, source) for the p = 2 manufactured case.
+    """Build (ctx, initial, source) for the p = 2, eps = 0.1 case on [0, 1].
 
     The reaction is linear with slope 1/2; the source is chosen so the
     reference state (time-dependent, or its t = 0 profile frozen in time
     when ``steady``) solves the noise-free equation exactly.
     """
-    k = np.pi / length
-    params = ModelParams(p=2.0, eps=eps, T=T, M=M, L_beta=0.5, length=length)
+    params = ModelParams(p=2.0, eps=0.1, T=T, M=M, L_beta=0.5)
     reaction = ReactionSpec("linear", 0.5)
-    grid = Grid1D(n_cells, length)
+    grid = Grid1D(n_cells, 1.0)
     ctx = OperatorContext(params, reaction, grid)
     initial = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
     if steady:
-        amp = 0.25 * (k**2 + 0.5)
+        amp = 0.25 * (np.pi**2 + 0.5)
         decay = 0.0
     else:
-        amp = 0.25 * (k**2 - 0.5)
+        amp = 0.25 * (np.pi**2 - 0.5)
         decay = 1.0
     source = SourceSpec(
-        "cosine", {"offset": 0.25, "amp": amp, "decay": decay, "length": length}
+        "cosine", {"offset": 0.25, "amp": amp, "decay": decay, "length": 1.0}
     )
     return ctx, initial, source
 
@@ -257,7 +257,6 @@ def run_deterministic_convergence(
     n0: int = 32,
     M0: int = 8,
     T: float = 0.5,
-    length: float = 1.0,
     solver_cfg: SolverConfig | None = None,
 ) -> RefinementTable:
     """Refinement table of discrete L2 errors against the manufactured state.
@@ -284,11 +283,11 @@ def run_deterministic_convergence(
             n_cells = n0 * 2**level
             steady = True
         ctx, initial, source = manufactured_problem(
-            n_cells, M, T=T, length=length, steady=steady
+            n_cells, M, T=T, steady=steady
         )
         traj = stepper.run_path(ctx, quiet_noise, initial, source, seed=0, cfg=solver_cfg)
         x = ctx.grid.cell_centers()
-        ref = manufactured_state(0.0 if steady else T, x, length)
+        ref = manufactured_state(0.0 if steady else T, x)
         err = float(norm_l2_array(traj.states[-1] - ref, ctx.grid.h))
         values.append(ctx.params.tau if mode == "coupled" else ctx.grid.h)
         errors.append(err)
@@ -308,20 +307,19 @@ def run_deterministic_convergence(
 
 
 def run_eps_study(
-    eps_list,
-    params: ModelParams,
-    reaction: ReactionSpec,
-    grid: Grid1D,
+    ctx: OperatorContext,
     noise_model: NoiseModel,
-    source: SourceSpec,
     initial: InitialDatum,
+    source: SourceSpec,
+    eps_list,
     n_paths: int = 8,
     base_seed: int = 0,
     solver_cfg: SolverConfig | None = None,
 ) -> RefinementTable:
     """Mean (over paths) of the max-over-time box violation, per eps level.
 
-    Each seed's increments and the source step averages are drawn once and
+    Each level runs on ``ctx`` with its eps replaced by the level's.  Each
+    seed's increments and the source step averages are drawn once and
     reused at every level (common random numbers), so the table isolates
     the effect of the penalization strength.  Each level's paths advance
     together through :func:`~plapsim.stepper.run_rows` as in :func:`run_mc`,
@@ -338,13 +336,13 @@ def run_eps_study(
         raise ValueError(f"eps levels must be strictly monotone, got {eps_list}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    coef = _seed_coefs(noise_model, params, range(base_seed, base_seed + n_paths))
-    f = source.step_table(params.M, grid, params.tau)
+    coef = _seed_coefs(noise_model, ctx.params, range(base_seed, base_seed + n_paths))
+    f = source.step_table(ctx.params.M, ctx.grid, ctx.params.tau)
     cfg = solver_cfg or SolverConfig()
     means, halfwidths = [], []
     for eps in eps_list:
-        ctx = OperatorContext(replace(params, eps=eps), reaction, grid)
-        _, viol = stepper.run_rows(ctx, initial.u0.values, coef, f, cfg,
+        level = OperatorContext(replace(ctx.params, eps=eps), ctx.reaction, ctx.grid)
+        _, viol = stepper.run_rows(level, initial.u0.values, coef, f, cfg,
                                    lambda k: f"eps {eps!r}: path {k} (seed {base_seed + k})")
         peaks = viol.max(axis=1)
         means.append(float(peaks.mean()))
@@ -416,7 +414,7 @@ def _seed_coefs(noise_model, params, seeds):
 
 
 def run_pathwise_refinement(
-    ctx_coarse: OperatorContext,
+    ctx: OperatorContext,
     noise_model: NoiseModel,
     initial: InitialDatum,
     source: SourceSpec,
@@ -426,28 +424,28 @@ def run_pathwise_refinement(
 ) -> RefinementTable:
     """Pathwise distance to the finest time level under one Brownian path.
 
-    The finest level has M * 2^(levels-1) steps; every coarser level
-    consumes the same path through increment aggregation.  The table
-    reports the final-time L2 distance of each coarse run to the finest
-    run; it is an observation, no rate is claimed.
+    ``ctx`` is the coarsest level, the finest has M * 2^(levels-1) steps,
+    and every coarser level consumes the same path through increment
+    aggregation.  The table reports the final-time L2 distance of each
+    coarse run to the finest run; an observation, no rate is claimed.
     """
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
-    pr = ctx_coarse.params
+    pr = ctx.params
     M_fine = pr.M * 2 ** (levels - 1)
     fine = noise_model.sample_path(M_fine, pr.T / M_fine, seed)
     runs = []
     taus = []
     for level in range(levels):
         params = replace(pr, M=pr.M * 2**level)
-        ctx = OperatorContext(params, ctx_coarse.reaction, ctx_coarse.grid)
+        level_ctx = OperatorContext(params, ctx.reaction, ctx.grid)
         incr = fine.coarsen(2 ** (levels - 1 - level))
-        traj = stepper.run_path(ctx, noise_model, initial, source, seed=seed,
+        traj = stepper.run_path(level_ctx, noise_model, initial, source, seed=seed,
                                 cfg=solver_cfg, increments=incr)
         runs.append(traj.states[-1])
         taus.append(params.tau)
     ref = runs[-1]
-    errors = [float(norm_l2_array(r - ref, ctx_coarse.grid.h)) for r in runs[:-1]]
+    errors = [float(norm_l2_array(r - ref, ctx.grid.h)) for r in runs[:-1]]
     meta = {
         "quantity": "final-time L2 distance to finest level, common random numbers",
         "fine_steps": M_fine,
@@ -531,12 +529,10 @@ def _nan_or(reduce, values):
 
 
 def verify_all(
-    grid: Grid1D | None = None,
-    params: ModelParams | None = None,
-    reaction: ReactionSpec | None = None,
+    ctx: OperatorContext | None = None,
     noise_model: NoiseModel | None = None,
-    source: SourceSpec | None = None,
     initial: InitialDatum | None = None,
+    source: SourceSpec | None = None,
     solver_cfg: SolverConfig | None = None,
     seed: int = 0,
     cp_factor: float = 1.0,
@@ -545,18 +541,19 @@ def verify_all(
 ) -> VerificationReport:
     """Run every computable inequality check and return the report.
 
-    ``cp_factor`` scales the monotonicity constant 2^{2-p} used in the
-    strong monotonicity check; anything above 1 corrupts the bound on
-    purpose, as a self-test that the harness can fail; a non-finite one
-    raises ValueError.  A failed check is data in the report; a failed
-    solve raises :class:`NonConvergence` naming the check, the row and, for
-    a stepper run, the step.
+    ``ctx`` defaults to p = 3, eps = 0.1, T = 0.5, M = 50, L_beta = 0.5 and
+    the sine reaction 0.5 on ``Grid1D(32, 1.0)``.  ``cp_factor`` scales the
+    monotonicity constant 2^{2-p} used in the strong monotonicity check;
+    anything above 1 corrupts the bound on purpose, as a self-test that
+    the harness can fail; a non-finite one raises ValueError.  A failed
+    check is data in the report; a failed solve raises :class:`NonConvergence`
+    naming the check, the row and, for a stepper run, the step.
     """
     if not -np.inf < cp_factor < np.inf:  # NaN fails both comparisons
         raise ValueError(f"cp_factor must be finite, got {cp_factor}")
-    grid = grid or Grid1D(32, 1.0)
-    params = params or ModelParams(p=3.0, eps=0.1, T=0.5, M=50, L_beta=0.5)
-    reaction = reaction or ReactionSpec("sine", 0.5)
+    ctx = ctx or OperatorContext(ModelParams(p=3.0, eps=0.1, T=0.5, M=50, L_beta=0.5),
+                                 ReactionSpec("sine", 0.5), Grid1D(32, 1.0))
+    params, reaction, grid = ctx.params, ctx.reaction, ctx.grid
     noise_model = noise_model or NoiseModel(J=12, sigma=0.5)
     source = source or SourceSpec("constant", {"value": 0.5})
     initial = initial or make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
@@ -584,7 +581,6 @@ def verify_all(
         if covers is not None:
             coverage.setdefault(module, {}).setdefault(covers, []).append(name)
 
-    ctx = OperatorContext(params, reaction, grid)
     h, tau, lbeta, eps = grid.h, params.tau, params.L_beta, params.eps
     p_values = sorted({2.0, 3.0, 4.0, params.p})
 

@@ -9,7 +9,8 @@ Reactions are presets (zero, linear, sine) so that the advertised
 Lipschitz constant is trustworthy by construction.  Sources are presets
 too; the per-step value is always the time average over the step,
 computed with a 4-point Gauss rule (exact for polynomials in t of degree
-up to 7) and evaluated at cell centers in space.
+up to 7) and evaluated at cell centers in space.  The domain is the
+grid's: ``ModelParams`` holds only the numbers of the scheme.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class ModelParams:
     """Scheme parameters with the time-step gate tau * L_beta < 1.
 
     tau is derived as T / M.  Construction fails for p < 2, infinite or NaN
-    p, non-positive eps / T / length, M < 1, or tau * L_beta >= 1; the time
+    p, non-positive eps / T, M < 1, or tau * L_beta >= 1; the time
     stepper never has to guess what to do outside the well-posed regime.
     """
 
@@ -66,7 +67,6 @@ class ModelParams:
     T: float
     M: int
     L_beta: float = 0.0
-    length: float = 1.0
 
     def __post_init__(self):
         if not 2 <= self.p < np.inf:  # NaN fails both comparisons
@@ -79,8 +79,6 @@ class ModelParams:
             raise ValueError(f"M must be a positive integer, got {self.M}")
         if self.L_beta < 0:
             raise ValueError(f"L_beta must be nonnegative, got {self.L_beta}")
-        if not self.length > 0:
-            raise ValueError(f"length must be positive, got {self.length}")
         if not self.tau * self.L_beta < 1.0:
             raise ValueError(
                 f"tau * L_beta = {self.tau * self.L_beta} >= 1; the implicit "
@@ -140,9 +138,11 @@ def yosida_derivative(v, eps: float, g=None):
 class ReactionSpec:
     """Lipschitz reaction preset with beta(0) = 0.
 
-    kind is one of "zero", "linear" (scale * r) or "sine" (scale * sin r);
-    ``scale`` is the Lipschitz constant of the realized reaction in every
-    case.  ``cos_v``, where a method takes it, is cos v computed by the caller.
+    kind is one of "zero", "linear" (scale * r) or "sine" (scale * sin r).
+    For "linear" and "sine", ``scale`` is the Lipschitz constant of the
+    realized reaction; "zero" ignores it in its values, but the operator's
+    margin tau * scale < 1 and the config default of L_beta still read it.
+    ``cos_v``, where a method takes it, is cos v computed by the caller.
     """
 
     kind: str = "zero"
@@ -209,6 +209,12 @@ class SourceSpec:
             raise ValueError("constant source needs a 'value' parameter")
         if missing and self.kind == "cosine":
             raise ValueError(f"cosine source missing parameters {missing}")
+        if self.kind in ("constant", "cosine"):  # as config checks them, for library callers
+            for key in SOURCE_PARAMS[self.kind]:
+                value, positive = float(self.params[key]), key == "length"
+                if not (abs(value) < np.inf and (value > 0 or not positive)):  # NaN fails
+                    need = "finite and > 0" if positive else "finite"
+                    raise ValueError(f"{self.kind} source {key} must be {need}, got {value}")
         if self.kind == "tabulated":
             if missing:
                 raise ValueError(f"tabulated source missing {missing}")

@@ -122,6 +122,8 @@ class NoiseModel:
             raise ValueError(f"M must be >= 1, got {M}")
         if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         return PathIncrements(
             np.sqrt(tau) * rng.standard_normal((M, self.J)), tau=tau, seed=seed

@@ -204,13 +204,11 @@ def test_criterion_8_penalization_behavior():
         params = ModelParams(p=2.0, eps=0.1, T=0.3, M=30, L_beta=0.0)
         # forcing drives the state above 1: violation positive, shrinking
         forced = run_eps_study(
-            [0.1, 0.05, 0.025],
-            params,
-            ReactionSpec("zero"),
-            grid,
+            OperatorContext(params, ReactionSpec("zero"), grid),
             NoiseModel(J=8, sigma=0.3),
-            SourceSpec("constant", {"value": 5.0}),
             make_initial(grid, "constant", {"value": 0.5}),
+            SourceSpec("constant", {"value": 5.0}),
+            [0.1, 0.05, 0.025],
             n_paths=8,
             base_seed=808,
         )
@@ -224,13 +222,11 @@ def test_criterion_8_penalization_behavior():
         assert inversions <= 1
         # data confined to [1/4, 3/4], no forcing: no violation at all
         confined = run_eps_study(
-            [0.1, 0.05, 0.025],
-            params,
-            ReactionSpec("zero"),
-            grid,
+            OperatorContext(params, ReactionSpec("zero"), grid),
             NoiseModel(J=8, sigma=0.0),
-            SourceSpec("zero"),
             make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25}),
+            SourceSpec("zero"),
+            [0.1, 0.05, 0.025],
             n_paths=1,
         )
         assert all(v <= 1e-10 for v in confined.errors)

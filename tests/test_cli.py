@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import plapsim
@@ -64,6 +65,19 @@ def test_empty_config_is_all_defaults():
     assert cfg.model.M == 100
     assert cfg.n_paths == 100
     assert cfg.workers == 1
+
+
+def test_problem_is_the_leading_arguments_of_every_driver():
+    # model.length reaches the grid, and the initial datum lives on that grid
+    cfg = parse_config(data={"model": {"length": 2.5, "n_cells": 10, "eps": 0.05},
+                             "initial": {"preset": "cosine", "params": {"amp": 0.2}}})
+    ctx, noise, initial, source = cfg.problem()
+    assert (ctx.grid.n_cells, ctx.grid.length) == (10, 2.5)
+    assert ctx.params is cfg.model and ctx.reaction is cfg.reaction
+    assert noise is cfg.noise and source is cfg.source
+    assert initial.u0.grid is ctx.grid
+    x = ctx.grid.cell_centers()
+    assert np.array_equal(initial.u0.values, 0.5 + 0.2 * np.cos(np.pi * x / 2.5))
 
 
 def test_p_below_two_names_the_key():
@@ -613,6 +627,14 @@ def test_cli_non_finite_numbers_exit_one(small_config):
         res = run_cli(["estimate-cp", "--p", p, "--samples", "100"], d)
         assert res.returncode == 1 and res.stdout == ""
         assert "config error" in res.stderr
+
+
+def test_cli_estimate_cp_negative_seed_is_named(small_config):
+    # the message names the seed, and the check runs before numpy sees it
+    d, _ = small_config
+    res = run_cli(["estimate-cp", "--p", "3", "--samples", "1000", "--seed", "-1"], d)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr == "config error: seed must be >= 0, got -1\n"
 
 
 def test_cli_estimate_cp_p2_prints_one(small_config):

@@ -1,4 +1,5 @@
 import importlib.util
+import inspect
 import io
 import json
 import sys
@@ -104,6 +105,19 @@ def test_estimate_cp_validation():
             estimate_cp(p, 1, 100)
 
 
+def test_estimate_cp_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        estimate_cp(3.0, 1, 100, seed=-1)
+
+
+def test_every_path_driver_takes_the_problem_first():
+    # one problem description: (ctx, noise_model, initial, source) leads
+    # every path driver, as RunConfig.problem() returns it
+    for driver in (run_path, run_mc, run_pathwise_refinement, run_eps_study, verify_all):
+        leading = list(inspect.signature(driver).parameters)[:4]
+        assert leading == ["ctx", "noise_model", "initial", "source"], driver.__name__
+
+
 # ---------------------------------------------------------------------------
 # refinement tables
 
@@ -173,13 +187,11 @@ def eps_study_setup(sigma):
 def test_eps_study_zero_violation_without_forcing():
     grid, params, noise = eps_study_setup(0.0)
     tab = run_eps_study(
-        [0.1, 0.05, 0.025],
-        params,
-        ReactionSpec("zero"),
-        grid,
+        OperatorContext(params, ReactionSpec("zero"), grid),
         noise,
-        SourceSpec("zero"),
         make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25}),
+        SourceSpec("zero"),
+        [0.1, 0.05, 0.025],
         n_paths=1,
     )
     assert all(v <= 1e-10 for v in tab.errors)
@@ -188,13 +200,11 @@ def test_eps_study_zero_violation_without_forcing():
 def test_eps_study_violation_decreases_under_forcing():
     grid, params, noise = eps_study_setup(0.3)
     tab = run_eps_study(
-        [0.1, 0.05, 0.025],
-        params,
-        ReactionSpec("zero"),
-        grid,
+        OperatorContext(params, ReactionSpec("zero"), grid),
         noise,
-        SourceSpec("constant", {"value": 5.0}),
         make_initial(grid, "constant", {"value": 0.5}),
+        SourceSpec("constant", {"value": 5.0}),
+        [0.1, 0.05, 0.025],
         n_paths=6,
         base_seed=11,
     )
@@ -211,13 +221,13 @@ def test_eps_study_violation_decreases_under_forcing():
 def test_eps_study_validation():
     grid, params, noise = eps_study_setup(0.0)
     with pytest.raises(ValueError):
-        run_eps_study([0.1], params, ReactionSpec("zero"), grid, noise,
-                      SourceSpec("zero"),
-                      make_initial(grid, "constant", {"value": 0.5}))
+        run_eps_study(OperatorContext(params, ReactionSpec("zero"), grid), noise,
+                      make_initial(grid, "constant", {"value": 0.5}),
+                      SourceSpec("zero"), [0.1])
     with pytest.raises(ValueError, match="n_paths must be >= 1, got 0"):
-        run_eps_study([0.1, 0.05], params, ReactionSpec("zero"), grid, noise,
-                      SourceSpec("zero"),
-                      make_initial(grid, "constant", {"value": 0.5}), n_paths=0)
+        run_eps_study(OperatorContext(params, ReactionSpec("zero"), grid), noise,
+                      make_initial(grid, "constant", {"value": 0.5}),
+                      SourceSpec("zero"), [0.1, 0.05], n_paths=0)
 
 
 @pytest.mark.parametrize("eps_list, message", [
@@ -234,9 +244,9 @@ def test_eps_study_rejects_bad_levels_before_the_first(monkeypatch, eps_list, me
     grid, params, noise = eps_study_setup(0.0)
     calls, stacks = spy_time_loop(monkeypatch)
     with pytest.raises(ValueError, match=message):
-        run_eps_study(eps_list, params, ReactionSpec("zero"), grid, noise,
-                      SourceSpec("zero"), make_initial(grid, "constant", {"value": 0.5}),
-                      n_paths=2)
+        run_eps_study(OperatorContext(params, ReactionSpec("zero"), grid), noise,
+                      make_initial(grid, "constant", {"value": 0.5}), SourceSpec("zero"),
+                      eps_list, n_paths=2)
     assert calls == stacks == []
 
 
@@ -251,6 +261,12 @@ def mc_setup():
     noise = NoiseModel(J=6, sigma=0.5)
     initial = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
     return ctx, noise, initial
+
+
+def test_mc_names_a_negative_base_seed():
+    ctx, noise, initial = mc_setup()
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        run_mc(ctx, noise, initial, SourceSpec("zero"), n_paths=2, base_seed=-1)
 
 
 def test_mc_sigma_zero_has_zero_variance():
@@ -436,8 +452,8 @@ def test_eps_study_chunk_invariance_and_path_identity(monkeypatch):
     for size in (1, 3, n_paths):
         set_chunk(monkeypatch, ctx, size)
         del calls[:], stacks[:], drawn[:]
-        tab = run_eps_study(STIFF_EPS, ctx.params, ctx.reaction, ctx.grid, noise,
-                            source, initial, n_paths=n_paths, base_seed=base_seed)
+        tab = run_eps_study(ctx, noise, initial, source, STIFF_EPS,
+                            n_paths=n_paths, base_seed=base_seed)
         assert drawn == list(range(base_seed, base_seed + n_paths))
         assert stacks == chunk_stacks(n_paths, size, ctx.params.M) * len(STIFF_EPS)
         peaks = np.concatenate([c[1] for c in calls]).max(axis=1)
@@ -459,8 +475,8 @@ def test_mc_and_eps_study_bytes_equal_on_both_lapack_paths(monkeypatch):
         if path == "scipy":
             monkeypatch.setattr(operators, "_BUNDLED_DPTSV", None)
         mc = run_mc(ctx, noise, initial, source, n_paths=6, base_seed=2)
-        tab = run_eps_study(STIFF_EPS, ctx.params, ctx.reaction, ctx.grid, noise,
-                            source, initial, n_paths=4, base_seed=2)
+        tab = run_eps_study(ctx, noise, initial, source, STIFF_EPS,
+                            n_paths=4, base_seed=2)
         files = []
         for out in (mc, tab):
             buf = io.StringIO()
@@ -486,8 +502,8 @@ def test_eps_study_nonconvergence_names_level_and_path(monkeypatch, max_newton, 
     for size in (1, 3, n_paths):
         set_chunk(monkeypatch, ctx, size)
         with pytest.raises(NonConvergence) as info:
-            run_eps_study(STIFF_EPS, ctx.params, ctx.reaction, ctx.grid, noise,
-                          source, initial, n_paths=n_paths, base_seed=5,
+            run_eps_study(ctx, noise, initial, source, STIFF_EPS,
+                          n_paths=n_paths, base_seed=5,
                           solver_cfg=SolverConfig(max_newton=max_newton))
         messages.append(str(info.value))
     assert messages[0].startswith(expected), messages[0]
@@ -577,7 +593,8 @@ def test_verify_all_coverage_guard_catches_drift(monkeypatch):
 def test_verify_all_fault_injection():
     # corrupting the monotonicity constant must break exactly that check
     report = verify_all(
-        params=ModelParams(p=4.0, eps=0.1, T=0.5, M=50, L_beta=0.5),
+        ctx=OperatorContext(ModelParams(p=4.0, eps=0.1, T=0.5, M=50, L_beta=0.5),
+                            ReactionSpec("sine", 0.5), Grid1D(32, 1.0)),
         cp_factor=1.5,
         cp_samples=10_000,
         stat_draws=50_000,
@@ -713,7 +730,8 @@ def test_verify_all_stepper_rows_match_solo_runs(monkeypatch):
 
 
 STIFF_VERIFY = {
-    "params": ModelParams(p=2.0, eps=1e-5, T=0.5, M=20, L_beta=0.5),
+    "ctx": OperatorContext(ModelParams(p=2.0, eps=1e-5, T=0.5, M=20, L_beta=0.5),
+                           ReactionSpec("sine", 0.5), Grid1D(32, 1.0)),
     "source": SourceSpec("constant", {"value": 2.0}),
 }
 

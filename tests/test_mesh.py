@@ -15,7 +15,7 @@ from plapsim.operators import OperatorContext, Point
 
 def gradient(u):
     """The two-point face gradient diff(u) / h as the operator forms it (``Point.d``)."""
-    params = ModelParams(p=2.0, eps=0.1, T=1.0, M=10, length=u.grid.length)
+    params = ModelParams(p=2.0, eps=0.1, T=1.0, M=10)
     return Point(OperatorContext(params, ReactionSpec("zero"), u.grid), u.values).d
 
 

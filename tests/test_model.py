@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,35 @@ def test_source_validation():
         SourceSpec("tabulated", {"times": [0.0, 0.0], "values": [[1.0], [1.0]]})
     with pytest.raises(ValueError):
         SourceSpec("noise", {})
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("cosine", {"offset": 0, "amp": 1, "decay": 0, "length": 0.0},
+     "cosine source length must be finite and > 0, got 0.0"),
+    ("cosine", {"offset": 0, "amp": 1, "decay": 0, "length": -2},
+     "cosine source length must be finite and > 0, got -2.0"),
+    ("cosine", {"offset": 0, "amp": 1, "decay": 0, "length": float("inf")},
+     "cosine source length must be finite and > 0, got inf"),
+    ("cosine", {"offset": float("nan"), "amp": 1, "decay": 0, "length": 1.0},
+     "cosine source offset must be finite, got nan"),
+    ("cosine", {"offset": 0, "amp": float("-inf"), "decay": 0, "length": 1.0},
+     "cosine source amp must be finite, got -inf"),
+    ("cosine", {"offset": 0, "amp": 1, "decay": float("nan"), "length": 1.0},
+     "cosine source decay must be finite, got nan"),
+    ("constant", {"value": float("nan")}, "constant source value must be finite, got nan"),
+    ("constant", {"value": float("inf")}, "constant source value must be finite, got inf"),
+])
+def test_source_rejects_numbers_it_cannot_evaluate(kind, params, message):
+    # config rejects these first; a library caller meets this check before
+    # step_table could divide by a zero length or fill its table with NaN
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        SourceSpec(kind, params)
+
+
+def test_model_params_has_no_domain_length():
+    # the domain length is the grid's alone
+    with pytest.raises(TypeError):
+        ModelParams(p=2.0, eps=0.1, T=1.0, M=10, length=2.0)
 
 
 # ---------------------------------------------------------------------------

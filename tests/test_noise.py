@@ -41,6 +41,13 @@ def test_sample_determinism():
     assert not np.array_equal(a.values, c.values)
 
 
+def test_sample_path_rejects_a_negative_seed():
+    # every path's increments are drawn here, so run_path and run_mc name a
+    # negative seed with this message too, before numpy sees it
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        NoiseModel(J=4, sigma=0.5).sample_path(10, 0.1, seed=-1)
+
+
 def test_coarsen_identity_and_additivity():
     model = NoiseModel(J=3, sigma=1.0)
     fine = model.sample_path(2, 0.1, seed=1)

@@ -15,7 +15,7 @@ from plapsim.operators import OperatorContext, Point, TridiagonalMatrix
 
 
 def make_ctx(p=2.0, eps=0.1, tau=0.1, L_beta=0.0, reaction=None, n=8, length=1.0):
-    params = ModelParams(p=p, eps=eps, T=tau * 10, M=10, L_beta=L_beta, length=length)
+    params = ModelParams(p=p, eps=eps, T=tau * 10, M=10, L_beta=L_beta)
     return OperatorContext(params, reaction or ReactionSpec("zero"), Grid1D(n, length))
 
 

@@ -27,10 +27,12 @@ at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config, and
 ``verify`` in its uniqueness stack and in its stepper runs.  Two ``mc``
 cases on 16384 cells advance their 6 paths in two chunks of the time loop
 (4 paths, then 2): one passes, and one fails on path 4, in the second
-chunk, so that the chunk loop is checked too.  The last three cases check
+chunk, so that the chunk loop is checked too.  The last four cases check
 the front door: ``estimate-cp --p 3 --samples 1000`` (no config document),
-``usage`` (``run --seed abc``, an argparse usage error, exit 1) and
-``bad-seed`` (``run --seed -1``, a config error, exit 1).
+``usage`` (``run --seed abc``, an argparse usage error, exit 1),
+``bad-seed`` (``run --seed -1``, a config error, exit 1) and
+``estimate-cp-bad-seed`` (``estimate-cp --p 3 --samples 1000 --seed -1``,
+a config error that names the seed, exit 1).
 """
 
 from __future__ import annotations
@@ -95,7 +97,9 @@ def cases(make_config):
     out += _failure_cases(make_config)
     out += [("estimate-cp", ["estimate-cp", "--p", "3", "--samples", "1000"], None),
             ("usage", ["run", "--seed", "abc"], {}),
-            ("bad-seed", ["run", "--seed", "-1"], {})]
+            ("bad-seed", ["run", "--seed", "-1"], {}),
+            ("estimate-cp-bad-seed",
+             ["estimate-cp", "--p", "3", "--samples", "1000", "--seed", "-1"], None)]
     return out
 
 
