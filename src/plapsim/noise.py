@@ -33,6 +33,13 @@ __all__ = [
 SUPPORT = (0.25, 0.75)
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of every draw; a negative seed raises ValueError first."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def bump_profile(r):
     """C^1 bump sin^2(2 pi (r - 1/4)) on [1/4, 3/4], zero elsewhere."""
     r = np.asarray(r, dtype=float)
@@ -122,9 +129,7 @@ class NoiseModel:
             raise ValueError(f"M must be >= 1, got {M}")
         if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
-        if seed < 0:
-            raise ValueError(f"seed must be >= 0, got {seed}")
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         return PathIncrements(
             np.sqrt(tau) * rng.standard_normal((M, self.J)), tau=tau, seed=seed
         )
@@ -155,7 +160,7 @@ class NoiseModel:
         """
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
-        rng = np.random.default_rng(seed)
+        rng = seeded_rng(seed)
         n_wide = samples // 2 + 1
         r = rng.uniform(-0.5, 1.5, n_wide)
         s = rng.uniform(-0.5, 1.5, n_wide)

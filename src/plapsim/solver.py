@@ -3,10 +3,10 @@
 Each time step needs one solve of apply(u) = rhs.  The operator is the
 gradient (up to the cell weight h) of a strongly convex energy, so a
 semismooth Newton method with backtracking on that energy converges
-globally: the Newton direction comes from one SPD tridiagonal solve, an
-Armijo test accepts or shrinks the step, and a steepest-descent fallback
-guards the (theoretically impossible) case of a non-descent Newton
-direction.  Near the minimum the energy decrease per step drops below
+globally: the Newton direction comes from one SPD tridiagonal solve, so it
+is a descent direction, and an Armijo test accepts or shrinks the step
+along it.  A row whose search finds no step stops, named as such, at the
+energy it had.  Near the minimum the energy decrease per step drops below
 float resolution, so the accept test carries an absolute slack of a few
 ulps; convergence is always declared on the residual norm, never on the
 energy.
@@ -14,10 +14,10 @@ energy.
 :func:`solve_rows` is the one Newton loop.  It runs on a ``(P, n_cells)``
 stack of independent problems (Monte Carlo paths), each row following
 exactly the iterates it follows alone: a row leaves the iteration once its
-residual meets the tolerance, and the Armijo test, the backtracking and
-the fallback act per row.  One Jacobian solve per iteration covers every
-active row.  Each trial step is one :class:`~plapsim.operators.Point`: once
-accepted, its energy, its residual and the next Jacobian share its pieces.
+residual meets the tolerance, and the Armijo test and the backtracking act
+per row.  One Jacobian solve per iteration covers every active row.  Each
+trial step is one :class:`~plapsim.operators.Point`: once accepted, its
+energy, its residual and the next Jacobian share its pieces.
 The guess may be a point, and then the solutions come back as one, with
 A(u) and E0(u) of every row, ready to be the next solve's guess.  Each row
 gets one :class:`SolveReport`: its residuals and energies, and the message
@@ -55,12 +55,12 @@ __all__ = [
 class NonConvergence(RuntimeError):
     """Raised when a solve stops without meeting its residual tolerance.
 
-    That is: the Newton cap is hit, the line search fails along steepest
-    descent, or the residual turns non-finite.  Valid contexts do reach the
-    cap today: p = 4 on 8192 cells for some noise seeds (the benchmark's
-    ``run_large`` config at seeds 7004, 7015, 7035, 7073 and 7090), every
-    such config on 16384 cells, and eps = 1e-8 under strong forcing; see
-    the known limits in ``perfbench/workloads.py``.
+    That is: the Newton cap is hit, the line search along the Newton
+    direction finds no step, or the residual turns non-finite.  Valid
+    contexts do reach the cap today: p = 4 on 8192 cells for some noise
+    seeds (the benchmark's ``run_large`` config at seeds 7004, 7015, 7035,
+    7073 and 7090), every such config on 16384 cells, and eps = 1e-8 under
+    strong forcing; see the known limits in ``perfbench/workloads.py``.
     """
 
 
@@ -113,8 +113,11 @@ _INF = float("inf")
 
 
 def _armijo(e_trial, e, decrease):
-    """Armijo test of one row; ``decrease`` is c * alpha * slope."""
-    return e_trial <= e + decrease + _SLACK_ULPS * max(1.0, abs(e))
+    """Armijo test of one row; ``decrease`` is c * alpha * slope.
+
+    A non-descent direction (``decrease`` >= 0 or NaN) fails every trial.
+    """
+    return decrease < 0.0 and e_trial <= e + decrease + _SLACK_ULPS * max(1.0, abs(e))
 
 
 def _search(ctx, pt, rhs, d, slope, e, cfg):
@@ -227,30 +230,11 @@ def solve_rows(
             rows, res, e = ([a[i] for i in keep] for a in (rows, res, e))
             pt, r, rhs = pt.take(keep), r[keep], rhs[keep]
         d = ctx.jacobian(pt).solve(-r)
-        # directional derivatives of the energies
+        # directional derivatives of the energies: negative for an SPD Jacobian
         slope = (h * np.vecdot(r, d)).tolist()
-        uphill = [i for i, s in enumerate(slope) if not -_INF < s < 0.0]
-        if uphill:
-            ru = r[uphill]
-            d[uphill] = -ru
-            for i, s in zip(uphill, (-h * np.vecdot(ru, ru)).tolist()):
-                slope[i] = s
-        pt_new, e_new, ok = _search(ctx, pt, rhs, d, slope, e, cfg)
-        if not all(ok):
-            # guarded fallback; unreachable for an SPD Jacobian
-            sd = [i for i, good in enumerate(ok) if not good]
-            rs = r[sd]
-            pt_sd, e_sd, ok_sd = _search(
-                ctx, pt.take(sd), rhs[sd], -rs, (-h * np.vecdot(rs, rs)).tolist(),
-                [e[i] for i in sd], cfg,
-            )
-            pt_new.put(sd, pt_sd, slice(None))
-            for i, e_i, ok_i in zip(sd, e_sd, ok_sd):
-                e_new[i] = e_i
-                if not ok_i:
-                    reports[rows[i]].failure = _failure(
-                        "line search failed along steepest descent", reports[rows[i]], tol)
-        pt, e = pt_new, e_new
+        pt, e, ok = _search(ctx, pt, rhs, d, slope, e, cfg)
+        for i in [i for i, good in enumerate(ok) if not good]:
+            reports[rows[i]].failure = _failure("line search failed", reports[rows[i]], tol)
         r = ctx.apply(pt) - rhs
         res = norm_l2_array(r, h).tolist()
 

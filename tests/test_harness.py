@@ -95,6 +95,55 @@ def test_estimate_cp_higher_dimensions():
             assert est >= 2.0 ** (2.0 - p) * (1 - 1e-9)
 
 
+def estimate_cp_in_one_block(p, d, samples, seed):
+    """estimate_cp's draws, reduced in one block: the formula before blocking."""
+    rng = np.random.default_rng(seed)
+    n_uni = max(samples // 3, 1)
+    n_gau = max(samples // 3, 1)
+    n_adv = max(samples - n_uni - n_gau, 2)
+    a_uni = rng.uniform(-3.0, 3.0, (n_uni, d))
+    b_uni = rng.uniform(-3.0, 3.0, (n_uni, d))
+    a_gau = rng.standard_normal((n_gau, d))
+    b_gau = rng.standard_normal((n_gau, d))
+    a_adv = rng.uniform(-2.0, 2.0, (n_adv, d))
+    wiggle = rng.uniform(-1e-3, 1e-3, (n_adv, 1))
+    wiggle[: n_adv // 2] = 0.0
+    b_adv = -a_adv * (1.0 + wiggle)
+    a = np.concatenate([a_uni, a_gau, a_adv])
+    b = np.concatenate([b_uni, b_gau, b_adv])
+    na = np.linalg.norm(a, axis=1)
+    nb = np.linalg.norm(b, axis=1)
+    diff = a - b
+    ndiff = np.linalg.norm(diff, axis=1)
+    keep = ndiff > 1e-12 * (na + nb + 1.0)
+    m = na[keep, None] ** (p - 2.0) * a[keep] - nb[keep, None] ** (p - 2.0) * b[keep]
+    num = np.sum(m * diff[keep], axis=1)
+    den = ndiff[keep] ** p
+    return float(np.min(num / den))
+
+
+@pytest.mark.parametrize("samples", [5, 3 * harness._CP_BLOCK, 3 * harness._CP_BLOCK + 3,
+                                     200_000])
+def test_estimate_cp_blocks_give_the_one_block_float(samples):
+    # one block per draw kind, a full one, one more pair, or several blocks:
+    # the same float as one reduction over all pairs
+    for p, d in ((2.0, 1), (3.0, 1), (4.0, 2), (7.3, 3)):
+        assert estimate_cp(p, d, samples, seed=3) == estimate_cp_in_one_block(p, d, samples, 3)
+
+
+def test_estimate_cp_memory_is_its_draws_and_one_block():
+    # the 200k-sample estimate of verify: its draws and one block's
+    # temporaries peak near 5 MiB; a reduction over all pairs at once took 19
+    estimate_cp(3.0, 1, 1000, 0)
+    tracemalloc.start()
+    try:
+        estimate_cp(3.0, 1, 200_000, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20, peak / 2**20
+
+
 def test_estimate_cp_validation():
     with pytest.raises(ValueError):
         estimate_cp(1.5, 1, 100)
@@ -108,6 +157,11 @@ def test_estimate_cp_validation():
 def test_estimate_cp_rejects_a_negative_seed():
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         estimate_cp(3.0, 1, 100, seed=-1)
+
+
+def test_verify_all_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        verify_all(seed=-1, cp_samples=1000, stat_draws=10_000)
 
 
 def test_every_path_driver_takes_the_problem_first():
@@ -780,10 +834,10 @@ def test_verify_all_names_a_failed_noise_off_row(monkeypatch):
 # the benchmark's tracer
 
 
-def load_tracer():
-    """``perfbench/tracer.py``, loaded by path: the benchmark is not a package."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+def load_by_path(relative, name):
+    """A repo file loaded by path: neither the benchmark nor the tools is a package."""
+    path = Path(__file__).resolve().parents[1] / relative
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -793,7 +847,7 @@ def test_benchmark_tracer_hooks_resolve_and_round_trip():
     # every name the tracer wraps exists where it looks it up (a class's
     # own dict, or a module), and install then uninstall puts every binding
     # back; a missing name breaks every `perfbench/run.py --trace 1` run
-    tracer_mod = load_tracer()
+    tracer_mod = load_by_path("perfbench/tracer.py", "perfbench_tracer")
     targets = tracer_mod._targets()
     for owner, attr, name, _ in targets:
         assert attr in (vars(owner) if isinstance(owner, type) else dir(owner)), name
@@ -815,3 +869,28 @@ def test_benchmark_tracer_hooks_resolve_and_round_trip():
         after = dict(vars(owner))
         assert after.keys() == before[key].keys()
         assert all(after[k] is v for k, v in before[key].items())
+
+
+# ---------------------------------------------------------------------------
+# the census of gated configurations
+
+
+def test_census_subset_converges_or_names_its_failure():
+    # 64 of the census's 480 gated configurations, every axis at its ends:
+    # each converges with finite norms or raises a NonConvergence that names
+    # the path and the step, and no line search fails; the floor and stall
+    # counts are not pinned
+    census = load_by_path("tools/census.py", "census")
+    subset = {"p": (2.0, 16.0), "n_cells": (3, 64), "eps": (1.0, 1e-8),
+              "margin": census.SWEEP["margin"], "sigma": (0.0, 5.0), "amp": (0.5, 500.0)}
+    classes = []
+    for config, outcome in census.sweep(subset):
+        if isinstance(outcome, NonConvergence):
+            assert str(outcome).startswith("seed 1 failed at step "), (config, outcome)
+        else:
+            for norms in (outcome.l2_norms, outcome.w1p_norms, outcome.violations):
+                assert np.isfinite(norms).all(), config
+        classes.append(census.classify(outcome))
+    assert len(classes) == 64
+    assert "line_search" not in classes
+    assert set(classes) <= set(census.CLASSES)

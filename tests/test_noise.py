@@ -48,6 +48,11 @@ def test_sample_path_rejects_a_negative_seed():
         NoiseModel(J=4, sigma=0.5).sample_path(10, 0.1, seed=-1)
 
 
+def test_hs_lipschitz_estimate_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        NoiseModel(J=4, sigma=0.5).hs_lipschitz_estimate(100, seed=-1)
+
+
 def test_coarsen_identity_and_additivity():
     model = NoiseModel(J=3, sigma=1.0)
     fine = model.sample_path(2, 0.1, seed=1)

@@ -3,7 +3,7 @@ import pytest
 
 from plapsim.mesh import Grid1D, norm_l2, norm_w1p
 from plapsim.model import ModelParams, ReactionSpec
-from plapsim.operators import OperatorContext, Point
+from plapsim.operators import OperatorContext, Point, TridiagonalMatrix
 from plapsim.solver import (
     NonConvergence,
     SolverConfig,
@@ -12,6 +12,7 @@ from plapsim.solver import (
     solve_rows,
     stability_slacks,
 )
+from plapsim.stepper import run_rows
 
 
 def make_ctx(p=2.0, eps=0.1, tau=0.1, L_beta=0.0, reaction=None, n=16, length=1.0):
@@ -145,6 +146,58 @@ def test_failed_row_report_matches_its_solo_solve():
         assert str(info.value) == report.failure
         assert report.failure.startswith("no convergence after 13 Newton steps")
         assert str(report.residual_history[-4:]) in report.failure
+
+
+def force_first_direction(monkeypatch, row, scale):
+    """Scale ``row`` of the first Newton direction solved by ``scale``."""
+    original, calls = TridiagonalMatrix.solve, []
+
+    def solve(self, b):
+        d = original(self, b)
+        if not calls:
+            d[row] *= scale
+        calls.append(len(d))
+        return d
+
+    monkeypatch.setattr(TridiagonalMatrix, "solve", solve)
+    return calls
+
+
+@pytest.mark.parametrize("scale", [-1.0, 1e20], ids=["ascent", "too-long"])
+def test_failed_line_search_stops_only_its_row(monkeypatch, scale):
+    # row 1's first Newton direction is turned uphill, or made so long that
+    # every Armijo trial fails: the row stops at its guess with a named
+    # failure, its energy never rises, and rows 0 and 2 follow the iterates
+    # of an unforced stack bit for bit
+    rng = np.random.default_rng(4)
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
+                   reaction=ReactionSpec("sine", 2.0))
+    rhs = rng.uniform(-1.0, 2.0, (3, 16))
+    guess = np.zeros((3, 16))
+    u_ref, reports_ref = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert all(rep.failure is None for rep in reports_ref)
+    calls = force_first_direction(monkeypatch, 1, scale)
+    u, reports = solve_rows(ctx, rhs, guess, SolverConfig())
+    assert calls[0] == 3
+    failed = reports[1]
+    assert failed.failure.startswith("line search failed after 0 Newton steps (residual ")
+    energies = failed.energy_history
+    assert all(b <= a for a, b in zip(energies, energies[1:])), energies
+    assert np.array_equal(u[1], guess[1])
+    for k in (0, 2):
+        assert np.array_equal(u[k], u_ref[k]), k
+        assert reports[k] == reports_ref[k], k
+
+
+def test_failed_line_search_names_row_and_step_through_run_rows(monkeypatch):
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1)
+    u0 = np.full(16, 0.5)
+    coef, f = np.zeros((3, 4)), np.full((4, 16), 2.0)
+    force_first_direction(monkeypatch, 1, -1.0)
+    with pytest.raises(NonConvergence) as info:
+        run_rows(ctx, u0, coef, f, SolverConfig(), lambda k: f"row {k}")
+    assert str(info.value).startswith(
+        "row 1 failed at step 0: line search failed after 0 Newton steps (residual ")
 
 
 def test_solve_rows_forms_each_gradient_once(monkeypatch):
