@@ -204,11 +204,13 @@ def solve_rows(
     res = norm_l2_array(r, h).tolist()
     e = ctx.energy(pt, rhs).tolist()
     finished = []
+    newton = 0  # Newton steps taken by every row still searching
     while True:
         for k, res_k, e_k in zip(rows, res, e):
-            reports[k].residual_history.append(res_k)
-            reports[k].energy_history.append(e_k)
-        if reports[rows[0]].iterations >= cfg.max_newton:  # the same for every active row
+            if reports[k].failure is None:  # a failed search took no step
+                reports[k].residual_history.append(res_k)
+                reports[k].energy_history.append(e_k)
+        if newton >= cfg.max_newton:
             stop = list(range(len(rows)))
         else:
             # a row goes on while tol < res < inf, so a NaN residual stops
@@ -233,6 +235,7 @@ def solve_rows(
         # directional derivatives of the energies: negative for an SPD Jacobian
         slope = (h * np.vecdot(r, d)).tolist()
         pt, e, ok = _search(ctx, pt, rhs, d, slope, e, cfg)
+        newton += 1
         for i in [i for i, good in enumerate(ok) if not good]:
             reports[rows[i]].failure = _failure("line search failed", reports[rows[i]], tol)
         r = ctx.apply(pt) - rhs

@@ -33,6 +33,7 @@ Only ``run_path`` and ``step`` keep each step's
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +177,12 @@ class Trajectory:
     mode drops the (M+1, n_cells) states but not the source table: the
     source is tabulated at all M x 4 Gauss times before step 0, so peak
     memory still grows with M (ROADMAP direction 5).
+
+    Full mode writes one CSV line of ``repr`` floats per state row.  Above
+    ``_PARALLEL_VALUES`` values the rows are formatted in blocks, one per
+    usable core, each block after the first in a child interpreter; the
+    bytes are the same whatever the number of cores, and a child that fails
+    raises :class:`OSError` (the CLI exits 2).
     """
 
     grid: Grid1D
@@ -210,16 +217,96 @@ class Trajectory:
             if self.mode == "full":
                 n = self.grid.n_cells
                 target.write("t," + ",".join(f"c{i}" for i in range(n)) + "\n")
-                for t, state in zip(self.times, self.states):
-                    target.write(
-                        repr(float(t)) + "," + ",".join(map(repr, state.tolist())) + "\n"
-                    )
+                _write_rows(target, self.times, self.states)
             else:
                 target.write("t,l2_norm,v_norm_p,constraint_violation\n")
                 for t, a, b, c in zip(
                     self.times, self.l2_norms, self.w1p_norms, self.violations
                 ):
                     target.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r}\n")
+
+
+#: Full mode formats one block of state rows per this many values, and per
+#: usable core at most; each block after the first in a child interpreter.
+_PARALLEL_VALUES = 1 << 18
+
+#: The child's program: ``rows`` times, then ``rows`` x ``n`` states, as
+#: float64 on stdin; their CSV lines, formatted as by :func:`_format_rows`,
+#: on stdout once all are made, so that the child never waits on its parent.
+_CHILD = """\
+import array, sys
+rows, n = int(sys.argv[1]), int(sys.argv[2])
+data = array.array("d", sys.stdin.buffer.read())
+out = bytearray()
+for i in range(rows):
+    row = data[rows + i * n:rows + (i + 1) * n]
+    out += (repr(data[i]) + "," + ",".join(map(repr, row)) + "\\n").encode()
+sys.stdout.buffer.write(out)
+"""
+
+
+def _format_rows(target, times, states):
+    """Write the CSV line of each row of ``states``, in this process."""
+    for t, state in zip(times, states):
+        target.write(repr(float(t)) + "," + ",".join(map(repr, state.tolist())) + "\n")
+
+
+def _write_rows(target, times, states):
+    """Write the line ``t,c0,...`` of each row of ``states`` to the text stream ``target``.
+
+    The rows go in contiguous blocks, one per ``_PARALLEL_VALUES`` values and
+    at most one per usable core.  This process formats block 0 while a
+    child interpreter (``_CHILD``) formats each later block from its
+    float64 bytes; then the children's lines are copied in order.  A child
+    runs the same interpreter's ``repr`` on the same doubles, so the bytes
+    do not depend on the number of blocks, and a block whose child cannot
+    start is formatted here.  A child that exits non-zero raises
+    :class:`OSError`.  No child outlives the call.
+    """
+    import os
+    import subprocess
+
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    blocks = max(1, min(cores or 1, states.size // _PARALLEL_VALUES + 1, len(states)))
+    cut = [len(states) * i // blocks for i in range(blocks + 1)]
+    n, pipe = states.shape[1], subprocess.PIPE
+    children = []  # (child or None, first row, end row) of each later block
+    try:
+        for a, b in zip(cut[1:-1], cut[2:]):
+            child = None
+            try:
+                if sys.executable:
+                    child = subprocess.Popen(
+                        [sys.executable, "-I", "-S", "-c", _CHILD, str(b - a), str(n)],
+                        stdin=pipe, stdout=pipe, stderr=pipe,
+                    )
+            except OSError:
+                pass  # this block is formatted here
+            children.append((child, a, b))
+            if child is None:
+                continue
+            try:
+                with child.stdin:
+                    for part in (times[a:b], states[a:b]):  # a float64 C array is not copied
+                        child.stdin.write(memoryview(np.ascontiguousarray(part, float)).cast("B"))
+            except BrokenPipeError:
+                pass  # the child has exited; its exit code says why
+        _format_rows(target, times[:cut[1]], states[:cut[1]])
+        for child, a, b in children:
+            if child is None:
+                _format_rows(target, times[a:b], states[a:b])
+                continue
+            while block := child.stdout.read(1 << 16):
+                target.write(block.decode("ascii"))
+            err = child.stderr.read().decode(errors="replace").strip().splitlines()
+            if child.wait():
+                raise OSError(f"CSV rows {a}-{b - 1}: formatting child exited with code "
+                              f"{child.returncode}" + (f": {err[-1]}" if err else ""))
+    finally:
+        for child, _, _ in children:
+            if child is not None:
+                with child:  # closes its pipes and waits
+                    child.kill()
 
 
 def run_path(

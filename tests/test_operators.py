@@ -159,21 +159,33 @@ def test_tridiagonal_solve_rejects_mismatched_rhs():
         tridiagonal(np.full((2, 4), 2.0), np.zeros((2, 3))).solve(np.ones(4))
 
 
+def modules_after_import(selected):
+    """The modules a fresh `import plapsim` loads for which ``selected`` (source of
+    a condition on the module name ``m``) holds, as the printed sorted list."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(plapsim.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    code = f"import sys, plapsim\nprint(sorted(m for m in sys.modules if {selected}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 @bundled_only
 def test_import_loads_no_scipy():
     # numpy's bundled OpenBLAS serves the solve, so a fresh `import plapsim`
     # loads neither scipy nor the numpy modules that scipy.linalg pulls in
-    env = dict(os.environ)
-    root = os.path.dirname(os.path.dirname(os.path.abspath(plapsim.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, plapsim\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'"
-        " or m.startswith(('numpy.f2py', 'numpy.polynomial'))))"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert modules_after_import(
+        "m.split('.')[0] == 'scipy' or m.startswith(('numpy.f2py', 'numpy.polynomial'))"
+    ) == "[]"
+
+
+def test_import_loads_no_process_or_pool_module():
+    # the full-mode CSV imports `subprocess` only when it writes, so a fresh
+    # `import plapsim` (the benchmark's set-up time) loads no such module
+    assert modules_after_import(
+        "m.split('.')[0] in ('subprocess', 'multiprocessing', 'concurrent')"
+    ) == "[]"
 
 
 def test_operator_rejects_gridfunction_with_a_clear_message():

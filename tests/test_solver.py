@@ -189,6 +189,26 @@ def test_failed_line_search_stops_only_its_row(monkeypatch, scale):
         assert reports[k] == reports_ref[k], k
 
 
+@pytest.mark.parametrize("scale", [-1.0, 1e20], ids=["ascent", "too-long"])
+def test_failed_line_search_counts_no_newton_step(monkeypatch, scale):
+    # the row stops in the iteration whose search failed: its report keeps
+    # only the guess's residual and energy, so `iterations` agrees with the
+    # "after 0 Newton steps" of its message
+    rng = np.random.default_rng(4)
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
+                   reaction=ReactionSpec("sine", 2.0))
+    rhs = rng.uniform(-1.0, 2.0, (3, 16))
+    guess = np.zeros((3, 16))
+    _, (first, *_) = solve_rows(ctx, rhs[1:2], guess[1:2], SolverConfig(max_newton=1))
+    force_first_direction(monkeypatch, 1, scale)
+    _, reports = solve_rows(ctx, rhs, guess, SolverConfig())
+    failed = reports[1]
+    assert failed.iterations == 0
+    assert failed.residual_history == first.residual_history[:1]
+    assert failed.energy_history == first.energy_history[:1]
+    assert "after 0 Newton steps" in failed.failure
+
+
 def test_failed_line_search_names_row_and_step_through_run_rows(monkeypatch):
     ctx = make_ctx(p=3.0, eps=0.05, tau=0.1)
     u0 = np.full(16, 0.5)

@@ -1,8 +1,12 @@
 import io
+import json
+import os
+import subprocess
 
 import numpy as np
 import pytest
 
+from plapsim import cli, stepper
 from plapsim.mesh import Grid1D, GridFunction, norm_l2, norm_l2_array
 from plapsim.model import (
     ModelParams,
@@ -15,6 +19,7 @@ from plapsim.noise import NoiseModel, bump_profile
 from plapsim.operators import OperatorContext, Point
 from plapsim.solver import NonConvergence, SolverConfig, solve, solve_rows
 from plapsim.stepper import (
+    Trajectory,
     constraint_violation_array,
     run_path,
     run_rows,
@@ -435,6 +440,125 @@ def test_thin_csv_export_and_mode():
     full = run_path(ctx, nm, initial, SourceSpec("zero"), seed=5, mode="full")
     assert np.allclose(full.l2_norms, traj.l2_norms)
     assert np.allclose(full.violations, traj.violations)
+
+
+def wide_trajectory(states):
+    times = np.arange(len(states)) * 0.025
+    return Trajectory(Grid1D(states.shape[1]), times, states, None, None, None, [], None,
+                      9, "full")
+
+
+def wide_states(rows=40, n=300):
+    states = np.random.default_rng(11).uniform(-1.0, 2.0, (rows, n))
+    states[rows // 2, :6] = [0.0, -0.0, 1e-300, 1 / 3, np.inf, np.nan]
+    return states
+
+
+def serial_csv(states):
+    """The full-mode CSV of :func:`wide_trajectory`, one row at a time."""
+    lines = ["# seed: 9", "# mode: full", "t," + ",".join(f"c{i}" for i in range(states.shape[1]))]
+    for k, row in enumerate(states):
+        lines.append(",".join(map(repr, [k * 0.025, *row.tolist()])))
+    return "\n".join(lines) + "\n"
+
+
+def csv_text(traj):
+    buf = io.StringIO()
+    traj.to_csv(buf)
+    return buf.getvalue()
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """Blocks of 1000 values, two usable cores; returns every child started."""
+    made = []
+
+    class Spy(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 1000)
+    monkeypatch.setattr(subprocess, "Popen", Spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return made
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 5])
+def test_full_csv_bytes_do_not_depend_on_the_cores(monkeypatch, children, cores):
+    # 12000 values make 13 blocks of 1000; the cores cap them, and every
+    # block after the first goes to a child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    states = wide_states()
+    assert csv_text(wide_trajectory(states)) == serial_csv(states)
+    assert len(children) == cores - 1
+    assert all(child.returncode == 0 for child in children)
+
+
+def test_full_csv_of_strided_states(children):
+    states = wide_states(n=600)[:, ::2]
+    assert not states.flags.c_contiguous
+    assert csv_text(wide_trajectory(states)) == serial_csv(states)
+    assert len(children) == 1
+
+
+def test_full_csv_below_the_threshold_starts_no_child(monkeypatch, children):
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 12001)
+    states = wide_states()
+    assert csv_text(wide_trajectory(states)) == serial_csv(states)
+    assert children == []
+
+
+@pytest.mark.parametrize("missing", ["process", "interpreter"])
+def test_full_csv_without_a_child_formats_every_block_here(monkeypatch, children, missing):
+    def no_process(*args, **kwargs):
+        raise OSError("no process")
+
+    if missing == "process":
+        monkeypatch.setattr(subprocess, "Popen", no_process)
+    else:
+        monkeypatch.setattr(stepper.sys, "executable", "")
+    states = wide_states()
+    assert csv_text(wide_trajectory(states)) == serial_csv(states)
+    assert children == []
+
+
+@pytest.mark.parametrize("program, ending", [
+    ("import sys; sys.exit(3)", "code 3"),
+    ("import sys; sys.exit('no room\\nfor the rows')", "code 1: for the rows"),
+])
+def test_full_csv_child_failure_is_an_oserror(monkeypatch, children, program, ending):
+    # the message names the rows, the exit code and the last line of stderr
+    monkeypatch.setattr(stepper, "_CHILD", program)
+    with pytest.raises(OSError) as info:
+        csv_text(wide_trajectory(wide_states()))
+    assert str(info.value) == f"CSV rows 20-39: formatting child exited with {ending}"
+    assert [child.returncode is not None for child in children] == [True]
+
+
+def test_full_csv_kills_its_children_when_interrupted(monkeypatch, children):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    monkeypatch.setattr(stepper, "_CHILD", "import time; time.sleep(60)")
+
+    def interrupted(target, times, states):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(stepper, "_format_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        csv_text(wide_trajectory(wide_states()))
+    assert len(children) == 2
+    assert all(child.returncode is not None for child in children)
+
+
+def test_cli_run_child_failure_exits_2(monkeypatch, capsys, tmp_path, children):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
+    monkeypatch.setattr(stepper, "_CHILD", "import sys; sys.exit(3)")
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": {"n_cells": 40, "M": 10}}))
+    assert cli.main(["run", "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == (
+        "runtime error: CSV rows 5-10: formatting child exited with code 3\n")
+    assert [child.returncode for child in children] == [3]
 
 
 def test_run_path_rejects_mismatched_increments():

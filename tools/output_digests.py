@@ -16,7 +16,9 @@ The package is taken from ``<repo>/src`` and the benchmark configs from
 benchmark's ``verify`` config at seeds 0 and 1 and with ``--cp-factor 1.5``
 (exit 3), ``mc`` and ``eps-study`` on their benchmark configs at seeds 0
 and 1, ``run`` on a 48-cell, M = 30 copy of ``run_large`` (full and thin
-output, and with a cosine source) and on 4 cells with a tabulated source,
+output, and with a cosine source), on 4 cells with a tabulated source and,
+as ``run-wide``, on 4096 cells with M = 80 in full mode (331,776 values,
+above the 2^18 from which the CSV rows are formatted on more than one core),
 ``converge --study coupled|spatial``, ``run`` on ``{}`` (every default)
 and ``run --seed 5 --tag t --output-mode thin`` on a document of top-level
 model shorthand, so that defaults, shorthand and flag overrides are checked
@@ -83,6 +85,8 @@ def cases(make_config):
         "times": [0.0, 0.3, 1.0],
         "values": [[0.1, 0.2, 0.3, 0.4], [1.0, -0.5, 0.25, 0.0], [0.0, 0.5, 2.0, -1.0]]}}
     out.append(("run-tabulated", ["run"], table))
+    # 81 x 4096 = 331,776 values: the full CSV is formatted in more than one block
+    out.append(("run-wide", ["run"], _small_run(make_config, n_cells=4096, M=80)))
     for study in ("coupled", "spatial"):
         out.append((f"converge-{study}", ["converge", "--study", study],
                     make_config("verify", 0, "out")))
