@@ -33,7 +33,7 @@ from .harness import (
     verify_all,
 )
 from .solver import NonConvergence
-from .stepper import run_path
+from .stepper import RowWriter, csv_head, run_path
 
 __all__ = ["main", "dispatch"]
 
@@ -53,24 +53,42 @@ def _out_path(cfg: RunConfig, subcommand: str, suffix: str) -> str:
     return os.path.join(cfg.out_dir, f"{subcommand}-{cfg.resolved_tag()}.{suffix}")
 
 
-def _write_csv(cfg: RunConfig, subcommand: str, result) -> int:
-    """Write ``result`` to <subcommand>-<tag>.csv with a '# config:' line."""
+def _write_csv(cfg: RunConfig, subcommand: str, write) -> int:
+    """Write <subcommand>-<tag>.csv through a temporary name in the output directory.
+
+    ``write(stream, metadata)`` writes the content, with ``metadata`` the
+    '# config:' line's.  The file is renamed to its name once it is whole;
+    on any exception it is removed, so a failed write leaves no file.
+    """
     path = _out_path(cfg, subcommand, "csv")
     config = json.dumps(emit_config(cfg, simulation_only=True), sort_keys=True,
                         separators=(",", ":"))
-    result.to_csv(path, metadata={"config": config})
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temp, "w", newline="\n") as fh:
+            write(fh, {"config": config})
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.remove(temp)
+        raise
     print(path)
     return 0
 
 
 def _cmd_run(cfg: RunConfig, **_) -> int:
-    traj = run_path(
-        *cfg.problem(),
-        seed=cfg.base_seed,
-        cfg=cfg.solver,
-        mode=cfg.output_mode,
-    )
-    return _write_csv(cfg, "run", traj)
+    problem = cfg.problem()
+    if cfg.output_mode == "thin":
+        traj = run_path(*problem, seed=cfg.base_seed, cfg=cfg.solver, mode="thin")
+        return _write_csv(cfg, "run", traj.to_csv)
+
+    def stream(fh, metadata):  # the rows are formatted while the time loop runs
+        fh.write(csv_head(cfg.base_seed, "full", problem[0].grid.n_cells, metadata))
+        with RowWriter(fh) as rows:
+            traj = run_path(*problem, seed=cfg.base_seed, cfg=cfg.solver, on_step=rows.push)
+            rows.finish(traj.times, traj.states)
+
+    return _write_csv(cfg, "run", stream)
 
 
 def _cmd_mc(cfg: RunConfig, **_) -> int:
@@ -98,7 +116,7 @@ def _cmd_converge(cfg: RunConfig, study: str, **_) -> int:
     table = run_deterministic_convergence(
         mode=study, levels=cfg.levels, solver_cfg=cfg.solver
     )
-    return _write_csv(cfg, "converge", table)
+    return _write_csv(cfg, "converge", table.to_csv)
 
 
 def _cmd_eps_study(cfg: RunConfig, **_) -> int:
@@ -109,7 +127,7 @@ def _cmd_eps_study(cfg: RunConfig, **_) -> int:
         base_seed=cfg.base_seed,
         solver_cfg=cfg.solver,
     )
-    return _write_csv(cfg, "eps-study", table)
+    return _write_csv(cfg, "eps-study", table.to_csv)
 
 
 def _cmd_verify(cfg: RunConfig, cp_factor: float, **_) -> int:

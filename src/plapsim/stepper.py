@@ -33,6 +33,7 @@ Only ``run_path`` and ``step`` keep each step's
 
 from __future__ import annotations
 
+import os
 import sys
 from dataclasses import dataclass
 
@@ -45,7 +46,9 @@ from .operators import OperatorContext
 from .solver import NonConvergence, SolveReport, SolverConfig, solve_rows
 
 __all__ = [
+    "RowWriter",
     "Trajectory",
+    "csv_head",
     "step",
     "run_path",
     "run_rows",
@@ -72,7 +75,8 @@ def constraint_violation_array(values: np.ndarray, h: float):
 _BATCH_CELLS = 1 << 16
 
 
-def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, reports=None):
+def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, reports=None,
+             on_step=None):
     """Advance one path per row of ``coef`` from ``u0``, as the rows of one state.
 
     ``u0`` is the (n_cells,) initial state of every row, ``coef`` the (P, M)
@@ -89,7 +93,9 @@ def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, rep
     and including a failed one.  A failed row is frozen while the rest of
     its chunk runs to the end; then :class:`NonConvergence` reads
     "<label(k)> failed at step <n>: <message>" for the smallest failed row
-    k, the step 0-based.
+    k, the step 0-based.  ``on_step``, if given, is called with n once rows
+    0..n of ``states`` are final for every row of the chunk: with 0 before
+    its first step and with n + 1 after step n.
 
     Each step's solve starts from the point the previous step's solve
     returned (:class:`~plapsim.operators.Point`), so the operator value and
@@ -113,6 +119,8 @@ def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, rep
         alive = np.arange(P)[chunk]  # the chunk's rows still running
         pt = ctx.point(np.tile(u0, (alive.size, 1)))
         failed = []  # (row, step, message)
+        if on_step is not None:
+            on_step(0)
         for n in range(M):
             u_n = pt.u
             rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
@@ -136,6 +144,8 @@ def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, rep
                 alive, pt = alive[keep], pt.take(keep)
                 if not alive.size:
                     break
+            if on_step is not None:
+                on_step(n + 1)
         if failed:
             k, n, message = min(failed)
             raise NonConvergence(f"{label(k)} failed at step {n}: {message}")
@@ -178,11 +188,15 @@ class Trajectory:
     source is tabulated at all M x 4 Gauss times before step 0, so peak
     memory still grows with M (ROADMAP direction 5).
 
-    Full mode writes one CSV line of ``repr`` floats per state row.  Above
-    ``_PARALLEL_VALUES`` values the rows are formatted in blocks, one per
-    usable core, each block after the first in a child interpreter; the
-    bytes are the same whatever the number of cores, and a child that fails
-    raises :class:`OSError` (the CLI exits 2).
+    Full mode writes one CSV line of ``repr`` floats per state row, through
+    a :class:`RowWriter`: above ``_PARALLEL_VALUES`` values the rows are
+    formatted in blocks, one per usable core, every block but the last in a
+    child interpreter.  The bytes are the same whatever the number of
+    cores, and a child that fails raises :class:`OSError` (the CLI exits
+    2).  The CLI's full-mode ``run`` writes the same bytes without a
+    Trajectory: :func:`csv_head`, then a RowWriter fed by
+    :func:`run_path`'s per-step hook, so the rows are formatted while the
+    time loop runs.
     """
 
     grid: Grid1D
@@ -210,103 +224,202 @@ class Trajectory:
         '.' decimals, ',' separators.
         """
         with open_target(target) as target:
-            target.write(f"# seed: {self.seed}\n")
-            target.write(f"# mode: {self.mode}\n")
-            for key in sorted(metadata or {}):
-                target.write(f"# {key}: {metadata[key]}\n")
+            target.write(csv_head(self.seed, self.mode, self.grid.n_cells, metadata))
             if self.mode == "full":
-                n = self.grid.n_cells
-                target.write("t," + ",".join(f"c{i}" for i in range(n)) + "\n")
-                _write_rows(target, self.times, self.states)
+                with RowWriter(target) as rows:
+                    rows.finish(self.times, self.states)
             else:
-                target.write("t,l2_norm,v_norm_p,constraint_violation\n")
                 for t, a, b, c in zip(
                     self.times, self.l2_norms, self.w1p_norms, self.violations
                 ):
                     target.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r}\n")
 
 
-#: Full mode formats one block of state rows per this many values, and per
-#: usable core at most; each block after the first in a child interpreter.
+def csv_head(seed, mode, n_cells, metadata=None) -> str:
+    """The '# key: value' metadata lines and the column line of a trajectory CSV."""
+    lines = [f"# seed: {seed}", f"# mode: {mode}"]
+    lines += [f"# {key}: {metadata[key]}" for key in sorted(metadata or {})]
+    if mode == "full":
+        lines.append("t," + ",".join(f"c{i}" for i in range(n_cells)))
+    else:
+        lines.append("t,l2_norm,v_norm_p,constraint_violation")
+    return "\n".join(lines) + "\n"
+
+
+#: Full mode formats the state rows in blocks, one per this many values and
+#: per usable core at most; every block but the last in a child interpreter.
 _PARALLEL_VALUES = 1 << 18
 
-#: The child's program: ``rows`` times, then ``rows`` x ``n`` states, as
-#: float64 on stdin; their CSV lines, formatted as by :func:`_format_rows`,
-#: on stdout once all are made, so that the child never waits on its parent.
+#: A formatting child's stdin pipe is sized for this many rows, at most
+#: 1 MiB (the kernel rounds up to a power of two pages): the child never
+#: waits for the next step, and the rows it has yet to format when the time
+#: loop ends stay few, so the split at the end stays balanced.
+_PIPE_ROWS = 2
+
+#: The child's program: rows of ``1 + n`` float64 (t, then the state) on
+#: stdin, each formatted as it arrives, as by :func:`_format_row`; their CSV
+#: lines on stdout once stdin closes, so that the child never waits on its
+#: parent.
 _CHILD = """\
 import array, sys
-rows, n = int(sys.argv[1]), int(sys.argv[2])
-data = array.array("d", sys.stdin.buffer.read())
-out = bytearray()
-for i in range(rows):
-    row = data[rows + i * n:rows + (i + 1) * n]
-    out += (repr(data[i]) + "," + ",".join(map(repr, row)) + "\\n").encode()
+read, size, out = sys.stdin.buffer.read, 8 * (1 + int(sys.argv[1])), bytearray()
+while row := read(size):
+    out += (",".join(map(repr, array.array("d", row))) + "\\n").encode()
 sys.stdout.buffer.write(out)
 """
 
 
-def _format_rows(target, times, states):
-    """Write the CSV line of each row of ``states``, in this process."""
-    for t, state in zip(times, states):
-        target.write(repr(float(t)) + "," + ",".join(map(repr, state.tolist())) + "\n")
+def _format_row(t, state):
+    """The CSV line of one state row, formatted in this process."""
+    return repr(float(t)) + "," + ",".join(map(repr, state.tolist())) + "\n"
 
 
-def _write_rows(target, times, states):
-    """Write the line ``t,c0,...`` of each row of ``states`` to the text stream ``target``.
-
-    The rows go in contiguous blocks, one per ``_PARALLEL_VALUES`` values and
-    at most one per usable core.  This process formats block 0 while a
-    child interpreter (``_CHILD``) formats each later block from its
-    float64 bytes; then the children's lines are copied in order.  A child
-    runs the same interpreter's ``repr`` on the same doubles, so the bytes
-    do not depend on the number of blocks, and a block whose child cannot
-    start is formatted here.  A child that exits non-zero raises
-    :class:`OSError`.  No child outlives the call.
-    """
-    import os
-    import subprocess
-
+def _blocks(states):
+    """Blocks for ``states``: one per ``_PARALLEL_VALUES`` values, per usable
+    core and per row at most."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    blocks = max(1, min(cores or 1, states.size // _PARALLEL_VALUES + 1, len(states)))
-    cut = [len(states) * i // blocks for i in range(blocks + 1)]
-    n, pipe = states.shape[1], subprocess.PIPE
-    children = []  # (child or None, first row, end row) of each later block
-    try:
-        for a, b in zip(cut[1:-1], cut[2:]):
-            child = None
-            try:
-                if sys.executable:
-                    child = subprocess.Popen(
-                        [sys.executable, "-I", "-S", "-c", _CHILD, str(b - a), str(n)],
-                        stdin=pipe, stdout=pipe, stderr=pipe,
-                    )
-            except OSError:
-                pass  # this block is formatted here
-            children.append((child, a, b))
-            if child is None:
-                continue
-            try:
-                with child.stdin:
-                    for part in (times[a:b], states[a:b]):  # a float64 C array is not copied
-                        child.stdin.write(memoryview(np.ascontiguousarray(part, float)).cast("B"))
-            except BrokenPipeError:
-                pass  # the child has exited; its exit code says why
-        _format_rows(target, times[:cut[1]], states[:cut[1]])
-        for child, a, b in children:
-            if child is None:
-                _format_rows(target, times[a:b], states[a:b])
-                continue
-            while block := child.stdout.read(1 << 16):
-                target.write(block.decode("ascii"))
-            err = child.stderr.read().decode(errors="replace").strip().splitlines()
-            if child.wait():
-                raise OSError(f"CSV rows {a}-{b - 1}: formatting child exited with code "
-                              f"{child.returncode}" + (f": {err[-1]}" if err else ""))
-    finally:
-        for child, _, _ in children:
-            if child is not None:
-                with child:  # closes its pipes and waits
-                    child.kill()
+    return max(1, min(cores or 1, states.size // _PARALLEL_VALUES + 1, len(states)))
+
+
+class _Child:
+    """A formatting child and the rows ``[first, end)`` it is given.
+
+    The rows before ``next`` have gone to its pipe, but for the bytes
+    ``pending`` of row ``next - 1``.  ``rows`` is the (first, last) row a
+    failure message names, or None.
+    """
+
+    def __init__(self, n, first, end, rows=None):
+        import subprocess
+
+        pipe = subprocess.PIPE
+        self.process = subprocess.Popen([sys.executable, "-I", "-S", "-c", _CHILD, str(n)],
+                                        stdin=pipe, stdout=pipe, stderr=pipe)
+        self.fd = self.process.stdin.fileno()
+        self.next, self.end = first, end
+        self.pending, self.rows = b"", rows
+        try:
+            import fcntl
+
+            fcntl.fcntl(self.fd, fcntl.F_SETPIPE_SZ, min(1 << 20, _PIPE_ROWS * 8 * (1 + n)))
+        except (ImportError, AttributeError, OSError):
+            pass  # the pipe keeps its size; only the overlap shrinks
+        os.set_blocking(self.fd, False)
+
+    def feed(self, times, states, wait=False):
+        """Write the rows up to ``end`` to the pipe, as far as it takes them
+        without blocking, or all of them with ``wait``."""
+        if wait:
+            os.set_blocking(self.fd, True)
+        try:
+            while self.pending or self.next < self.end:
+                if not self.pending:
+                    row = np.concatenate((times[self.next:self.next + 1], states[self.next]),
+                                         dtype=float)
+                    self.pending, self.next = memoryview(row).cast("B"), self.next + 1
+                self.pending = self.pending[os.write(self.fd, self.pending):]
+        except BlockingIOError:
+            pass  # the pipe is full; the next call goes on
+        except BrokenPipeError:
+            self.pending, self.end = b"", self.next  # it has exited; its exit code says why
+
+    def copy(self, target):
+        """Copy the child's lines to ``target`` once its stdin is closed."""
+        while block := self.process.stdout.read(1 << 16):
+            target.write(block.decode("ascii"))
+        err = self.process.stderr.read().decode(errors="replace").strip().splitlines()
+        if self.process.wait():
+            where = "CSV rows {}-{}: formatting".format(*self.rows) if self.rows else "CSV formatting"
+            raise OSError(f"{where} child exited with code {self.process.returncode}"
+                          + (f": {err[-1]}" if err else ""))
+
+
+class RowWriter:
+    """Writes the line ``t,c0,...`` of each state row, in order, to a text stream.
+
+    The rows are handed over as they become final: :meth:`push` once rows
+    0..n are (the per-step hook of :func:`run_path`), :meth:`finish` once
+    all are.  Above ``_PARALLEL_VALUES`` values and on more than one usable
+    core, the first push starts a child interpreter (``_CHILD``), and each
+    push writes the new rows to its pipe as far as the pipe takes them
+    without blocking, so the child formats while the time loop runs.
+    :meth:`finish` splits the rows no child has received into contiguous
+    blocks, one per ``_PARALLEL_VALUES`` values and per usable core at most:
+    children take the leading blocks (the running child the first), and
+    this process formats the last while they work.  Then the children's
+    lines are copied in order, and this process's last.
+
+    A child runs the same interpreter's ``repr`` on the same doubles, so the
+    bytes depend neither on the number of cores nor on the pipe size or the
+    timing.  A block whose child cannot start is formatted here.  A child
+    that exits non-zero raises :class:`OSError`, whose message names the
+    child's rows only when no row was streamed, since a streamed split
+    depends on the timing.  Used as a context manager, no child outlives
+    the ``with`` block.
+    """
+
+    def __init__(self, target):
+        self.target = target
+        self.children = []  # every child started, in row order
+        self.pushed = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for child in self.children:
+            with child.process:  # closes its pipes and waits
+                child.process.kill()
+
+    def push(self, times, states, n):
+        """Rows 0..n of ``states`` are final: stream them to the running child."""
+        if not self.pushed:  # the first push decides whether a child runs
+            self.pushed = True
+            if _blocks(states) > 1:
+                self._start(states.shape[1], 0, 0)
+        if self.children:
+            self.children[0].end = n + 1
+            self.children[0].feed(times, states)
+
+    def finish(self, times, states):
+        """Every row of ``states`` is final: format the rest and write every row."""
+        n, streamed = states.shape[1], self.children[:1]
+        first = streamed[0].next if streamed else 0
+        parts = max(_blocks(states[first:]), len(streamed) + 1)
+        cut = [first + (len(states) - first) * i // parts for i in range(parts + 1)]
+        if streamed:
+            streamed[0].end = cut[1]
+        blocks = [(0, cut[1], streamed[0])] if streamed else []  # (first, end, child or None)
+        for a, b in zip(cut[len(blocks):-2], cut[len(blocks) + 1:-1]):
+            blocks.append((a, b, self._start(n, a, b, None if streamed else (a, b - 1))))
+        blocks.append((cut[-2], cut[-1], None))
+        children = [child for _, _, child in blocks if child is not None]
+        mine = [[] for _ in blocks]  # the lines of each block formatted here
+        for child in children:
+            child.feed(times, states)
+        for lines, (a, b, owner) in zip(mine, blocks):
+            for k in range(a, b) if owner is None else ():
+                lines.append(_format_row(times[k], states[k]))
+                for child in children:
+                    child.feed(times, states)
+        for child in children:
+            child.feed(times, states, wait=True)
+            child.process.stdin.close()
+        for lines, (_, _, owner) in zip(mine, blocks):
+            if owner is None:
+                self.target.writelines(lines)
+            else:
+                owner.copy(self.target)
+
+    def _start(self, n, first, end, rows=None):
+        """A new child for rows ``[first, end)``, or None if none can start."""
+        try:
+            if sys.executable:
+                self.children.append(_Child(n, first, end, rows))
+                return self.children[-1]
+        except OSError:
+            pass
+        return None  # its block is formatted here
 
 
 def run_path(
@@ -318,6 +431,7 @@ def run_path(
     cfg: SolverConfig | None = None,
     mode: str = "full",
     increments: PathIncrements | None = None,
+    on_step=None,
 ) -> Trajectory:
     """Run the full time loop for one path: :func:`run_rows` on one row.
 
@@ -326,9 +440,16 @@ def run_path(
     The output is a deterministic function of all inputs.  A failed solve
     raises :class:`~plapsim.solver.NonConvergence` naming the seed and the
     (0-based) step, then the solve's message with its last residuals.
+
+    In full mode, ``on_step``, if given, is :func:`run_rows`' per-step hook,
+    called as ``on_step(times, states, n)`` with the (M+1,) times and the
+    (M+1, n_cells) states once rows 0..n of ``states`` are final, so that
+    a :class:`RowWriter`'s ``push`` formats the rows while the loop runs.
     """
     if mode not in ("full", "thin"):
         raise ValueError(f"mode must be 'full' or 'thin', got {mode!r}")
+    if on_step is not None and mode != "full":
+        raise ValueError("on_step needs mode 'full'")
     pr = ctx.params
     if increments is None:
         increments = noise_model.sample_path(pr.M, pr.tau, seed)
@@ -342,8 +463,10 @@ def run_path(
     coef = noise_model.coefs(increments.values[None])
     f = source.step_table(pr.M, ctx.grid, pr.tau)
     reports = [[]]
-    l2, viol = run_rows(ctx, initial.u0.values, coef, f, cfg or SolverConfig(),
-                        lambda k: f"seed {seed}", states=states, w1p=w1p, reports=reports)
     times = np.arange(pr.M + 1) * pr.tau
+    hook = None if on_step is None else lambda n: on_step(times, states[0], n)
+    l2, viol = run_rows(ctx, initial.u0.values, coef, f, cfg or SolverConfig(),
+                        lambda k: f"seed {seed}", states=states, w1p=w1p, reports=reports,
+                        on_step=hook)
     return Trajectory(ctx.grid, times, None if states is None else states[0], l2[0],
                       w1p[0], viol[0], reports[0], increments, seed, mode)

@@ -736,3 +736,146 @@ def test_cli_eps_study_headers(small_config):
     text = (d / "out" / "eps-study-s3.csv").read_text()
     assert "eps,error,ratio" in text
     assert "# base_seed: 3" in text
+
+
+# ---------------------------------------------------------------------------
+# the full-mode run CSV, formatted while the time loop runs
+
+#: 11 rows of 40 cells: with blocks of 100 values, up to 5 blocks
+WIDE = {"model": {"n_cells": 40, "M": 10}}
+
+#: the source pushes the state out of the box; one Newton step fails at step 6
+CAPPED = {"model": {"p": 2.0, "eps": 1e-5, "T": 0.5, "M": 20, "n_cells": 16},
+          "source": {"preset": "constant", "params": {"value": 4.0}},
+          "noise": {"sigma": 0.5, "J": 4, "base_seed": 7},
+          "solver": {"max_newton": 1}}
+
+
+def run_in(monkeypatch, where, doc=WIDE):
+    """`plapsim run` on ``doc`` in the new directory ``where``: the exit code
+    and the bytes of each file in its output directory."""
+    where.mkdir()
+    monkeypatch.chdir(where)
+    (where / "cfg.json").write_text(json.dumps(doc))
+    code = cli.main(["run", "--config", "cfg.json"])
+    return code, {p.name: p.read_bytes() for p in (where / "out").iterdir()}
+
+
+@pytest.fixture
+def serial_run(monkeypatch, tmp_path):
+    """The files of `plapsim run` on WIDE with every row formatted in this process."""
+    with monkeypatch.context() as m:
+        m.setattr(stepper, "_PARALLEL_VALUES", 1 << 18)
+        code, files = run_in(m, tmp_path / "serial")
+    assert code == 0 and list(files) == ["run-s0.csv"]
+    return files
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3, 5])
+def test_cli_run_bytes_do_not_depend_on_the_cores(monkeypatch, tmp_path, children,
+                                                  serial_run, cores):
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
+    # the running child, and more for the rest of the rows with more cores
+    assert min(cores - 1, 1) <= len(children) < cores
+    assert all(child.returncode == 0 for child in children)
+
+
+def test_cli_run_streams_rows_before_the_last_step(monkeypatch, tmp_path, children,
+                                                   serial_run):
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
+    sent, push = [], stepper.RowWriter.push
+
+    def spy(self, times, states, n):
+        push(self, times, states, n)
+        sent.append((n, self.children[0].next))
+
+    monkeypatch.setattr(stepper.RowWriter, "push", spy)
+    assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
+    # one push per state row, and row 0 is in the child's pipe before step 0
+    assert [n for n, _ in sent] == list(range(11))
+    assert sent[0] == (0, 1)
+    assert len(children) == 1
+
+
+def test_cli_run_bytes_with_the_default_pipe(monkeypatch, tmp_path, children, serial_run):
+    fcntl = pytest.importorskip("fcntl")
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
+    refused = []
+
+    def refuse(fd, command, arg=0):
+        refused.append(command)
+        raise OSError("no larger pipe")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
+    assert refused == [fcntl.F_SETPIPE_SZ]
+
+
+def test_cli_run_bytes_when_no_row_is_pushed_during_the_loop(monkeypatch, tmp_path, children,
+                                                             serial_run):
+    # the child starts, but its pipe takes nothing until the loop has ended
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
+    looping, feed, finish = [True], stepper._Child.feed, stepper.RowWriter.finish
+
+    def full_pipe(self, *args, **kwargs):
+        if not looping[0]:
+            feed(self, *args, **kwargs)
+
+    def finishing(self, *args):
+        looping[0] = False
+        assert self.children[0].next == 0
+        finish(self, *args)
+
+    monkeypatch.setattr(stepper._Child, "feed", full_pipe)
+    monkeypatch.setattr(stepper.RowWriter, "finish", finishing)
+    assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
+    assert not looping[0] and len(children) == 1
+
+
+def test_cli_run_interrupted_mid_run_leaves_no_child_or_file(monkeypatch, tmp_path, children):
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
+    monkeypatch.setattr(stepper, "_CHILD", "import time; time.sleep(60)")
+    calls, solve_rows = [], stepper.solve_rows
+
+    def interrupted(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return solve_rows(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "solve_rows", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_in(monkeypatch, tmp_path / "run")
+    assert len(children) == 1
+    assert all(child.returncode is not None for child in children)
+    assert os.listdir(tmp_path / "run" / "out") == []
+
+
+def test_cli_run_failed_solve_mid_stream_leaves_no_file(monkeypatch, capsys, tmp_path,
+                                                       children):
+    # 21 rows of 16 cells: the rows stream from step 0, and step 6 fails
+    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
+    assert run_in(monkeypatch, tmp_path / "run", CAPPED) == (2, {})
+    assert capsys.readouterr().err.startswith(
+        "runtime error: seed 7 failed at step 6: no convergence after 1 Newton steps")
+    assert len(children) == 1
+    assert all(child.returncode is not None for child in children)
+
+
+@pytest.mark.parametrize("subcommand", ["converge", "eps-study"])
+def test_cli_failed_table_write_leaves_no_file(monkeypatch, capsys, tmp_path, subcommand):
+    # the CSV goes through a temporary name, removed when the write fails
+    from plapsim.harness import RefinementTable
+
+    def half_written(self, target, metadata=None):
+        target.write("# partial\n")
+        raise OSError("disk full")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(RefinementTable, "to_csv", half_written)
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY, levels=2)))
+    assert cli.main([subcommand, "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == "runtime error: disk full\n"
+    assert os.listdir(tmp_path / "out") == []

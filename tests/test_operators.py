@@ -181,10 +181,10 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_or_pool_module():
-    # the full-mode CSV imports `subprocess` only when it writes, so a fresh
-    # `import plapsim` (the benchmark's set-up time) loads no such module
+    # the full-mode CSV imports `subprocess` and `fcntl` only when it writes,
+    # so a fresh `import plapsim` (the benchmark's set-up time) loads neither
     assert modules_after_import(
-        "m.split('.')[0] in ('subprocess', 'multiprocessing', 'concurrent')"
+        "m.split('.')[0] in ('subprocess', 'multiprocessing', 'concurrent', 'fcntl')"
     ) == "[]"
 
 

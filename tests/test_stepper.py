@@ -468,22 +468,6 @@ def csv_text(traj):
     return buf.getvalue()
 
 
-@pytest.fixture
-def children(monkeypatch):
-    """Blocks of 1000 values, two usable cores; returns every child started."""
-    made = []
-
-    class Spy(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
-
-    monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 1000)
-    monkeypatch.setattr(subprocess, "Popen", Spy)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return made
-
-
 @pytest.mark.parametrize("cores", [1, 2, 3, 5])
 def test_full_csv_bytes_do_not_depend_on_the_cores(monkeypatch, children, cores):
     # 12000 values make 13 blocks of 1000; the cores cap them, and every
@@ -532,7 +516,7 @@ def test_full_csv_child_failure_is_an_oserror(monkeypatch, children, program, en
     monkeypatch.setattr(stepper, "_CHILD", program)
     with pytest.raises(OSError) as info:
         csv_text(wide_trajectory(wide_states()))
-    assert str(info.value) == f"CSV rows 20-39: formatting child exited with {ending}"
+    assert str(info.value) == f"CSV rows 0-19: formatting child exited with {ending}"
     assert [child.returncode is not None for child in children] == [True]
 
 
@@ -540,10 +524,10 @@ def test_full_csv_kills_its_children_when_interrupted(monkeypatch, children):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
     monkeypatch.setattr(stepper, "_CHILD", "import time; time.sleep(60)")
 
-    def interrupted(target, times, states):
+    def interrupted(t, state):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(stepper, "_format_rows", interrupted)
+    monkeypatch.setattr(stepper, "_format_row", interrupted)
     with pytest.raises(KeyboardInterrupt):
         csv_text(wide_trajectory(wide_states()))
     assert len(children) == 2
@@ -551,14 +535,16 @@ def test_full_csv_kills_its_children_when_interrupted(monkeypatch, children):
 
 
 def test_cli_run_child_failure_exits_2(monkeypatch, capsys, tmp_path, children):
+    # the streamed child's rows depend on the timing, so the message names none
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
     monkeypatch.setattr(stepper, "_CHILD", "import sys; sys.exit(3)")
     (tmp_path / "cfg.json").write_text(json.dumps({"model": {"n_cells": 40, "M": 10}}))
     assert cli.main(["run", "--config", "cfg.json"]) == 2
     assert capsys.readouterr().err == (
-        "runtime error: CSV rows 5-10: formatting child exited with code 3\n")
+        "runtime error: CSV formatting child exited with code 3\n")
     assert [child.returncode for child in children] == [3]
+    assert os.listdir(tmp_path / "out") == []
 
 
 def test_run_path_rejects_mismatched_increments():

@@ -18,7 +18,10 @@ benchmark's ``verify`` config at seeds 0 and 1 and with ``--cp-factor 1.5``
 and 1, ``run`` on a 48-cell, M = 30 copy of ``run_large`` (full and thin
 output, and with a cosine source), on 4 cells with a tabulated source and,
 as ``run-wide``, on 4096 cells with M = 80 in full mode (331,776 values,
-above the 2^18 from which the CSV rows are formatted on more than one core),
+above the 2^18 from which the CSV rows are formatted on more than one core)
+and, as ``run-wide-cap``, on the ``run_large`` config at seed 7004, whose
+step 72 hits the Newton cap (exit 2) after the rows have begun to stream to
+the formatting child, so that a failed wide run is checked to leave no file,
 ``converge --study coupled|spatial``, ``run`` on ``{}`` (every default)
 and ``run --seed 5 --tag t --output-mode thin`` on a document of top-level
 model shorthand, so that defaults, shorthand and flag overrides are checked
@@ -87,6 +90,9 @@ def cases(make_config):
     out.append(("run-tabulated", ["run"], table))
     # 81 x 4096 = 331,776 values: the full CSV is formatted in more than one block
     out.append(("run-wide", ["run"], _small_run(make_config, n_cells=4096, M=80)))
+    # the run_large data at a seed whose step 72 hits the Newton cap, after
+    # the rows have begun to stream to the formatting child
+    out.append(("run-wide-cap", ["run"], make_config("run_large", 7004, "out")))
     for study in ("coupled", "spatial"):
         out.append((f"converge-{study}", ["converge", "--study", study],
                     make_config("verify", 0, "out")))
