@@ -40,5 +40,6 @@ print(f"max box violation along the path: {traj.violations.max():.2e}")
 
 os.makedirs("demo-output", exist_ok=True)
 out = os.path.join("demo-output", "single_path.csv")
-traj.to_csv(out)
+with open(out, "w", newline="\n") as stream:
+    traj.to_csv(stream)
 print(f"trajectory written to {out}")

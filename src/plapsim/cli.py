@@ -15,6 +15,10 @@ error (a bad document, flag or argument, or a usage error), 2 runtime error
 failure.  File contents are deterministic functions of the configuration
 and seeds (the default tag is derived from the base seed, never from a
 clock), so identical invocations produce byte-identical outputs.
+
+This module is the one place that names and opens an output file, in
+``_write``; the library's ``to_csv`` methods write to the stream given.  A
+subcommand that fails (exit 2, or an interrupt) leaves no file.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .harness import (
     verify_all,
 )
 from .solver import NonConvergence
-from .stepper import RowWriter, csv_head, run_path
+from .stepper import RowWriter, run_path
 
 __all__ = ["main", "dispatch"]
 
@@ -49,46 +53,47 @@ _NOTES = {"tag": " (default s<seed>)",
 _CONFIG_ARGS = (("--config", {"help": "JSON configuration file"}), "seed", "out_dir", "tag")
 
 
-def _out_path(cfg: RunConfig, subcommand: str, suffix: str) -> str:
-    return os.path.join(cfg.out_dir, f"{subcommand}-{cfg.resolved_tag()}.{suffix}")
+def _write(cfg: RunConfig, subcommand: str, *files) -> list:
+    """Write the files of one subcommand and return their paths, in order.
 
-
-def _write_csv(cfg: RunConfig, subcommand: str, write) -> int:
-    """Write <subcommand>-<tag>.csv through a temporary name in the output directory.
-
-    ``write(stream, metadata)`` writes the content, with ``metadata`` the
-    '# config:' line's.  The file is renamed to its name once it is whole;
-    on any exception it is removed, so a failed write leaves no file.
+    Each ``(suffix, write)`` of ``files`` is <outdir>/<subcommand>-<tag>.<suffix>,
+    whose content ``write(stream)`` writes to <path>.<pid>.tmp, with LF
+    endings.  The files are renamed once every one is whole; on any
+    exception, ``KeyboardInterrupt`` included, every temporary file is removed.
     """
-    path = _out_path(cfg, subcommand, "csv")
-    config = json.dumps(emit_config(cfg, simulation_only=True), sort_keys=True,
-                        separators=(",", ":"))
-    temp = f"{path}.{os.getpid()}.tmp"
+    paths = [os.path.join(cfg.out_dir, f"{subcommand}-{cfg.resolved_tag()}.{suffix}")
+             for suffix, _ in files]
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        with open(temp, "w", newline="\n") as fh:
-            write(fh, {"config": config})
-        os.replace(temp, path)
+        for temp, (_, write) in zip(temps, files):
+            with open(temp, "w", newline="\n") as stream:
+                write(stream)
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
     except BaseException:
-        if os.path.exists(temp):
-            os.remove(temp)
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
         raise
-    print(path)
-    return 0
+    return paths
+
+
+def _metadata(cfg: RunConfig) -> dict:
+    """The '# config:' line of every CSV: the simulation part of ``cfg``, compact."""
+    return {"config": json.dumps(emit_config(cfg, simulation_only=True), sort_keys=True,
+                                 separators=(",", ":"))}
 
 
 def _cmd_run(cfg: RunConfig, **_) -> int:
-    problem = cfg.problem()
-    if cfg.output_mode == "thin":
-        traj = run_path(*problem, seed=cfg.base_seed, cfg=cfg.solver, mode="thin")
-        return _write_csv(cfg, "run", traj.to_csv)
+    def write(stream):  # in full mode the rows are formatted while the time loop runs
+        with RowWriter(stream) as rows:
+            hook = rows.push if cfg.output_mode == "full" else None
+            traj = run_path(*cfg.problem(), seed=cfg.base_seed, cfg=cfg.solver,
+                            mode=cfg.output_mode, on_step=hook)
+            traj.to_csv(stream, _metadata(cfg), rows)
 
-    def stream(fh, metadata):  # the rows are formatted while the time loop runs
-        fh.write(csv_head(cfg.base_seed, "full", problem[0].grid.n_cells, metadata))
-        with RowWriter(fh) as rows:
-            traj = run_path(*problem, seed=cfg.base_seed, cfg=cfg.solver, on_step=rows.push)
-            rows.finish(traj.times, traj.states)
-
-    return _write_csv(cfg, "run", stream)
+    print(*_write(cfg, "run", ("csv", write)))
+    return 0
 
 
 def _cmd_mc(cfg: RunConfig, **_) -> int:
@@ -98,17 +103,12 @@ def _cmd_mc(cfg: RunConfig, **_) -> int:
         base_seed=cfg.base_seed,
         solver_cfg=cfg.solver,
     )
-    csv_path = _out_path(cfg, "mc", "csv")
-    summary.to_csv(csv_path)
-    json_path = _out_path(cfg, "mc", "json")
-    payload = {
-        "config": emit_config(cfg, simulation_only=True),
-        "summary": summary.to_dict(),
-    }
-    with open(json_path, "w", newline="\n") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    print(csv_path)
-    print(json_path)
+
+    def write_json(stream):
+        payload = {"config": emit_config(cfg, simulation_only=True), "summary": summary.to_dict()}
+        stream.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+    print(*_write(cfg, "mc", ("csv", summary.to_csv), ("json", write_json)), sep="\n")
     return 0
 
 
@@ -116,7 +116,8 @@ def _cmd_converge(cfg: RunConfig, study: str, **_) -> int:
     table = run_deterministic_convergence(
         mode=study, levels=cfg.levels, solver_cfg=cfg.solver
     )
-    return _write_csv(cfg, "converge", table.to_csv)
+    print(*_write(cfg, "converge", ("csv", lambda stream: table.to_csv(stream, _metadata(cfg)))))
+    return 0
 
 
 def _cmd_eps_study(cfg: RunConfig, **_) -> int:
@@ -127,7 +128,8 @@ def _cmd_eps_study(cfg: RunConfig, **_) -> int:
         base_seed=cfg.base_seed,
         solver_cfg=cfg.solver,
     )
-    return _write_csv(cfg, "eps-study", table.to_csv)
+    print(*_write(cfg, "eps-study", ("csv", lambda stream: table.to_csv(stream, _metadata(cfg)))))
+    return 0
 
 
 def _cmd_verify(cfg: RunConfig, cp_factor: float, **_) -> int:
@@ -137,9 +139,7 @@ def _cmd_verify(cfg: RunConfig, cp_factor: float, **_) -> int:
         seed=cfg.base_seed,
         cp_factor=cp_factor,
     )
-    path = _out_path(cfg, "verify", "json")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(report.to_json())
+    [path] = _write(cfg, "verify", ("json", lambda stream: stream.write(report.to_json())))
     for rec in report.properties:
         flag = "PASS" if rec["passed"] else "FAIL"
         print(

@@ -14,12 +14,13 @@ Model parameters may also be given as top-level shorthand keys; giving
 the same key both ways is an error.  Unknown keys are rejected with
 their path, the params of each source and initial preset included, and
 so is a preset number that is not finite.  So are a ``tag`` with a path
-separator, an empty ``output.dir``, a NUL character in either, and an
-``eps_list`` that is not strictly monotone, which then fail before any
-compute.  ``null`` stands for a default only where that default is null
-(``L_beta``, ``tag``).  ``workers`` is accepted and validated (an
-integer >= 1) so existing configs keep working, but it has no effect:
-``mc`` runs its paths as one batch.  L_beta defaults to the reaction
+separator, an empty ``tag`` or ``output.dir``, a NUL character in either,
+an ``eps_list`` that is not strictly monotone and a ``length`` whose cell
+width overflows when squared, which then fail before any compute.
+``null`` stands for a default only where that default is null
+(``L_beta``, ``tag``).  ``workers`` is accepted and validated (an integer
+>= 1) so existing configs keep working, but it has no effect: ``mc`` runs
+its paths as one batch.  L_beta defaults to the reaction
 scale when omitted, so the declared Lipschitz constant can never
 silently undershoot the realized reaction.
 """
@@ -104,6 +105,7 @@ class RunConfig:
 
     doc: dict
     model: ModelParams
+    grid: Grid1D
     reaction: ReactionSpec
     source: SourceSpec
     noise: NoiseModel
@@ -122,9 +124,8 @@ class RunConfig:
     tag = property(lambda self: self.doc.get("tag"))
 
     def problem(self):
-        grid = Grid1D(self.n_cells, self.doc["model"]["length"])
-        ctx = OperatorContext(self.model, self.reaction, grid)
-        initial = make_initial(grid, self.initial_kind, self.initial_params)
+        ctx = OperatorContext(self.model, self.reaction, self.grid)
+        initial = make_initial(self.grid, self.initial_kind, self.initial_params)
         return ctx, self.noise, initial, self.source
 
     def resolved_tag(self) -> str:
@@ -221,14 +222,14 @@ def _validate(raw: dict) -> dict:
             else:
                 out[key] = given.get(key, default)
     for key, value in (("tag", doc["tag"]), ("output.dir", doc["output"]["dir"])):
+        if value == "":
+            raise ValidationError(f"{key}: must not be empty")
         if value is not None and "\0" in value:
             raise ValidationError(f"{key}: must not contain a NUL character, got {value!r}")
     if doc["tag"] is None:
         del doc["tag"]
     elif any(sep in doc["tag"] for sep in filter(None, (os.sep, os.altsep))):
         raise ValidationError(f"tag: must not contain a path separator, got {doc['tag']!r}")
-    if not doc["output"]["dir"]:
-        raise ValidationError("output.dir: must not be empty")
 
     model, scale = doc["model"], doc["reaction"]["scale"]
     if model["L_beta"] is None:
@@ -313,6 +314,7 @@ def parse_config(
     model = doc["model"]
     try:
         params = ModelParams(**{k: v for k, v in model.items() if k not in ("length", "n_cells")})
+        grid = Grid1D(model["n_cells"], model["length"])
     except ValueError as exc:
         raise ValidationError(f"model: {exc}") from exc
     source = doc["source"]
@@ -329,6 +331,7 @@ def parse_config(
     return RunConfig(
         doc=doc,
         model=params,
+        grid=grid,
         reaction=ReactionSpec(**doc["reaction"]),
         source=spec,
         noise=NoiseModel(J=noise["J"], sigma=noise["sigma"]),

@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import stepper
-from .mesh import Grid1D, divergence_array, norm_l2_array, norm_w1p_array, open_target
+from .mesh import Grid1D, divergence_array, norm_l2_array, norm_w1p_array
 from .model import (
     InitialDatum,
     ModelParams,
@@ -106,18 +106,15 @@ class RefinementTable:
                 out.append(float(np.log(ep / ec) / np.log(vp / vc)))
         return out
 
-    def to_csv(self, target, metadata: dict | None = None) -> None:
-        """Write the rows as CSV under '# key: value' lines of ``self.metadata``
-        and ``metadata``, sorted by key."""
+    def to_csv(self, stream, metadata: dict | None = None) -> None:
+        """Write the rows as CSV to the text stream ``stream``, under '# key:
+        value' lines of ``self.metadata`` and ``metadata``, sorted by key."""
         meta = {**self.metadata, **(metadata or {})}
-        with open_target(target) as target:
-            for key in sorted(meta):
-                target.write(f"# {key}: {meta[key]}\n")
-            target.write(f"{self.parameter},error,ratio\n")
-            ratios = self.ratios()
-            for i, (v, e) in enumerate(zip(self.values, self.errors)):
-                ratio = "" if i == 0 else repr(ratios[i])
-                target.write(f"{float(v)!r},{float(e)!r},{ratio}\n")
+        stream.write(stepper.csv_head(sorted(meta.items()), [self.parameter, "error", "ratio"]))
+        ratios = self.ratios()
+        for i, (v, e) in enumerate(zip(self.values, self.errors)):
+            ratio = "" if i == 0 else repr(ratios[i])
+            stream.write(f"{float(v)!r},{float(e)!r},{ratio}\n")
 
 
 @dataclass
@@ -152,14 +149,13 @@ class McSummary:
             out[name] = [float(v) for v in values]
         return out
 
-    def to_csv(self, target) -> None:
+    def to_csv(self, stream) -> None:
+        """Write the series as CSV to the text stream ``stream``, column t first."""
         series = self._series()
-        with open_target(target) as target:
-            target.write(f"# n_paths: {self.n_paths}\n")
-            target.write(f"# base_seed: {self.base_seed}\n")
-            target.write(",".join(["t", *list(series)[1:]]) + "\n")  # times is column t
-            for row in np.column_stack(list(series.values())):
-                target.write(",".join(map(repr, row.tolist())) + "\n")
+        pairs = [("n_paths", self.n_paths), ("base_seed", self.base_seed)]
+        stream.write(stepper.csv_head(pairs, ["t", *list(series)[1:]]))  # times is column t
+        for row in np.column_stack(list(series.values())).tolist():
+            stream.write(",".join(map(repr, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ the result for that row alone.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,11 @@ class Grid1D:
             raise ValueError(f"n_cells must be >= 2, got {self.n_cells}")
         if not self.length > 0:
             raise ValueError(f"length must be positive, got {self.length}")
+        try:
+            float(self.h) ** 2  # the Jacobian's face weights divide by h**2
+        except OverflowError:
+            raise ValueError(f"cell width length / n_cells = {self.h} is too large: "
+                             "its square overflows") from None
 
     @property
     def h(self) -> float:
@@ -141,12 +145,3 @@ def norm_w1p_array(values: np.ndarray, h: float, p: float, abs_grad=None, abs_va
     abs_values = np.abs(values) if abs_values is None else abs_values
     return h * np.add.reduce(abs_grad**p, -1) + h * np.add.reduce(abs_values**p, -1)
 
-
-@contextmanager
-def open_target(target):
-    """Yield ``target``, or the file it names opened for writing with LF endings."""
-    if isinstance(target, (str, bytes)):
-        with open(target, "w", newline="\n") as stream:
-            yield stream
-    else:
-        yield target

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Grid1D, GridFunction, norm_l2_array, norm_w1p_array, open_target
+from .mesh import Grid1D, GridFunction, norm_l2_array, norm_w1p_array
 from .model import InitialDatum, SourceSpec
 from .noise import NoiseModel, PathIncrements, bump_profile
 from .operators import OperatorContext
@@ -193,10 +193,9 @@ class Trajectory:
     formatted in blocks, one per usable core, every block but the last in a
     child interpreter.  The bytes are the same whatever the number of
     cores, and a child that fails raises :class:`OSError` (the CLI exits
-    2).  The CLI's full-mode ``run`` writes the same bytes without a
-    Trajectory: :func:`csv_head`, then a RowWriter fed by
-    :func:`run_path`'s per-step hook, so the rows are formatted while the
-    time loop runs.
+    2).  The CLI's full-mode ``run`` hands :meth:`to_csv` the RowWriter
+    that :func:`run_path`'s per-step hook has pushed the rows to, so they
+    are formatted while the time loop runs; the bytes are the same.
     """
 
     grid: Grid1D
@@ -216,34 +215,33 @@ class Trajectory:
             raise ValueError("thin trajectory does not store states")
         return self.grid.function(self.states[-1])
 
-    def to_csv(self, target, metadata: dict | None = None) -> None:
-        """Write the trajectory as CSV with '# key: value' metadata lines.
+    def to_csv(self, stream, metadata: dict | None = None, rows=None) -> None:
+        """Write the trajectory as CSV to the text stream ``stream``, under
+        '# key: value' lines of seed, mode, then ``metadata`` sorted by key.
 
-        Full mode: columns t, c0..c{n-1} (cell values).  Thin mode:
-        columns t, l2_norm, v_norm_p, constraint_violation.  LF endings,
-        '.' decimals, ',' separators.
+        Full mode: columns t, c0..c{n-1} (cell values), written by ``rows``,
+        a :class:`RowWriter` on ``stream`` that may have been pushed rows
+        already, or by a new one.  Thin mode: columns t, l2_norm, v_norm_p,
+        constraint_violation.
         """
-        with open_target(target) as target:
-            target.write(csv_head(self.seed, self.mode, self.grid.n_cells, metadata))
-            if self.mode == "full":
-                with RowWriter(target) as rows:
-                    rows.finish(self.times, self.states)
-            else:
-                for t, a, b, c in zip(
-                    self.times, self.l2_norms, self.w1p_norms, self.violations
-                ):
-                    target.write(f"{float(t)!r},{float(a)!r},{float(b)!r},{float(c)!r}\n")
+        full = self.mode == "full"
+        columns = ([f"c{i}" for i in range(self.grid.n_cells)] if full
+                   else ["l2_norm", "v_norm_p", "constraint_violation"])
+        stream.write(csv_head([("seed", self.seed), ("mode", self.mode),
+                               *sorted((metadata or {}).items())], ["t", *columns]))
+        if full:
+            with rows or RowWriter(stream) as rows:
+                rows.finish(self.times, self.states)
+        else:
+            table = (self.times, self.l2_norms, self.w1p_norms, self.violations)
+            for row in np.column_stack(table).tolist():
+                stream.write(",".join(map(repr, row)) + "\n")
 
 
-def csv_head(seed, mode, n_cells, metadata=None) -> str:
-    """The '# key: value' metadata lines and the column line of a trajectory CSV."""
-    lines = [f"# seed: {seed}", f"# mode: {mode}"]
-    lines += [f"# {key}: {metadata[key]}" for key in sorted(metadata or {})]
-    if mode == "full":
-        lines.append("t," + ",".join(f"c{i}" for i in range(n_cells)))
-    else:
-        lines.append("t,l2_norm,v_norm_p,constraint_violation")
-    return "\n".join(lines) + "\n"
+def csv_head(pairs, columns) -> str:
+    """The head of every CSV the package writes: a '# key: value' line for
+    each (key, value) of ``pairs``, in order, then the line of ``columns``."""
+    return "".join(f"# {key}: {value}\n" for key, value in pairs) + ",".join(columns) + "\n"
 
 
 #: Full mode formats the state rows in blocks, one per this many values and
@@ -285,11 +283,10 @@ class _Child:
     """A formatting child and the rows ``[first, end)`` it is given.
 
     The rows before ``next`` have gone to its pipe, but for the bytes
-    ``pending`` of row ``next - 1``.  ``rows`` is the (first, last) row a
-    failure message names, or None.
+    ``pending`` of row ``next - 1``.
     """
 
-    def __init__(self, n, first, end, rows=None):
+    def __init__(self, n, first, end):
         import subprocess
 
         pipe = subprocess.PIPE
@@ -297,7 +294,7 @@ class _Child:
                                         stdin=pipe, stdout=pipe, stderr=pipe)
         self.fd = self.process.stdin.fileno()
         self.next, self.end = first, end
-        self.pending, self.rows = b"", rows
+        self.pending = b""
         try:
             import fcntl
 
@@ -329,8 +326,7 @@ class _Child:
             target.write(block.decode("ascii"))
         err = self.process.stderr.read().decode(errors="replace").strip().splitlines()
         if self.process.wait():
-            where = "CSV rows {}-{}: formatting".format(*self.rows) if self.rows else "CSV formatting"
-            raise OSError(f"{where} child exited with code {self.process.returncode}"
+            raise OSError(f"CSV formatting child exited with code {self.process.returncode}"
                           + (f": {err[-1]}" if err else ""))
 
 
@@ -339,10 +335,13 @@ class RowWriter:
 
     The rows are handed over as they become final: :meth:`push` once rows
     0..n are (the per-step hook of :func:`run_path`), :meth:`finish` once
-    all are.  Above ``_PARALLEL_VALUES`` values and on more than one usable
-    core, the first push starts a child interpreter (``_CHILD``), and each
-    push writes the new rows to its pipe as far as the pipe takes them
-    without blocking, so the child formats while the time loop runs.
+    all are; ``finish`` first pushes the rows not pushed yet, so a writer
+    that is only finished (:meth:`Trajectory.to_csv` alone) takes the same
+    path as one pushed to step by step.  Above ``_PARALLEL_VALUES`` values
+    and on more than one usable core, the first push starts a child
+    interpreter (``_CHILD``), and each push writes the new rows to its pipe
+    as far as the pipe takes them without blocking, so the child formats
+    while the time loop runs.
     :meth:`finish` splits the rows no child has received into contiguous
     blocks, one per ``_PARALLEL_VALUES`` values and per usable core at most:
     children take the leading blocks (the running child the first), and
@@ -352,16 +351,16 @@ class RowWriter:
     A child runs the same interpreter's ``repr`` on the same doubles, so the
     bytes depend neither on the number of cores nor on the pipe size or the
     timing.  A block whose child cannot start is formatted here.  A child
-    that exits non-zero raises :class:`OSError`, whose message names the
-    child's rows only when no row was streamed, since a streamed split
-    depends on the timing.  Used as a context manager, no child outlives
-    the ``with`` block.
+    that exits non-zero raises :class:`OSError` with its exit code and the
+    last line of its stderr, but no rows, since the split depends on the
+    timing.  Used as a context manager, no child outlives the ``with``
+    block.
     """
 
     def __init__(self, target):
         self.target = target
         self.children = []  # every child started, in row order
-        self.pushed = False
+        self.pushed = 0  # rows pushed so far
 
     def __enter__(self):
         return self
@@ -373,16 +372,17 @@ class RowWriter:
 
     def push(self, times, states, n):
         """Rows 0..n of ``states`` are final: stream them to the running child."""
-        if not self.pushed:  # the first push decides whether a child runs
-            self.pushed = True
-            if _blocks(states) > 1:
-                self._start(states.shape[1], 0, 0)
+        if not self.pushed and _blocks(states) > 1:  # the first push decides
+            self._start(states.shape[1], 0, 0)
+        self.pushed = n + 1
         if self.children:
             self.children[0].end = n + 1
             self.children[0].feed(times, states)
 
     def finish(self, times, states):
         """Every row of ``states`` is final: format the rest and write every row."""
+        if self.pushed < len(states):
+            self.push(times, states, len(states) - 1)
         n, streamed = states.shape[1], self.children[:1]
         first = streamed[0].next if streamed else 0
         parts = max(_blocks(states[first:]), len(streamed) + 1)
@@ -391,7 +391,7 @@ class RowWriter:
             streamed[0].end = cut[1]
         blocks = [(0, cut[1], streamed[0])] if streamed else []  # (first, end, child or None)
         for a, b in zip(cut[len(blocks):-2], cut[len(blocks) + 1:-1]):
-            blocks.append((a, b, self._start(n, a, b, None if streamed else (a, b - 1))))
+            blocks.append((a, b, self._start(n, a, b)))
         blocks.append((cut[-2], cut[-1], None))
         children = [child for _, _, child in blocks if child is not None]
         mine = [[] for _ in blocks]  # the lines of each block formatted here
@@ -411,11 +411,11 @@ class RowWriter:
             else:
                 owner.copy(self.target)
 
-    def _start(self, n, first, end, rows=None):
+    def _start(self, n, first, end):
         """A new child for rows ``[first, end)``, or None if none can start."""
         try:
             if sys.executable:
-                self.children.append(_Child(n, first, end, rows))
+                self.children.append(_Child(n, first, end))
                 return self.children[-1]
         except OSError:
             pass

@@ -491,6 +491,9 @@ TINY = {"model": {"n_cells": 8, "M": 5, "T": 0.1}, "n_paths": 2}
     # was written, with a ValueError traceback
     (["run", "--tag", "a\0b"], "tag: must not contain a NUL character, got 'a\\x00b'"),
     (["mc", "--out-dir", "o\0x"], "output.dir: must not contain a NUL character, got 'o\\x00x'"),
+    # an empty tag used to write out/run-.csv
+    (["run", "--tag", ""], "tag: must not be empty"),
+    (["verify", "--tag", ""], "tag: must not be empty"),
 ])
 def test_cli_bad_output_name_fails_before_compute(monkeypatch, capsys, tmp_path, argv,
                                                   message):
@@ -500,6 +503,20 @@ def test_cli_bad_output_name_fails_before_compute(monkeypatch, capsys, tmp_path,
     assert cli.main([*argv, "--config", "cfg.json"]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert calls == []
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study", "verify", "converge"])
+def test_cli_cell_width_whose_square_overflows_is_a_config_error(monkeypatch, capsys,
+                                                                  tmp_path, subcommand):
+    # h = 1.25e159 passed validation, and h**2 in the Jacobian raised an
+    # OverflowError traceback under exit 1
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"M": 2, "n_cells": 8, "length": 1e160}))
+    assert cli.main([subcommand, "--config", "cfg.json"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: model: cell width length / n_cells = 1.25e+159 is too large: "
+        "its square overflows\n")
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
@@ -864,18 +881,28 @@ def test_cli_run_failed_solve_mid_stream_leaves_no_file(monkeypatch, capsys, tmp
     assert all(child.returncode is not None for child in children)
 
 
-@pytest.mark.parametrize("subcommand", ["converge", "eps-study"])
-def test_cli_failed_table_write_leaves_no_file(monkeypatch, capsys, tmp_path, subcommand):
-    # the CSV goes through a temporary name, removed when the write fails
-    from plapsim.harness import RefinementTable
-
-    def half_written(self, target, metadata=None):
-        target.write("# partial\n")
+@pytest.mark.parametrize("subcommand, owner, method", [
+    pytest.param("converge", "harness.RefinementTable", "to_csv", id="converge"),
+    pytest.param("eps-study", "harness.RefinementTable", "to_csv", id="eps-study"),
+    pytest.param("run", "stepper.Trajectory", "to_csv", id="run"),
+    # mc's CSV, the first of its two files, and its JSON once the CSV is whole
+    pytest.param("mc", "harness.McSummary", "to_csv", id="mc-csv"),
+    pytest.param("mc", "harness.McSummary", "to_dict", id="mc-json"),
+    pytest.param("verify", "harness.VerificationReport", "to_json", id="verify"),
+])
+def test_cli_failed_table_write_leaves_no_file(monkeypatch, capsys, tmp_path, subcommand,
+                                               owner, method):
+    # every file goes through a temporary name, and a failed write removes
+    # the temporary files of every file of the subcommand
+    def half_written(self, *args):
+        if args:  # a to_csv: the stream first
+            args[0].write("# partial\n")
         raise OSError("disk full")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(RefinementTable, "to_csv", half_written)
+    monkeypatch.setattr(f"plapsim.{owner}.{method}", half_written)
     (tmp_path / "cfg.json").write_text(json.dumps(dict(TINY, levels=2)))
     assert cli.main([subcommand, "--config", "cfg.json"]) == 2
-    assert capsys.readouterr().err == "runtime error: disk full\n"
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "runtime error: disk full\n")
     assert os.listdir(tmp_path / "out") == []

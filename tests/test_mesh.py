@@ -30,6 +30,14 @@ def test_grid_invariants():
         Grid1D(4, -1.0)
 
 
+def test_grid_rejects_a_cell_width_whose_square_overflows():
+    # the Jacobian divides by h**2, which raised OverflowError in every driver
+    for length in (1e160, np.float64(1e160)):
+        with pytest.raises(ValueError, match="its square overflows"):
+            Grid1D(8, length)
+    assert Grid1D(8, 1e154).h ** 2 < np.inf
+
+
 def test_grid_function_validation():
     g = Grid1D(4, 1.0)
     with pytest.raises(ValueError):

@@ -479,6 +479,22 @@ def test_full_csv_bytes_do_not_depend_on_the_cores(monkeypatch, children, cores)
     assert all(child.returncode == 0 for child in children)
 
 
+def test_full_csv_pushes_every_row_before_it_finishes(monkeypatch, children):
+    # to_csv alone takes the path of the streamed run: finish first pushes
+    # the rows not pushed yet, so the child starts and is fed the same way
+    pushed, push = [], stepper.RowWriter.push
+
+    def spy(self, times, states, n):
+        pushed.append(n)
+        push(self, times, states, n)
+
+    monkeypatch.setattr(stepper.RowWriter, "push", spy)
+    states = wide_states()
+    assert csv_text(wide_trajectory(states)) == serial_csv(states)
+    assert pushed == [len(states) - 1]
+    assert len(children) == 1
+
+
 def test_full_csv_of_strided_states(children):
     states = wide_states(n=600)[:, ::2]
     assert not states.flags.c_contiguous
@@ -512,11 +528,12 @@ def test_full_csv_without_a_child_formats_every_block_here(monkeypatch, children
     ("import sys; sys.exit('no room\\nfor the rows')", "code 1: for the rows"),
 ])
 def test_full_csv_child_failure_is_an_oserror(monkeypatch, children, program, ending):
-    # the message names the rows, the exit code and the last line of stderr
+    # the message names the exit code and the last line of stderr, but no
+    # rows: the child streamed to first takes rows as far as its pipe does
     monkeypatch.setattr(stepper, "_CHILD", program)
     with pytest.raises(OSError) as info:
         csv_text(wide_trajectory(wide_states()))
-    assert str(info.value) == f"CSV rows 0-19: formatting child exited with {ending}"
+    assert str(info.value) == f"CSV formatting child exited with {ending}"
     assert [child.returncode is not None for child in children] == [True]
 
 
