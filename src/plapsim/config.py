@@ -327,14 +327,17 @@ def parse_config(
         raise ValidationError(
             f"source.params.values: each row needs model.n_cells = {n_cells} entries"
         )
-    noise = doc["noise"]
+    try:
+        noise = NoiseModel(J=doc["noise"]["J"], sigma=doc["noise"]["sigma"])
+    except ValueError as exc:
+        raise ValidationError(f"noise: {exc}") from exc
     return RunConfig(
         doc=doc,
         model=params,
         grid=grid,
         reaction=ReactionSpec(**doc["reaction"]),
         source=spec,
-        noise=NoiseModel(J=noise["J"], sigma=noise["sigma"]),
+        noise=noise,
         solver=SolverConfig(**doc["solver"]),
     )
 

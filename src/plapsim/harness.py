@@ -19,9 +19,9 @@ Four kinds of output, all reproducible from explicit seeds:
 Every path driver takes ``(ctx, noise_model, initial, source)`` first, as
 ``RunConfig.problem()`` returns them, and runs its paths through the one
 time loop, :func:`~plapsim.stepper.run_rows`, which chunks the rows and
-names the first failed one: the deterministic and pathwise studies through
-``run_path`` (one row), ``run_mc`` and the eps study with all paths at one
-eps as its rows, ``verify_all`` with its four stepper runs as four rows.
+names the first failed one: the refinement studies through ``run_path``
+(one row), ``run_mc`` and the eps study with all paths at one eps as its
+rows, ``verify_all`` with its four stepper runs as rows its hook folds.
 
 No convergence rate for the stochastic scheme is asserted anywhere: the
 stochastic tables are recorded observations only.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
+from operator import setitem
 
 import numpy as np
 
@@ -605,12 +606,13 @@ def verify_all(
     record("mesh_norm_w1p_p2_identity", rel, 1e-12)
     alphas = (-2.5, -1.0, 0.5, 3.0)
     scaled = np.multiply.outer(alphas, u)  # row i is alphas[i] * u
-    # ||a u|| = |a| ||u|| and ||a u||_{1,p}^p = |a|^p ||u||_{1,p}^p, row by row
+    # ||a u|| = |a| ||u|| and ||a u||_{1,p}^p = |a|^p ||u||_{1,p}^p, row by row;
+    # |a|^p is a numpy power, which overflows to inf where a float's raises
     cases = [(1.0, norm_l2_array(scaled, h), float(norm_l2_array(u, h)))]
     cases += [(p, norm_w1p_array(scaled, h, p), float(norm_w1p_array(u, h, p)))
               for p in p_values]
     worst = _nan_or(max, [0.0] + [
-        abs(norm_au - abs(alpha) ** q * norm_u) / max(norm_au, 1e-300)
+        abs(norm_au - float(np.abs(alpha) ** q) * norm_u) / max(norm_au, 1e-300)
         for q, norms_au, norm_u in cases
         for alpha, norm_au in zip(alphas, norms_au.tolist())
     ])
@@ -766,7 +768,8 @@ def verify_all(
     runs = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
             "noise-off run (seed 2)", f"cold-start run (seed {seed})")
     stepper.run_rows(ctx, initial.u0.values, coef, f, solver_cfg,
-                     lambda i: f"stepper {runs[i]}", states=states, cold=np.arange(4) == 3)
+                     lambda i: f"stepper {runs[i]}", cold=np.arange(4) == 3,
+                     on_step=lambda rows, n, pt, _: setitem(states, (rows, n), pt.u))
     noisy, qa, qb, cold = states
     # the scheme identity, recomputed from its terms rather than from apply
     u_n, u_np1 = noisy[:-1], noisy[1:]

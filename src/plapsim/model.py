@@ -58,8 +58,9 @@ class ModelParams:
     """Scheme parameters with the time-step gate tau * L_beta < 1.
 
     tau is derived as T / M.  Construction fails for p < 2, infinite or NaN
-    p, non-positive eps / T, M < 1, or tau * L_beta >= 1; the time
-    stepper never has to guess what to do outside the well-posed regime.
+    p, non-positive eps / T, M < 1, a tau that is not a positive normal
+    double, or tau * L_beta >= 1; the time stepper never has to guess what
+    to do outside the well-posed regime.
     """
 
     p: float
@@ -77,6 +78,9 @@ class ModelParams:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.M < 1:
             raise ValueError(f"M must be a positive integer, got {self.M}")
+        if not np.finfo(float).tiny <= self.tau < np.inf:
+            raise ValueError(f"tau = T / M = {self.T} / {self.M} = {self.tau} is not a "
+                             f"positive normal double")
         if self.L_beta < 0:
             raise ValueError(f"L_beta must be nonnegative, got {self.L_beta}")
         if not self.tau * self.L_beta < 1.0:

@@ -108,6 +108,8 @@ class NoiseModel:
             raise ValueError(f"J must be a positive integer, got {self.J}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not self.L_g < np.inf:
+            raise ValueError(f"sigma = {self.sigma} makes L_g = 4 pi^2 sigma^2 not finite")
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -116,8 +118,9 @@ class NoiseModel:
 
     @property
     def L_g(self) -> float:
-        """Closed-form squared-sum Lipschitz bound sigma^2 * 4 pi^2."""
-        return self.sigma**2 * 4.0 * np.pi**2
+        """Closed-form squared-sum Lipschitz bound sigma^2 * 4 pi^2, inf if it overflows."""
+        with np.errstate(over="ignore"):
+            return float(np.float64(self.sigma) ** 2 * 4.0 * np.pi**2)
 
     def sample_path(self, M: int, tau: float, seed: int) -> PathIncrements:
         """Draw the (M, J) increment matrix for one path.

@@ -23,12 +23,11 @@ table of source averages, in chunks of at most ``_BATCH_CELLS`` cells.
 Each step of a chunk is one :func:`~plapsim.solver.solve_rows` call,
 started from the point the previous step's call returned, whose operator
 value and energy are known already.  It fills the ``(P, M+1)`` norm and
-violation tables and words every "<row> failed at step n: ..." message.
+violation tables, words every "<row> failed at step n: ..." message and
+hands each step's record to one hook, whose caller folds what it keeps.
 :func:`run_path` is that loop on one row over a whole path and
 :func:`step` on one row for one step; the Monte Carlo study, the eps
 study and the verification report of :mod:`plapsim.harness` run many rows.
-Only ``run_path`` and ``step`` keep each step's
-:class:`~plapsim.solver.SolveReport`.
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ def constraint_violation_array(values: np.ndarray, h: float):
 _BATCH_CELLS = 1 << 16
 
 
-def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, reports=None,
-             on_step=None):
+def run_rows(ctx, u0, coef, f, cfg, label, cold=None, on_step=None):
     """Advance one path per row of ``coef`` from ``u0``, as the rows of one state.
 
     ``u0`` is the (n_cells,) initial state of every row, ``coef`` the (P, M)
@@ -86,95 +84,77 @@ def run_rows(ctx, u0, coef, f, cfg, label, states=None, w1p=None, cold=None, rep
     iterates it follows alone, whatever the chunk.
 
     Returns ``(l2, viol)``, the (P, M+1) L2 norms and box violations.
-    ``states``, if given, is a (P, M+1, n_cells) array that receives the
-    states, ``w1p`` a (P, M+1) array that receives their W^{1,p} powers,
-    and ``reports`` P lists that receive the
-    :class:`~plapsim.solver.SolveReport` of each step the row solved, up to
-    and including a failed one.  A failed row is frozen while the rest of
-    its chunk runs to the end; then :class:`NonConvergence` reads
+    ``on_step``, if given, receives each chunk's record of each state n as
+    ``on_step(rows, n, pt, solved)``: ``rows`` are the chunk's rows still
+    running, ``pt`` the :class:`~plapsim.operators.Point` of their state n
+    and ``solved`` the :class:`~plapsim.solver.SolveReport` of each row's
+    step n - 1 (empty for n = 0).  A caller keeps what it needs of a record
+    (states, W^{1,p} powers, reports) before the hook returns.  A row whose
+    solve fails gets the record of that step and no later one, while the
+    rest of its chunk runs to the end; then :class:`NonConvergence` reads
     "<label(k)> failed at step <n>: <message>" for the smallest failed row
-    k, the step 0-based.  ``on_step``, if given, is called with n once rows
-    0..n of ``states`` are final for every row of the chunk: with 0 before
-    its first step and with n + 1 after step n.
+    k, the step 0-based, and no later chunk runs.
 
     Each step's solve starts from the point the previous step's solve
-    returned (:class:`~plapsim.operators.Point`), so the operator value and
-    the energy at u_n are not evaluated again.  Rows where the (P,) mask
-    ``cold`` is true start each step's solve from zero, not from the last
-    state; a step with such a row starts every row from a fresh array.
+    returned, so the operator value and the energy at u_n are not evaluated
+    again.  Rows where the (P,) mask ``cold`` is true start each step's
+    solve from zero, not from the last state; a step with such a row starts
+    every row from a fresh array.
     """
-    h, p, tau = ctx.grid.h, ctx.params.p, ctx.params.tau
+    h, tau = ctx.grid.h, ctx.params.tau
     P, M = coef.shape
-    l2 = np.empty((P, M + 1))
-    viol = np.empty_like(l2)
+    l2, viol = np.empty((2, P, M + 1))
     l2[:, 0] = norm_l2_array(u0, h)
     viol[:, 0] = constraint_violation_array(u0, h)
-    if states is not None:
-        states[:, 0] = u0
-    if w1p is not None:
-        w1p[:, 0] = norm_w1p_array(u0, h, p)
     size = max(1, _BATCH_CELLS // u0.size)
     for start in range(0, P, size):
-        chunk = slice(start, start + size)
-        alive = np.arange(P)[chunk]  # the chunk's rows still running
+        alive = np.arange(P)[start:start + size]  # the chunk's rows still running
         pt = ctx.point(np.tile(u0, (alive.size, 1)))
         failed = []  # (row, step, message)
         if on_step is not None:
-            on_step(0)
+            on_step(alive, 0, pt, [])
         for n in range(M):
             u_n = pt.u
             rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
             guess = pt if cold is None else np.where(cold[alive, None], 0.0, u_n)
             u_np1, solved = solve_rows(ctx, rhs, guess, cfg)
             pt = ctx.point(u_np1)  # a cold start returns an array
-            if states is not None:  # a failed row keeps its last state
-                states[chunk, n + 1] = states[chunk, n]
-                states[alive, n + 1] = pt.u
             l2[alive, n + 1] = norm_l2_array(pt.u, h)
             viol[alive, n + 1] = constraint_violation_array(pt.u, h)
-            if w1p is not None:
-                w1p[alive, n + 1] = norm_w1p_array(pt.u, h, p, pt.abs_d, pt.abs_u)
-            for k, report in zip(alive.tolist(), solved):
-                if reports is not None:
-                    reports[k].append(report)
-                if report.failure is not None:
-                    failed.append((k, n, report.failure))
+            if on_step is not None:
+                on_step(alive, n + 1, pt, solved)
+            failed += [(k, n, report.failure) for k, report in zip(alive.tolist(), solved)
+                       if report.failure is not None]
             keep = [i for i, report in enumerate(solved) if report.failure is None]
             if len(keep) < alive.size:
                 alive, pt = alive[keep], pt.take(keep)
                 if not alive.size:
                     break
-            if on_step is not None:
-                on_step(n + 1)
         if failed:
             k, n, message = min(failed)
             raise NonConvergence(f"{label(k)} failed at step {n}: {message}")
     return l2, viol
 
 
-def step(
-    ctx: OperatorContext,
-    noise_model: NoiseModel,
-    u_n: GridFunction,
-    dw_row: np.ndarray,
-    f_n: GridFunction,
-    cfg: SolverConfig | None = None,
-) -> tuple[GridFunction, SolveReport]:
+def step(ctx: OperatorContext, noise_model: NoiseModel, u_n: GridFunction, dw_row: np.ndarray,
+         f_n: GridFunction, cfg: SolverConfig | None = None) -> tuple[GridFunction, SolveReport]:
     """One semi-implicit step: explicit noise at u_n, implicit everything else.
 
-    This is :func:`run_rows` on one row for one step; a failed solve raises
-    :class:`~plapsim.solver.NonConvergence` with the solve's message.
+    This is :func:`run_rows` on one row for one step, keeping its last
+    record; a failed solve raises :class:`~plapsim.solver.NonConvergence`
+    with the solve's message.
     """
     dw_row = np.asarray(dw_row, dtype=float)
     if dw_row.shape != (noise_model.J,):
         raise ValueError(f"expected {noise_model.J} increments, got shape {dw_row.shape}")
-    states, reports = np.empty((1, 2, ctx.grid.n_cells)), [[]]
+    records = []  # (rows, n, pt, solved) of state 0, then of state 1
     try:
         run_rows(ctx, u_n.values, noise_model.coefs(dw_row[None, None]), f_n.values[None],
-                 cfg or SolverConfig(), str, states=states, reports=reports)
+                 cfg or SolverConfig(), str, on_step=lambda *record: records.append(record))
     except NonConvergence:  # raised again without the row's label
-        raise NonConvergence(reports[0][0].failure) from None
-    return ctx.grid.function(states[0, 1]), reports[0][0]
+        raise NonConvergence(records[-1][3][0].failure) from None
+    _, _, pt, (report,) = records[-1]
+    return ctx.grid.function(pt.u[0]), report
 
 
 @dataclass(eq=False)
@@ -441,7 +421,8 @@ def run_path(
     raises :class:`~plapsim.solver.NonConvergence` naming the seed and the
     (0-based) step, then the solve's message with its last residuals.
 
-    In full mode, ``on_step``, if given, is :func:`run_rows`' per-step hook,
+    It folds the states (full mode), W^{1,p} powers and solve reports of
+    :func:`run_rows`' records.  In full mode, ``on_step``, if given, is
     called as ``on_step(times, states, n)`` with the (M+1,) times and the
     (M+1, n_cells) states once rows 0..n of ``states`` are final, so that
     a :class:`RowWriter`'s ``push`` formats the rows while the loop runs.
@@ -458,15 +439,20 @@ def run_path(
             f"increment matrix {increments.values.shape} does not match "
             f"M={pr.M}, J={noise_model.J}"
         )
-    states = np.empty((1, pr.M + 1, ctx.grid.n_cells)) if mode == "full" else None
-    w1p = np.empty((1, pr.M + 1))
-    coef = noise_model.coefs(increments.values[None])
-    f = source.step_table(pr.M, ctx.grid, pr.tau)
-    reports = [[]]
+    states = np.empty((pr.M + 1, ctx.grid.n_cells)) if mode == "full" else None
+    w1p, reports = np.empty(pr.M + 1), []
     times = np.arange(pr.M + 1) * pr.tau
-    hook = None if on_step is None else lambda n: on_step(times, states[0], n)
-    l2, viol = run_rows(ctx, initial.u0.values, coef, f, cfg or SolverConfig(),
-                        lambda k: f"seed {seed}", states=states, w1p=w1p, reports=reports,
-                        on_step=hook)
-    return Trajectory(ctx.grid, times, None if states is None else states[0], l2[0],
-                      w1p[0], viol[0], reports[0], increments, seed, mode)
+
+    def fold(rows, n, pt, solved):
+        w1p[n] = norm_w1p_array(pt.u, ctx.grid.h, pr.p, pt.abs_d, pt.abs_u)[0]
+        reports.extend(solved)
+        if states is not None:
+            states[n] = pt.u[0]
+            if on_step is not None and all(r.failure is None for r in solved):
+                on_step(times, states, n)
+
+    l2, viol = run_rows(ctx, initial.u0.values, noise_model.coefs(increments.values[None]),
+                        source.step_table(pr.M, ctx.grid, pr.tau), cfg or SolverConfig(),
+                        lambda k: f"seed {seed}", on_step=fold)
+    return Trajectory(ctx.grid, times, states, l2[0], w1p, viol[0], reports, increments,
+                      seed, mode)

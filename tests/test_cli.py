@@ -520,6 +520,39 @@ def test_cli_cell_width_whose_square_overflows_is_a_config_error(monkeypatch, ca
     assert os.listdir(tmp_path) == ["cfg.json"]
 
 
+@pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study", "verify", "converge"])
+@pytest.mark.parametrize("doc, message", [
+    # tau = T / M underflowed to 0.0, and NoiseModel.sample_path raised a
+    # ValueError traceback under exit 1
+    ({"model": {"T": 5e-324, "M": 3}},
+     "model: tau = T / M = 5e-324 / 3 = 0.0 is not a positive normal double"),
+    # verify's NoiseModel.L_g raised an OverflowError traceback on sigma**2
+    ({"noise": {"sigma": 1e308}}, "noise: sigma = 1e+308 makes L_g = 4 pi^2 sigma^2 not finite"),
+], ids=["tau-underflow", "sigma-overflow"])
+def test_cli_extreme_model_value_is_a_config_error(monkeypatch, capsys, tmp_path, subcommand,
+                                                   doc, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert cli.main([subcommand, "--config", "cfg.json"]) == 1
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_cli_verify_whose_powers_overflow_names_its_failed_check(tmp_path):
+    # at p = 1e6, verify's mesh_norm_homogeneity check raised an
+    # OverflowError traceback on |alpha|**p in Python floats; its power now
+    # overflows to inf, and the run ends in the first solve that fails.
+    # numpy's overflow warnings still come first on stderr, so the child
+    # runs in its own interpreter, under its default warning filters
+    (tmp_path / "cfg.json").write_text(json.dumps({"p": 1e6, "M": 3, "n_cells": 8}))
+    result = run_cli(["verify", "--config", "cfg.json"], tmp_path)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith(
+        "runtime error: solver_uniqueness: rhs 0 (zero guess): no convergence after 50 ")
+    assert result.stdout == "" and os.listdir(tmp_path / "out") == []
+
+
 @pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study", "estimate-cp"])
 def test_cli_memory_error_is_a_runtime_error(monkeypatch, capsys, tmp_path, subcommand):
     # a table too large to allocate exits 2 like a failed solve, not 1 (the

@@ -748,15 +748,22 @@ def test_verify_all_stacks_its_solves(monkeypatch):
 
 
 def test_verify_all_stepper_rows_match_solo_runs(monkeypatch):
-    # the batched stepper run of verify_all keeps every state of its four
-    # rows: the noisy and the two noise-off rows equal their run_path, and
-    # the cold-start row the chain of solves from a zero guess, bit for bit
+    # the batched stepper run of verify_all hands its hook every state of
+    # its four rows: the noisy and the two noise-off rows equal their
+    # run_path, and the cold-start row the chain of solves from a zero
+    # guess, bit for bit
     kept = []
     original = stepper.run_rows
 
-    def spy(*args, **kwargs):
-        out = original(*args, **kwargs)
-        kept.append(kwargs["states"].copy())
+    def spy(ctx, u0, coef, *args, on_step, **kwargs):
+        states = np.empty((len(coef), coef.shape[1] + 1, u0.size))
+
+        def fold(rows, n, pt, solved):
+            states[rows, n] = pt.u
+            on_step(rows, n, pt, solved)
+
+        out = original(ctx, u0, coef, *args, on_step=fold, **kwargs)
+        kept.append(states)
         return out
 
     monkeypatch.setattr(stepper, "run_rows", spy)

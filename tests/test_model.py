@@ -159,6 +159,18 @@ def test_params_tau_and_gate():
         ModelParams(p=2.0, eps=0.1, T=1.0, M=0)
 
 
+def test_params_reject_a_tau_that_is_not_a_positive_normal_double():
+    # T / M underflowed to 0.0 (or to a subnormal) and passed, and the
+    # first sample_path raised; the message names T and M
+    tiny = np.finfo(float).tiny
+    for T, M, tau in ((5e-324, 3, "0.0"), (tiny, 2, str(tiny / 2))):
+        with pytest.raises(ValueError, match=rf"^tau = T / M = {T} / {M} = {tau} is not a "
+                                             r"positive normal double$"):
+            ModelParams(p=2.0, eps=0.1, T=T, M=M)
+    assert ModelParams(p=2.0, eps=0.1, T=tiny, M=1).tau == tiny
+    assert ModelParams(p=2.0, eps=0.1, T=1e308, M=1).tau == 1e308
+
+
 # ---------------------------------------------------------------------------
 # sources
 

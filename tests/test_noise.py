@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from plapsim.config import ValidationError, parse_config
 from plapsim.mesh import Grid1D
 from plapsim.noise import NoiseModel, PathIncrements, bump_profile
 
@@ -20,6 +21,21 @@ def test_amplitudes_partial_sum():
     c = model.amplitudes
     assert c[0] == pytest.approx(1.3 / np.sqrt(2))
     assert np.dot(c, c) <= 1.3**2
+
+
+def test_noise_model_rejects_a_sigma_whose_lipschitz_bound_overflows():
+    # sigma**2 raised an OverflowError in L_g (1e308), or sigma^2 4 pi^2
+    # overflowed to inf (1e154, and an int whose float square overflows)
+    for sigma in (1e308, 1e154, 10**200):
+        with pytest.raises(ValueError, match=r"^sigma = .* makes L_g = 4 pi\^2 sigma\^2 "
+                                             r"not finite$"):
+            NoiseModel(J=4, sigma=sigma)
+    assert NoiseModel(J=4, sigma=1e153).L_g < np.inf
+
+
+def test_parse_config_names_the_noise_section_of_a_bad_sigma():
+    with pytest.raises(ValidationError, match=r"^noise: sigma = 1e\+308 makes L_g "):
+        parse_config(data={"noise": {"sigma": 1e308}})
 
 
 def test_sample_statistics():

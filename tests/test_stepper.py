@@ -199,8 +199,8 @@ def array_guess_rows(ctx, u0, coef, f, cfg):
     """The time loop with a plain-array guess at every step, evaluated afresh.
 
     Returns (states, l2, violations, failures, reports): the first four as
-    run_rows returns or fills them, and reports as run_rows fills its
-    ``reports`` argument, one list of step reports per row.
+    run_rows returns them or :func:`fold_records` folds them, and reports
+    as ``fold_records`` folds them, one list of step reports per row.
     """
     h, tau = ctx.grid.h, ctx.params.tau
     P, M = coef.shape
@@ -228,6 +228,23 @@ def array_guess_rows(ctx, u0, coef, f, cfg):
             failures, reports)
 
 
+def fold_records(P, M, n_cells):
+    """A run_rows hook and the (P, M+1, n_cells) states and P report lists it folds.
+
+    Entry (k, n) of the states is row k's state n, and a row that fails
+    keeps its last state in the entries after it; each row's list holds
+    the report of every step it solved, up to and including a failed one.
+    """
+    states, reports = np.empty((P, M + 1, n_cells)), [[] for _ in range(P)]
+
+    def on_step(rows, n, pt, solved):
+        states[rows, n:] = pt.u[:, None]  # later records overwrite all but a failed row's
+        for k, report in zip(rows.tolist(), solved):
+            reports[k].append(report)
+
+    return on_step, states, reports
+
+
 def assert_rows_match(ctx, u0, coef, f, cfg, ref, rows):
     """run_rows on ``rows`` of coef equals the array-guess loop ``ref`` of all rows.
 
@@ -238,13 +255,12 @@ def assert_rows_match(ctx, u0, coef, f, cfg, ref, rows):
     """
     states_ref, l2_ref, viol_ref, failures_ref = ref[:4]
     M = coef.shape[1]
-    states = np.empty((len(rows), M + 1, u0.size))
-    reports = [[] for _ in rows]
+    on_step, states, reports = fold_records(len(rows), M, u0.size)
     failed = sorted(k for k in failures_ref if k in rows)
     l2 = viol = None
     try:
         l2, viol = run_rows(ctx, u0, coef[rows], f, cfg, lambda i: f"row {rows[i]}",
-                            states=states, reports=reports)
+                            on_step=on_step)
     except NonConvergence as err:
         n, message = failures_ref[failed[0]]
         assert str(err) == f"row {failed[0]} failed at step {n}: {message}"
@@ -292,6 +308,37 @@ def test_run_rows_carry_is_bit_identical_to_array_guesses(lapack, kind, amp, max
             assert reports == array_guess_rows(ctx, u0, coef[rows], f, cfg)[4]
 
 
+def test_run_rows_records_fold_alike_in_every_chunk_size(monkeypatch):
+    # of 20 rows, row 8 fails at step 6 and row 15 at step 3: in chunks of
+    # 7, in the 2nd and the 3rd chunk.  Whatever the chunk size, the hook's
+    # records fold to the same states and reports on the rows that ran, the
+    # message names the smallest failed row, not the earliest failure, and
+    # no chunk after the first failed one runs
+    ctx, u0, coef, f = carry_setup("mc", n_paths=20)
+    coef[8, 6] *= 100.0
+    coef[15, 3] *= 100.0
+    cfg = SolverConfig(max_newton=3)
+    P, M = coef.shape
+    folds, messages = {}, set()
+    for size in (1, 7, P):
+        monkeypatch.setattr(stepper, "_BATCH_CELLS", size * u0.size)
+        on_step, states, reports = fold_records(P, M, u0.size)
+        with pytest.raises(NonConvergence) as info:
+            run_rows(ctx, u0, coef, f, cfg, lambda k: f"row {k}", on_step=on_step)
+        messages.add(str(info.value))
+        folds[size] = states, reports
+    (message,) = messages
+    assert message.startswith("row 8 failed at step 6: no convergence after 3 Newton steps")
+    states_all, reports_all = folds[P]
+    assert [len(steps) for steps in reports_all] == [M] * 8 + [7] + [M] * 6 + [4] + [M] * 4
+    assert (states_all[15, 4:] == states_all[15, 4]).all()
+    for size, ran in ((1, 9), (7, 14), (P, P)):
+        states, reports = folds[size]
+        assert np.array_equal(states[:ran], states_all[:ran]), size
+        assert reports[:ran] == reports_all[:ran], size
+        assert not any(reports[ran:]), size
+
+
 def count_formed(monkeypatch):
     """Rows of every A(u), E0(u) and energy evaluation from now on, by name."""
     rows = {"au": [], "e0": [], "energy": []}
@@ -317,8 +364,8 @@ def test_run_rows_forms_au_and_e0_once_per_accepted_point(monkeypatch, lapack, k
     (P, M), counts = coef.shape, []
 
     def carried(*args):
-        reports = [[] for _ in range(P)]
-        run_rows(*args, str, reports=reports)
+        on_step, _, reports = fold_records(P, M, len(args[1]))
+        run_rows(*args, str, on_step=on_step)
         return reports
 
     for loop in (carried, lambda *args: array_guess_rows(*args)[-1]):
