@@ -13,7 +13,8 @@ arguments of every path driver, ``(ctx, noise, initial, source)``.
 Model parameters may also be given as top-level shorthand keys; giving
 the same key both ways is an error.  Unknown keys are rejected with
 their path, the params of each source and initial preset included, and
-so is a preset number that is not finite.  So are a ``tag`` with a path
+so is a number that does not convert to a finite double (NaN, an
+infinity or an integer beyond the doubles).  So are a ``tag`` with a path
 separator, an empty ``tag`` or ``output.dir``, a NUL character in either,
 an ``eps_list`` that is not strictly monotone and a ``length`` whose cell
 width overflows when squared, which then fail before any compute.
@@ -144,6 +145,14 @@ def _reject_unknown(section: dict, allowed, path: str) -> None:
             raise ValidationError(f"unknown key: {path}{key}")
 
 
+def _finite(value) -> bool:
+    """Whether the number ``value`` converts to a finite double."""
+    try:
+        return abs(float(value)) < float("inf")  # NaN fails the comparison
+    except OverflowError:  # an integer beyond the doubles
+        return False
+
+
 def _number(section, key, default, path, integer=False, minimum=None,
             strict_minimum=None):
     value = section.get(key, default)
@@ -151,8 +160,9 @@ def _number(section, key, default, path, integer=False, minimum=None,
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}{key}: expected a number, got {value!r}")
-    if not abs(value) < float("inf"):  # json reads NaN, Infinity and -Infinity
-        raise ValidationError(f"{path}{key}: must be finite, got {value!r}")
+    if not _finite(value):  # json reads NaN, Infinity, -Infinity and integers of any size
+        got = repr(value) if isinstance(value, float) else "an integer beyond the doubles"
+        raise ValidationError(f"{path}{key}: must be finite, got {got}")
     if integer:
         if int(value) != value:
             raise ValidationError(f"{path}{key}: expected an integer, got {value!r}")
@@ -277,7 +287,7 @@ def _validate(raw: dict) -> dict:
     if not isinstance(eps_list, (list, tuple)) or len(eps_list) < 2:
         raise ValidationError("eps_list: expected a list of at least two levels")
     for i, e in enumerate(eps_list):
-        if isinstance(e, bool) or not isinstance(e, (int, float)) or not 0 < e < float("inf"):
+        if isinstance(e, bool) or not isinstance(e, (int, float)) or not (_finite(e) and e > 0):
             raise ValidationError(f"eps_list[{i}]: must be a positive finite number")
     levels = doc["eps_list"] = [float(e) for e in eps_list]
     if levels not in (sorted(set(levels)), sorted(set(levels), reverse=True)):
@@ -305,10 +315,10 @@ def parse_config(
         try:
             with open(path) as fh:
                 data = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"cannot read config file {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: no UTF-8, or over the digit limit
+            raise ParseError(f"cannot read config file {path}: {exc}") from exc
     doc = _validate(_apply_overrides(_require_mapping(data, "config"), overrides or {}))
 
     model = doc["model"]
@@ -320,7 +330,7 @@ def parse_config(
     source = doc["source"]
     try:
         spec = SourceSpec(source["preset"], source["params"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # an integer beyond the doubles
         raise ValidationError(f"source.params: {exc}") from exc
     n_cells = model["n_cells"]
     if spec.kind == "tabulated" and np.shape(spec.params["values"])[1:] != (n_cells,):

@@ -19,9 +19,10 @@ Four kinds of output, all reproducible from explicit seeds:
 Every path driver takes ``(ctx, noise_model, initial, source)`` first, as
 ``RunConfig.problem()`` returns them, and runs its paths through the one
 time loop, :func:`~plapsim.stepper.run_rows`, which chunks the rows and
-names the first failed one: the refinement studies through ``run_path``
-(one row), ``run_mc`` and the eps study with all paths at one eps as its
-rows, ``verify_all`` with its four stepper runs as rows its hook folds.
+names the first failed one: the deterministic study through ``run_path``
+(one row), the pathwise study with one row per time level, ``run_mc`` and
+the eps study with all paths at one eps as its rows, ``verify_all`` with
+its four stepper runs as rows its hook folds.
 
 No convergence rate for the stochastic scheme is asserted anywhere: the
 stochastic tables are recorded observations only.
@@ -430,23 +431,27 @@ def run_pathwise_refinement(
 
     ``ctx`` is the coarsest level, the finest has M * 2^(levels-1) steps,
     and every coarser level consumes the same path through increment
-    aggregation.  The table reports the final-time L2 distance of each
-    coarse run to the finest run; an observation, no rate is claimed.
+    aggregation: each of its increments sums the fine ones over its step.
+    Each level is one row of :func:`~plapsim.stepper.run_rows`, whose hook
+    keeps only the final state.  The table reports the final-time L2
+    distance of each coarse run to the finest run; an observation, no rate
+    is claimed.
     """
     if levels < 2:
         raise ValueError(f"levels must be >= 2, got {levels}")
     pr = ctx.params
     M_fine = pr.M * 2 ** (levels - 1)
-    fine = noise_model.sample_path(M_fine, pr.T / M_fine, seed)
-    runs = []
+    fine = noise_model.sample_path(M_fine, pr.T / M_fine, seed).values
+    runs = [None] * levels  # each level's last state, its final one once it has run
     taus = []
     for level in range(levels):
         params = replace(pr, M=pr.M * 2**level)
         level_ctx = OperatorContext(params, ctx.reaction, ctx.grid)
-        incr = fine.coarsen(2 ** (levels - 1 - level))
-        traj = stepper.run_path(level_ctx, noise_model, initial, source, seed=seed,
-                                cfg=solver_cfg, increments=incr)
-        runs.append(traj.states[-1])
+        incr = fine.reshape(params.M, -1, noise_model.J).sum(axis=1)
+        stepper.run_rows(level_ctx, initial.u0.values, noise_model.coefs(incr[None]),
+                         source.step_table(params.M, ctx.grid, params.tau),
+                         solver_cfg or SolverConfig(), lambda k: f"seed {seed}",
+                         on_step=lambda rows, n, pt, solved: setitem(runs, level, pt.u[0]))
         taus.append(params.tau)
     ref = runs[-1]
     errors = [float(norm_l2_array(r - ref, ctx.grid.h)) for r in runs[:-1]]

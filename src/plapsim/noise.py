@@ -13,7 +13,8 @@ sum 2^{-j} <= 1).
 
 Only the scalar increments dW_j ever enter the scheme, so no abstract
 Hilbert-space objects are stored: a path is an (M, J) matrix of
-independent N(0, tau) draws, reproducible from a 64-bit seed.
+independent N(0, tau) draws, reproducible from a 64-bit seed; the sums of
+its consecutive rows are the same path on a coarser time grid.
 """
 
 from __future__ import annotations
@@ -68,32 +69,6 @@ class PathIncrements:
             raise ValueError(f"increments must be a 2-D matrix, got ndim={arr.ndim}")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.values.shape[1]
-
-    def coarsen(self, factor: int) -> "PathIncrements":
-        """Aggregate groups of ``factor`` consecutive rows by summation.
-
-        The result is the same Brownian path sampled on a grid ``factor``
-        times coarser (increment variance factor * tau); this is what lets
-        refinement studies reuse one path across all time-step levels.
-        """
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        if self.n_steps % factor != 0:
-            raise ValueError(
-                f"factor {factor} does not divide the number of rows {self.n_steps}"
-            )
-        coarse = self.values.reshape(
-            self.n_steps // factor, factor, self.n_modes
-        ).sum(axis=1)
-        return PathIncrements(coarse, tau=self.tau * factor, seed=self.seed)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,9 @@ class NonConvergence(RuntimeError):
     """Raised when a solve stops without meeting its residual tolerance.
 
     That is: the Newton cap is hit, the line search along the Newton
-    direction finds no step, or the residual turns non-finite.  Valid
+    direction finds no step, or the residual turns non-finite; the message
+    opens with "no convergence", "line search failed" or "residual not
+    finite", then "after k Newton steps (residual ...)".  Valid
     contexts do reach the cap today: p = 4 on 8192 cells for some noise
     seeds (the benchmark's ``run_large`` config at seeds 7004, 7015, 7035,
     7073 and 7090), every such config on 16384 cells, and eps = 1e-8 under
@@ -222,7 +224,8 @@ def solve_rows(
         if stop:
             for i in stop:
                 if reports[rows[i]].failure is None and not res[i] <= tol:
-                    reports[rows[i]].failure = _failure("no convergence", reports[rows[i]], tol)
+                    what = "no convergence" if res[i] < _INF else "residual not finite"
+                    reports[rows[i]].failure = _failure(what, reports[rows[i]], tol)
             if len(stop) == len(rows):
                 finished.append((rows, pt, slice(None)))
                 break

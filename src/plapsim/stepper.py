@@ -27,7 +27,8 @@ violation tables, words every "<row> failed at step n: ..." message and
 hands each step's record to one hook, whose caller folds what it keeps.
 :func:`run_path` is that loop on one row over a whole path and
 :func:`step` on one row for one step; the Monte Carlo study, the eps
-study and the verification report of :mod:`plapsim.harness` run many rows.
+study and the verification report of :mod:`plapsim.harness` run many rows,
+and its pathwise study one row per time level.
 """
 
 from __future__ import annotations
@@ -410,15 +411,13 @@ def run_path(
     seed: int,
     cfg: SolverConfig | None = None,
     mode: str = "full",
-    increments: PathIncrements | None = None,
     on_step=None,
 ) -> Trajectory:
     """Run the full time loop for one path: :func:`run_rows` on one row.
 
-    The increments are drawn from ``seed`` unless an explicit matrix is
-    passed (refinement studies pass coarsened copies of one fine path).
-    The output is a deterministic function of all inputs.  A failed solve
-    raises :class:`~plapsim.solver.NonConvergence` naming the seed and the
+    The increments are drawn from ``seed``, so the output is a
+    deterministic function of the arguments.  A failed solve raises
+    :class:`~plapsim.solver.NonConvergence` naming the seed and the
     (0-based) step, then the solve's message with its last residuals.
 
     It folds the states (full mode), W^{1,p} powers and solve reports of
@@ -432,13 +431,7 @@ def run_path(
     if on_step is not None and mode != "full":
         raise ValueError("on_step needs mode 'full'")
     pr = ctx.params
-    if increments is None:
-        increments = noise_model.sample_path(pr.M, pr.tau, seed)
-    if increments.n_steps != pr.M or increments.n_modes != noise_model.J:
-        raise ValueError(
-            f"increment matrix {increments.values.shape} does not match "
-            f"M={pr.M}, J={noise_model.J}"
-        )
+    increments = noise_model.sample_path(pr.M, pr.tau, seed)
     states = np.empty((pr.M + 1, ctx.grid.n_cells)) if mode == "full" else None
     w1p, reports = np.empty(pr.M + 1), []
     times = np.arange(pr.M + 1) * pr.tau

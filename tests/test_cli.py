@@ -104,14 +104,60 @@ NON_FINITE = [  # JSON text, and the key its ValidationError names
 ]
 
 
-@pytest.mark.parametrize(
-    "text, key", NON_FINITE,
-    ids=[f"{key}={re.search(r'NaN|-?Infinity', text)[0]}" for text, key in NON_FINITE],
-)
+HUGE = "1" + "0" * 400  # 10^400: json reads it as an int, which float() cannot convert
+BEYOND_DOUBLE = [  # id, JSON text of an integer beyond the doubles, the key its error names
+    ("noise.sigma", '{"noise": {"sigma": %s}}', "noise.sigma"),
+    ("model.T", '{"model": {"T": %s, "M": 3}}', "model.T"),
+    ("model.M", '{"model": {"M": %s}}', "model.M"),
+    ("model.n_cells", '{"model": {"n_cells": %s}}', "model.n_cells"),
+    ("noise.J", '{"noise": {"J": %s}}', "noise.J"),
+    ("eps_list[0]", '{"eps_list": [%s, 0.1]}', "eps_list[0]"),
+    ("source.params.value", '{"source": {"preset": "constant", "params": {"value": %s}}}',
+     "source.params.value"),
+    ("initial.params.value", '{"initial": {"preset": "constant", "params": {"value": %s}}}',
+     "initial.params.value"),
+    ("source.params.times", '{"model": {"n_cells": 2}, "source": {"preset": "tabulated", '
+     '"params": {"times": [0, %s], "values": [[0, 0], [1, 1]]}}}', "source.params"),
+    ("source.params.values", '{"model": {"n_cells": 2}, "source": {"preset": "tabulated", '
+     '"params": {"times": [0, 1], "values": [[0, %s], [1, 1]]}}}', "source.params"),
+]
+
+
+@pytest.mark.parametrize("text, key", [
+    *(pytest.param(text, key, id=f"{key}={re.search(r'NaN|-?Infinity', text)[0]}")
+      for text, key in NON_FINITE),
+    # each raised an OverflowError traceback (J: numpy's "Maximum allowed
+    # dimension exceeded") after validation
+    *(pytest.param(text % HUGE, key, id=f"{name}=10^400") for name, text, key in BEYOND_DOUBLE),
+])
 def test_non_finite_numbers_name_the_key(text, key):
-    # json reads NaN and +-Infinity; each is a ValidationError naming its key
+    # json reads NaN, +-Infinity and integers beyond the doubles; each is a
+    # ValidationError naming its key
     with pytest.raises(ValidationError, match=re.escape(key) + ":"):
         parse_config(data=json.loads(text))
+
+
+@pytest.mark.parametrize("subcommand", ["run", "verify"])
+@pytest.mark.parametrize("data, start", [
+    *(pytest.param((text % HUGE).encode(), f"{key}: ", id=name)
+      for name, text, key in BEYOND_DOUBLE),
+    # json.load raised a ValueError that was no ParseError: an integer
+    # literal over Python's 4300-digit limit, and bytes that are no UTF-8
+    pytest.param(b'{"model": {"M": %s}}' % (b"1" * 5001),
+                 "cannot read config file cfg.json: Exceeds the limit (4300 digits)",
+                 id="digit-limit"),
+    pytest.param(b'{"tag": "\xff"}', "cannot read config file cfg.json: 'utf-8' codec",
+                 id="not-utf-8"),
+])
+def test_cli_number_beyond_the_doubles_is_a_config_error(monkeypatch, capsys, tmp_path,
+                                                         subcommand, data, start):
+    # one config error line and exit 1 before any compute, not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_bytes(data)
+    assert cli.main([subcommand, "--config", "cfg.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: " + start) and err.count("\n") == 1
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 def test_source_params_name_the_key():
@@ -550,6 +596,26 @@ def test_cli_verify_whose_powers_overflow_names_its_failed_check(tmp_path):
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines()[-1].startswith(
         "runtime error: solver_uniqueness: rhs 0 (zero guess): no convergence after 50 ")
+    assert result.stdout == "" and os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("subcommand, doc, label", [
+    (sub, {"model": {"T": 1e308, "M": 3, "n_cells": 8}}, label) for sub, label in (
+        ("run", "seed 0"), ("mc", "path 0 (seed 0)"), ("eps-study", "eps 0.1: path 0 (seed 0)"))
+] + [("verify", {"source": {"preset": "constant", "params": {"value": 1e308}}},
+      "stepper noisy run (seed 0)")], ids=["run", "mc", "eps-study", "verify"])
+def test_cli_step_whose_residual_overflows_says_it_is_not_finite(tmp_path, subcommand, doc,
+                                                                 label):
+    # the residual of step 0 is inf before any Newton step, which read "no
+    # convergence after 0 Newton steps"; numpy's overflow warnings still come
+    # first on stderr, so the child runs in its own interpreter
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    result = run_cli([subcommand, "--config", "cfg.json"], tmp_path)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1] == (
+        f"runtime error: {label} failed at step 0: residual not finite after 0 Newton steps "
+        "(residual inf, tol 1.000e-10; residuals [inf])")
     assert result.stdout == "" and os.listdir(tmp_path / "out") == []
 
 

@@ -24,7 +24,7 @@ from plapsim.harness import (
     run_pathwise_refinement,
     verify_all,
 )
-from plapsim.mesh import Grid1D, norm_l2
+from plapsim.mesh import Grid1D, norm_l2, norm_l2_array
 from plapsim.model import ModelParams, ReactionSpec, SourceSpec, make_initial
 from plapsim.noise import NoiseModel
 from plapsim.operators import OperatorContext
@@ -592,6 +592,36 @@ def test_pathwise_refinement_uses_common_path():
     # under one shared path the coarse-to-fine distances shrink with tau;
     # recorded as data, not asserted as a rate
     assert tab.errors[1] < tab.errors[0]
+
+
+@pytest.mark.parametrize("levels", [2, 3])
+@pytest.mark.parametrize("seed", [4, 11])
+def test_pathwise_refinement_is_run_rows_on_summed_fine_increments(levels, seed):
+    # each level is one row of run_rows on the fine path's increments summed
+    # over its steps in time order (pairs at the next level, fours below),
+    # and the table is the final-time distances, bit for bit
+    ctx, noise, initial = mc_setup()
+    source = SourceSpec("cosine", {"offset": 0.1, "amp": 0.5, "decay": 1.0, "length": 1.0})
+    tab = run_pathwise_refinement(ctx, noise, initial, source, levels=levels, seed=seed)
+    pr, h = ctx.params, ctx.grid.h
+    M_fine = pr.M * 2 ** (levels - 1)
+    fine = noise.sample_path(M_fine, pr.T / M_fine, seed).values
+    finals, taus = [], []
+    for level in range(levels):
+        factor = 2 ** (levels - 1 - level)
+        level_ctx = OperatorContext(replace(pr, M=M_fine // factor), ctx.reaction, ctx.grid)
+        M, tau = level_ctx.params.M, level_ctx.params.tau
+        summed = sum(fine[k::factor] for k in range(factor))
+        states = []
+        stepper.run_rows(level_ctx, initial.u0.values, noise.coefs(summed[None]),
+                         source.step_table(M, ctx.grid, tau), SolverConfig(), str,
+                         on_step=lambda rows, n, pt, solved: states.append(pt.u[0].copy()))
+        assert len(states) == M + 1
+        finals.append(states[-1])
+        taus.append(tau)
+    assert tab.values == taus[:-1]
+    assert tab.errors == [float(norm_l2_array(u - finals[-1], h)) for u in finals[:-1]]
+    assert tab.metadata["fine_steps"] == M_fine and tab.metadata["seed"] == seed
 
 
 def test_pathwise_refinement_couples_levels():

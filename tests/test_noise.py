@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from plapsim.config import ValidationError, parse_config
+from plapsim.harness import run_pathwise_refinement
 from plapsim.mesh import Grid1D
+from plapsim.model import ModelParams, ReactionSpec, SourceSpec, make_initial
 from plapsim.noise import NoiseModel, PathIncrements, bump_profile
+from plapsim.operators import OperatorContext
 
 
 def test_bump_support_and_peak():
@@ -69,25 +72,25 @@ def test_hs_lipschitz_estimate_rejects_a_negative_seed():
         NoiseModel(J=4, sigma=0.5).hs_lipschitz_estimate(100, seed=-1)
 
 
-def test_coarsen_identity_and_additivity():
+def test_coarsen_identity_and_additivity(monkeypatch):
+    # the pathwise study coarsens its one fine path itself: a spy on coefs
+    # sees one (1, M, J) call per level, coarsest first; the finest level
+    # takes the fine path bit for bit, the next one its pairwise sums bit for
+    # bit, and every coarser level the pairwise sums of the next finer one's
+    grid = Grid1D(8, 1.0)
+    ctx = OperatorContext(ModelParams(p=2.0, eps=0.1, T=0.2, M=3), ReactionSpec(), grid)
     model = NoiseModel(J=3, sigma=1.0)
-    fine = model.sample_path(2, 0.1, seed=1)
-    assert np.array_equal(fine.coarsen(1).values, fine.values)
-    summed = fine.coarsen(2)
-    assert summed.values.shape == (1, 3)
-    assert np.allclose(summed.values[0], fine.values[0] + fine.values[1])
-    assert summed.tau == pytest.approx(0.2)
-    with pytest.raises(ValueError):
-        fine.coarsen(3)
-
-
-def test_coarsen_variance():
-    # summed sub-increments have variance factor * tau
-    tau, factor = 0.001, 4
-    model = NoiseModel(J=2, sigma=1.0)
-    fine = model.sample_path(40_000, tau, seed=7)
-    coarse = fine.coarsen(factor)
-    assert abs(coarse.values.var() / (factor * tau) - 1.0) <= 0.05
+    initial = make_initial(grid, "constant", {"value": 0.5})
+    seen, coefs = [], NoiseModel.coefs
+    monkeypatch.setattr(NoiseModel, "coefs", lambda self, dw: seen.append(dw) or coefs(self, dw))
+    tab = run_pathwise_refinement(ctx, model, initial, SourceSpec("zero"), levels=4, seed=1)
+    assert [dw.shape for dw in seen] == [(1, 3, 3), (1, 6, 3), (1, 12, 3), (1, 24, 3)]
+    fine = model.sample_path(24, 0.2 / 24, seed=1).values
+    assert np.array_equal(seen[-1][0], fine)
+    assert np.array_equal(seen[-2][0], fine[0::2] + fine[1::2])
+    for coarse, finer in zip(seen, seen[1:]):
+        assert np.allclose(coarse[0], finer[0, 0::2] + finer[0, 1::2], rtol=1e-15, atol=1e-15)
+    assert tab.values == pytest.approx([0.2 / 3, 0.1 / 3, 0.05 / 3], rel=1e-15)
 
 
 def test_apply_diffusion_values():

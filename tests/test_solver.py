@@ -320,6 +320,17 @@ def test_nonfinite_residual_raises_nonconvergence(monkeypatch):
     assert len(calls) == 2
 
 
+def test_infinite_residual_is_worded_as_not_finite(monkeypatch):
+    # a residual that is inf before the first iteration is no Newton failure:
+    # the message says so, in the form of every other failure message
+    ctx = make_ctx(p=3.0, tau=0.1)
+    monkeypatch.setattr(OperatorContext, "apply", lambda self, pt: np.full_like(pt.u, np.inf))
+    with pytest.raises(NonConvergence) as caught:
+        solve(ctx, ctx.grid.function(np.full(16, 0.3)))
+    assert str(caught.value) == ("residual not finite after 0 Newton steps "
+                                 "(residual inf, tol 1.000e-10; residuals [inf])")
+
+
 # ---------------------------------------------------------------------------
 # stability of the inverse map
 

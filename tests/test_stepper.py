@@ -612,10 +612,11 @@ def test_cli_run_child_failure_exits_2(monkeypatch, capsys, tmp_path, children):
 
 
 def test_run_path_rejects_mismatched_increments():
+    # run_path draws every path from its seed: it takes no increment matrix
     ctx, nm = make_setup(p=2.0, T=0.2, M=4, sigma=0.3)
     initial = make_initial(ctx.grid, "constant", {"value": 0.5})
     wrong = nm.sample_path(3, 0.05, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         run_path(ctx, nm, initial, SourceSpec("zero"), seed=0, increments=wrong)
     with pytest.raises(ValueError):
         run_path(ctx, nm, initial, SourceSpec("zero"), seed=0, mode="sparse")

@@ -32,7 +32,7 @@ at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config, and
 ``verify`` in its uniqueness stack and in its stepper runs.  Two ``mc``
 cases on 16384 cells advance their 6 paths in two chunks of the time loop
 (4 paths, then 2): one passes, and one fails on path 4, in the second
-chunk, so that the chunk loop is checked too.  The last eight cases check
+chunk, so that the chunk loop is checked too.  The last ten cases check
 the front door: ``estimate-cp --p 3 --samples 1000`` (no config document),
 ``usage`` (``run --seed abc``, an argparse usage error, exit 1),
 ``bad-seed`` (``run --seed -1``, a config error, exit 1),
@@ -42,9 +42,15 @@ a config error that names the seed, exit 1), ``bad-length`` (``run`` on
 when squared, a config error, exit 1), ``empty-tag`` (``run --tag ""``
 on ``{}``, a config error that writes no ``run-.csv``, exit 1),
 ``tau-underflow`` (``run`` on ``{"model": {"T": 5e-324, "M": 3}}``, whose
-tau = T / M underflows to 0, a config error that names T and M, exit 1)
-and ``sigma-overflow`` (``verify`` on ``{"noise": {"sigma": 1e308}}``,
-whose L_g is not finite, a config error, exit 1).
+tau = T / M underflows to 0, a config error that names T and M, exit 1),
+``sigma-overflow`` (``verify`` on ``{"noise": {"sigma": 1e308}}``,
+whose L_g is not finite, a config error, exit 1), ``huge-M`` (``run`` on
+``{"model": {"M": 10**400}}``) and ``huge-sigma`` (``verify`` on
+``{"noise": {"sigma": 10**400}}``), whose JSON integer 10^400 does not
+convert to a finite double, each a config error that names its key, exit
+1.  No case runs a step whose residual is not finite: its stderr holds
+numpy's warnings, whose lines carry the absolute path of the source file,
+so two checkouts could not agree on its digest.
 """
 
 from __future__ import annotations
@@ -120,7 +126,9 @@ def cases(make_config):
             ("bad-length", ["run"], {"M": 2, "n_cells": 8, "length": 1e160}),
             ("empty-tag", ["run", "--tag", ""], {}),
             ("tau-underflow", ["run"], {"model": {"T": 5e-324, "M": 3}}),
-            ("sigma-overflow", ["verify"], {"noise": {"sigma": 1e308}})]
+            ("sigma-overflow", ["verify"], {"noise": {"sigma": 1e308}}),
+            ("huge-M", ["run"], {"model": {"M": 10**400}}),
+            ("huge-sigma", ["verify"], {"noise": {"sigma": 10**400}})]
     return out
 
 
