@@ -557,6 +557,12 @@ def verify_all(
     the harness can fail; a non-finite one raises ValueError.  A failed
     check is data in the report; a failed solve raises :class:`NonConvergence`
     naming the check, the row and, for a stepper run, the step.
+
+    The noise-increment checks take ``stat_draws`` draws (rounded down to
+    whole rows of J) from :meth:`NoiseModel.draw`, the one formula of a
+    path's increments, and compute their mean and variance in the draws'
+    own buffer, bit for bit ``ndarray.mean()`` and ``var()``: the draws are
+    held once, so they set the peak memory (8 MB at the default 10^6).
     """
     if not -np.inf < cp_factor < np.inf:  # NaN fails both comparisons
         raise ValueError(f"cp_factor must be finite, got {cp_factor}")
@@ -682,14 +688,14 @@ def verify_all(
     record("noise_forcing_reproducible", 0.0 if same else 1.0, 0.0)
     hs = noise_model.hs_lipschitz_estimate(100_000, seed=seed)
     record("noise_hs_bound", hs, noise_model.L_g)
-    draws = noise_model.sample_path(
-        max(stat_draws // noise_model.J, 1), tau, seed + 4
-    ).values
-    mean_bound = 4.0 * np.sqrt(tau / draws.size)
-    mean_abs = abs(float(draws.mean()))
-    record("noise_increment_mean", mean_abs, mean_bound)
-    var_rel = abs(float(draws.var()) / tau - 1.0)
-    record("noise_increment_variance", var_rel, 0.05)
+    # the draws are held once: the variance is taken in their own buffer,
+    # with the reductions and divisions of ndarray.mean() and var()
+    draws = noise_model.draw(max(stat_draws // noise_model.J, 1), tau, seed + 4)
+    mean = np.add.reduce(draws, axis=None) / draws.size
+    record("noise_increment_mean", abs(float(mean)), 4.0 * np.sqrt(tau / draws.size))
+    draws -= mean
+    var = np.add.reduce(np.multiply(draws, draws, out=draws), axis=None) / draws.size
+    record("noise_increment_variance", abs(float(var) / tau - 1.0), 0.05)
 
     # --- operator inequalities on 100 stacked (fu, fv) pairs per p.  Each
     # pair's gap in <A x, x> >= (1 - tau L_beta) ||x||^2 + tau c ||x||_{1,p}^p

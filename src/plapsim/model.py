@@ -51,6 +51,8 @@ _GAUSS_NODES = np.array(
 _GAUSS_WEIGHTS = np.array(
     [0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357]
 )
+#: at most this many Gauss-time values of a source are evaluated at once
+_SOURCE_BLOCK_VALUES = 2**16
 
 
 @dataclass(frozen=True)
@@ -261,9 +263,11 @@ class SourceSpec:
         """(M, n_cells) array whose row n is the average of f over step n.
 
         This table is how the stepper consumes a source.  A source that is
-        constant in time gives one row broadcast to all M, without copies.
+        constant in time gives one row broadcast to all M, without copies;
+        any other is evaluated in blocks of steps, so its peak memory is the
+        table and one block.
         """
-        return self._averages(np.arange(M), grid.cell_centers(), tau)
+        return self._averages(range(M), grid.cell_centers(), tau)
 
     def step_average(self, n: int, grid: Grid1D, tau: float) -> GridFunction:
         """Average of f over [n tau, (n+1) tau] at the cell centers.
@@ -272,25 +276,32 @@ class SourceSpec:
         """
         if n < 0:
             raise ValueError(f"step index must be nonnegative, got {n}")
-        (row,) = self._averages(np.array([n]), grid.cell_centers(), tau)
+        (row,) = self._averages(range(n, n + 1), grid.cell_centers(), tau)
         return grid.function(row)
 
-    def _averages(self, steps: np.ndarray, x: np.ndarray, tau: float) -> np.ndarray:
+    def _averages(self, steps: range, x: np.ndarray, tau: float) -> np.ndarray:
         """(len(steps), x.size) averages of f over the given steps at the points x.
 
         4-point Gauss in time: exact for sources polynomial in t up to
         degree 7, so quadrature never pollutes a refinement table for
-        smooth manufactured sources.  One :meth:`evaluate` call takes every
-        Gauss time of every step.
+        smooth manufactured sources.  Each :meth:`evaluate` call takes every
+        Gauss time of one block of steps, at most ``_SOURCE_BLOCK_VALUES``
+        values; every entry is computed alone, so the block size does not
+        change a bit.
         """
         if self.kind in ("zero", "constant"):
-            return np.broadcast_to(self.evaluate(0.0, x), (steps.size, x.size))
-        t = (steps * tau)[:, None] + 0.5 * tau * (_GAUSS_NODES + 1.0)
-        f = self.evaluate(t, x)
-        acc = np.zeros((steps.size, x.size))
-        for k, weight in enumerate(_GAUSS_WEIGHTS):
-            acc += weight * f[:, k]
-        return 0.5 * acc
+            return np.broadcast_to(self.evaluate(0.0, x), (len(steps), x.size))
+        out = np.empty((len(steps), x.size))
+        block = max(_SOURCE_BLOCK_VALUES // (_GAUSS_NODES.size * x.size), 1)
+        offsets = 0.5 * tau * (_GAUSS_NODES + 1.0)
+        for start in range(0, len(steps), block):
+            rows = steps[start:start + block]
+            f = self.evaluate(np.arange(rows.start, rows.stop)[:, None] * tau + offsets, x)
+            acc = np.zeros((len(rows), x.size))
+            for k, weight in enumerate(_GAUSS_WEIGHTS):
+                acc += weight * f[:, k]
+            np.multiply(acc, 0.5, out=out[start:start + block])
+        return out
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ Only the scalar increments dW_j ever enter the scheme, so no abstract
 Hilbert-space objects are stored: a path is an (M, J) matrix of
 independent N(0, tau) draws, reproducible from a 64-bit seed; the sums of
 its consecutive rows are the same path on a coarser time grid.
+:meth:`NoiseModel.draw` is the one formula of such a matrix: standard
+normals drawn into a fresh array and scaled by sqrt(tau) in place, the
+bits of ``np.sqrt(tau) * rng.standard_normal((M, J))`` without a second
+copy, so a caller that reduces the draws (``verify_all``'s mean and
+variance) can do so in their own buffer.
 """
 
 from __future__ import annotations
@@ -97,20 +102,28 @@ class NoiseModel:
         with np.errstate(over="ignore"):
             return float(np.float64(self.sigma) ** 2 * 4.0 * np.pi**2)
 
-    def sample_path(self, M: int, tau: float, seed: int) -> PathIncrements:
-        """Draw the (M, J) increment matrix for one path.
+    def draw(self, M: int, tau: float, seed: int) -> np.ndarray:
+        """A fresh, writeable (M, J) array of i.i.d. N(0, tau) draws from ``seed``.
 
-        Entries are i.i.d. N(0, tau); identical (M, tau, seed) give a
-        bit-identical matrix, which is the whole reproducibility contract.
+        Identical (M, tau, seed) give a bit-identical matrix, which is the
+        whole reproducibility contract.  A shape numpy cannot address raises
+        MemoryError, as one too large to allocate does.
         """
         if M < 1:
             raise ValueError(f"M must be >= 1, got {M}")
         if not tau > 0:
             raise ValueError(f"tau must be positive, got {tau}")
         rng = seeded_rng(seed)
-        return PathIncrements(
-            np.sqrt(tau) * rng.standard_normal((M, self.J)), tau=tau, seed=seed
-        )
+        try:
+            out = rng.standard_normal((M, self.J))
+        except ValueError as exc:  # numpy's "array is too big", before any allocation
+            raise MemoryError(f"cannot draw a ({M}, {self.J}) increment matrix: {exc}") from None
+        out *= np.sqrt(tau)  # the bits of sqrt(tau) * out, in place
+        return out
+
+    def sample_path(self, M: int, tau: float, seed: int) -> PathIncrements:
+        """The (M, J) increment matrix of one path, :meth:`draw` as a PathIncrements."""
+        return PathIncrements(self.draw(M, tau, seed), tau=tau, seed=seed)
 
     def coefs(self, dw) -> np.ndarray:
         """Noise coefficients sum_j c_j dW_j of increments ``dw``, modes on the last axis.

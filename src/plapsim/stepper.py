@@ -165,9 +165,10 @@ class Trajectory:
     mode "full" keeps every state, as row n of the (M+1, n_cells) array
     ``states``; mode "thin" keeps only the per-time summary (L2 norm,
     W^{1,p} power, constraint violation) and sets ``states`` to None.  Thin
-    mode drops the (M+1, n_cells) states but not the source table: the
-    source is tabulated at all M x 4 Gauss times before step 0, so peak
-    memory still grows with M (ROADMAP direction 5).
+    mode drops the (M+1, n_cells) states but not the source table: a source
+    that varies in time is tabulated as one (M, n_cells) array before step
+    0, evaluated in blocks of steps (no (M, 4, n_cells) array of Gauss-time
+    values), so peak memory still grows with M (ROADMAP direction 5).
 
     Full mode writes one CSV line of ``repr`` floats per state row, through
     a :class:`RowWriter`: above ``_PARALLEL_VALUES`` values the rows are

@@ -640,6 +640,24 @@ def test_cli_memory_error_is_a_runtime_error(monkeypatch, capsys, tmp_path, subc
         assert os.listdir(tmp_path / "out") == []
 
 
+@pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study", "verify"])
+def test_cli_size_numpy_cannot_address_is_a_runtime_error(monkeypatch, capsys, tmp_path,
+                                                          subcommand):
+    # M = 2^62 passes validation (tau = T / M is a normal double), and numpy
+    # rejects its (M, J) draw as "array is too big", a ValueError that was a
+    # traceback under exit 1; it now exits 2 as a table too large to
+    # allocate does.  numpy rejects this size before it allocates anything;
+    # no addressable size is tried, since it would allocate
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": {"M": 2**62}}))
+    assert cli.main([subcommand, "--config", "cfg.json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(r"runtime error: cannot draw a \(4611686018427387904, 16\) increment "
+                        r"matrix: array is too big; [^\n]*\n", err), err
+    assert os.listdir(tmp_path / "out") == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["run", "--seed", "abc"], "plapsim run: error: argument --seed: invalid int value: 'abc'"),
     (["run", "--output-mode", "bogus"],

@@ -752,6 +752,38 @@ def test_verify_all_json_deterministic():
     assert {"property", "module", "passed", "measured", "bound", "slack"} <= set(rec)
 
 
+@pytest.mark.parametrize("J, stat_draws, seed", [
+    (12, 1_000_000, 0), (12, 1_000_000, 5), (1, 1, 2), (16, 800, 9), (7, 7000, 123),
+])
+def test_verify_all_increment_statistics_are_those_of_ndarray(J, stat_draws, seed):
+    # the mean and the variance are taken in the draws' own buffer, and give
+    # the floats of ndarray.mean() and var() on sqrt(tau) * standard normals,
+    # so the report keeps its bytes; (12, 10^6) is the default draw
+    report = verify_all(noise_model=NoiseModel(J=J, sigma=0.5), seed=seed, cp_samples=1000,
+                        stat_draws=stat_draws)
+    tau = 0.5 / 50  # the default ctx's T / M
+    draws = np.sqrt(tau) * np.random.default_rng(seed + 4).standard_normal(
+        (max(stat_draws // J, 1), J))
+    measured = {rec["property"]: rec["measured"] for rec in report.properties}
+    assert measured["noise_increment_mean"] == abs(float(draws.mean()))
+    assert measured["noise_increment_variance"] == abs(float(draws.var()) / tau - 1.0)
+
+
+def test_verify_all_memory_is_one_draw():
+    # the default 10^6 increments are held once: the scaled draws, a copy
+    # wrapped in PathIncrements and var()'s draws - mean each held them, for
+    # a peak of 16.2 MiB
+    verify_all(cp_samples=1000, stat_draws=1000)  # warm caches
+    tracemalloc.start()
+    try:
+        verify_all()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_draw = 8 * 12 * (1_000_000 // 12)
+    assert peak <= min(1.2 * one_draw, 9 * 2**20), peak / 2**20
+
+
 def count_solve_rows(monkeypatch):
     """Record the row count of every solve_rows call, from solve or direct."""
     calls = []

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,6 +238,58 @@ def test_tabulated_step_table_matches_per_cell_interp():
         ref[n] = 0.5 * acc
     assert np.array_equal(table, ref)
     assert np.array_equal(spec.step_average(4, g, tau).values, ref[4])
+
+
+COSINE = SourceSpec("cosine", {"offset": 0.2, "amp": 0.8, "decay": 1.5, "length": 1.0})
+
+
+def one_shot_table(spec, M, grid, tau):
+    """The table with every Gauss time of every step in one evaluate call."""
+    t = (np.arange(M) * tau)[:, None] + 0.5 * tau * (model._GAUSS_NODES + 1.0)
+    f = spec.evaluate(t, grid.cell_centers())
+    acc = np.zeros((M, grid.n_cells))
+    for k, weight in enumerate(model._GAUSS_WEIGHTS):
+        acc += weight * f[:, k]
+    return 0.5 * acc
+
+
+@pytest.mark.parametrize("kind", ["cosine", "tabulated"])
+@pytest.mark.parametrize("M, n_cells", [(64, 100), (1000, 16), (37, 2048)])
+def test_step_table_is_the_same_in_every_block_size(monkeypatch, kind, M, n_cells):
+    # blocks of 1, 7, 16 and 64 steps, one block and the default size give
+    # the table of one evaluate call over all steps, bit for bit; a block
+    # of 7 steps leaves a short last block
+    grid, tau = Grid1D(n_cells, 1.0), 0.7 / M
+    rng = np.random.default_rng(M)
+    spec = COSINE if kind == "cosine" else SourceSpec("tabulated", {
+        "times": [0.0, 0.1, 0.35, 0.9],
+        "values": rng.uniform(-1.0, 1.0, (4, n_cells)).tolist()})
+    ref = one_shot_table(spec, M, grid, tau)
+    assert spec.step_table(M, grid, tau).tobytes() == ref.tobytes()  # the default size
+    for steps in (1, 7, 16, 64, M):
+        monkeypatch.setattr(model, "_SOURCE_BLOCK_VALUES", steps * 4 * n_cells)
+        assert spec.step_table(M, grid, tau).tobytes() == ref.tobytes(), steps
+    monkeypatch.setattr(model, "_SOURCE_BLOCK_VALUES", 1)  # less than one step: one step
+    assert spec.step_table(M, grid, tau).tobytes() == ref.tobytes()
+    assert spec.step_average(M - 1, grid, tau).values.tobytes() == ref[-1].tobytes()
+
+
+def test_step_table_memory_is_the_table_and_one_block():
+    # the (M, 4, n) Gauss-time values were evaluated at once, for a
+    # tracemalloc peak of 23.5 MiB at M = 250 and 93.9 MiB at M = 1000 (the
+    # tables are 3.9 and 15.6 MiB); a block of 2^16 values and its
+    # temporaries add about 1.3 MiB, whatever M
+    grid = Grid1D(2048, 1.0)
+    COSINE.step_table(2, grid, 0.1)  # warm caches
+    for M in (250, 1000):
+        tracemalloc.start()
+        try:
+            table = COSINE.step_table(M, grid, 0.5 / M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.nbytes + 2 * 2**20, (M, peak / 2**20)
+    assert peak <= 1.25 * table.nbytes, peak / 2**20
 
 
 def test_gauss_literals_are_leggauss_bits():

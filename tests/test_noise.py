@@ -5,7 +5,7 @@ from plapsim.config import ValidationError, parse_config
 from plapsim.harness import run_pathwise_refinement
 from plapsim.mesh import Grid1D
 from plapsim.model import ModelParams, ReactionSpec, SourceSpec, make_initial
-from plapsim.noise import NoiseModel, PathIncrements, bump_profile
+from plapsim.noise import NoiseModel, PathIncrements, bump_profile, seeded_rng
 from plapsim.operators import OperatorContext
 
 
@@ -58,6 +58,36 @@ def test_sample_determinism():
     assert np.array_equal(a.values, b.values)
     c = model.sample_path(50, 0.1, seed=10)
     assert not np.array_equal(a.values, c.values)
+
+
+#: (M, J, tau, seed) of the draws checked bit for bit; the first is the
+#: shape of verify_all's 10^6 default draws
+DRAW_CASES = [(83333, 12, 0.01, 4), (1, 1, 0.5, 0), (50, 16, 1 / 3, 9), (1000, 7, 1e-3, 123)]
+
+
+@pytest.mark.parametrize("M, J, tau, seed", DRAW_CASES)
+def test_draw_is_the_one_formula_of_a_path(M, J, tau, seed):
+    # draw scales its fresh standard normals by sqrt(tau) in place: the bits
+    # of sqrt(tau) * draws, in an array the caller may reduce in place;
+    # sample_path wraps the same bits, read-only
+    ref = np.sqrt(tau) * seeded_rng(seed).standard_normal((M, J))
+    model = NoiseModel(J=J, sigma=0.5)
+    draws = model.draw(M, tau, seed)
+    assert draws.dtype == ref.dtype and draws.shape == (M, J)
+    assert draws.tobytes() == ref.tobytes()
+    assert draws.flags.writeable and draws.flags.owndata
+    path = model.sample_path(M, tau, seed)
+    assert path.values.tobytes() == ref.tobytes() and not path.values.flags.writeable
+    assert (path.tau, path.seed) == (tau, seed)
+
+
+def test_draw_of_a_size_numpy_cannot_address_is_a_memory_error():
+    # numpy rejects 2^62 rows as "array is too big" (a ValueError) before it
+    # allocates anything; the CLI words a MemoryError as a runtime error.  No
+    # addressable size is tried: it would allocate
+    with pytest.raises(MemoryError, match=r"^cannot draw a \(4611686018427387904, 12\) "
+                                          r"increment matrix: array is too big"):
+        NoiseModel(J=12, sigma=0.5).draw(2**62, 0.1, seed=0)
 
 
 def test_sample_path_rejects_a_negative_seed():

@@ -32,7 +32,7 @@ at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config, and
 ``verify`` in its uniqueness stack and in its stepper runs.  Two ``mc``
 cases on 16384 cells advance their 6 paths in two chunks of the time loop
 (4 paths, then 2): one passes, and one fails on path 4, in the second
-chunk, so that the chunk loop is checked too.  The last ten cases check
+chunk, so that the chunk loop is checked too.  The last eleven cases check
 the front door: ``estimate-cp --p 3 --samples 1000`` (no config document),
 ``usage`` (``run --seed abc``, an argparse usage error, exit 1),
 ``bad-seed`` (``run --seed -1``, a config error, exit 1),
@@ -48,9 +48,12 @@ whose L_g is not finite, a config error, exit 1), ``huge-M`` (``run`` on
 ``{"model": {"M": 10**400}}``) and ``huge-sigma`` (``verify`` on
 ``{"noise": {"sigma": 10**400}}``), whose JSON integer 10^400 does not
 convert to a finite double, each a config error that names its key, exit
-1.  No case runs a step whose residual is not finite: its stderr holds
-numpy's warnings, whose lines carry the absolute path of the source file,
-so two checkouts could not agree on its digest.
+1, and ``huge-M-array`` (``run`` on ``{"model": {"M": 2**62}}``), whose
+(M, J) increment matrix numpy rejects as too big to address before it
+allocates anything, a runtime error on one stderr line, exit 2.  No case
+runs a step whose residual is not finite: its stderr holds numpy's
+warnings, whose lines carry the absolute path of the source file, so two
+checkouts could not agree on its digest.
 """
 
 from __future__ import annotations
@@ -128,7 +131,8 @@ def cases(make_config):
             ("tau-underflow", ["run"], {"model": {"T": 5e-324, "M": 3}}),
             ("sigma-overflow", ["verify"], {"noise": {"sigma": 1e308}}),
             ("huge-M", ["run"], {"model": {"M": 10**400}}),
-            ("huge-sigma", ["verify"], {"noise": {"sigma": 10**400}})]
+            ("huge-sigma", ["verify"], {"noise": {"sigma": 10**400}}),
+            ("huge-M-array", ["run"], {"model": {"M": 2**62}})]
     return out
 
 
