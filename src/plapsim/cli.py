@@ -47,8 +47,9 @@ _OVERRIDES = {"seed": "noise.base_seed", "out_dir": "output.dir", "tag": "tag",
               "levels": "levels"}
 # what an override flag's help says after "override <key>"
 _NOTES = {"tag": " (default s<seed>)",
-          "workers": " (accepted and validated for existing configs; "
-                     "no effect: the paths run as one batch)"}
+          "workers": " (accepted and validated for existing configs; no effect: "
+                     "the paths run as one batch, and eps-study runs its levels "
+                     "on every usable core)"}
 # the arguments of every subcommand that runs on a configuration
 _CONFIG_ARGS = (("--config", {"help": "JSON configuration file"}), "seed", "out_dir", "tag")
 

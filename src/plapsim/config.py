@@ -21,7 +21,8 @@ width overflows when squared, which then fail before any compute.
 ``null`` stands for a default only where that default is null
 (``L_beta``, ``tag``).  ``workers`` is accepted and validated (an integer
 >= 1) so existing configs keep working, but it has no effect: ``mc`` runs
-its paths as one batch.  L_beta defaults to the reaction
+its paths as one batch, and ``eps-study`` its levels on every usable core.
+L_beta defaults to the reaction
 scale when omitted, so the declared Lipschitz constant can never
 silently undershoot the realized reaction.
 """

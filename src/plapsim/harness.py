@@ -22,7 +22,9 @@ time loop, :func:`~plapsim.stepper.run_rows`, which chunks the rows and
 names the first failed one: the deterministic study through ``run_path``
 (one row), the pathwise study with one row per time level, ``run_mc`` and
 the eps study with all paths at one eps as its rows, ``verify_all`` with
-its four stepper runs as rows its hook folds.
+its four stepper runs as rows its hook folds.  The eps study runs its
+levels on the usable cores, in groups forked through
+:class:`~plapsim.stepper.Child`; every other driver runs in this process.
 
 No convergence rate for the stochastic scheme is asserted anywhere: the
 stochastic tables are recorded observations only.
@@ -333,6 +335,19 @@ def run_eps_study(
     :func:`run_mc` does: the level is part of each row's label.  Levels
     that are not finite, positive and strictly monotone raise ValueError
     before any path runs.
+
+    The levels run on the usable cores: they are split into contiguous
+    groups, one per core and at most one per level.  This process runs the
+    first group, of ceil(L / groups) levels, and a forked
+    :class:`~plapsim.stepper.Child` runs each other group on the inherited
+    increments and source table, and sends back its peaks or the exception
+    of its first failed level.  The means and halfwidths are reduced in
+    level order, and the first failed level's exception is raised, so the
+    table and the message do not depend on the cores.  Where ``os.fork`` is
+    missing or fails, the group runs in this process.  Every child is
+    reaped before the call returns, and killed first if this process's own
+    group fails or is interrupted; a child that dies raises
+    :class:`OSError`.
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or not all(0 < e < np.inf for e in eps_list):
@@ -341,20 +356,56 @@ def run_eps_study(
         raise ValueError(f"eps levels must be strictly monotone, got {eps_list}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    import pickle  # numpy has loaded it already
+
     coef = _seed_coefs(noise_model, ctx.params, range(base_seed, base_seed + n_paths))
     f = source.step_table(ctx.params.M, ctx.grid, ctx.params.tau)
     cfg = solver_cfg or SolverConfig()
-    means, halfwidths = [], []
-    for eps in eps_list:
-        level = OperatorContext(replace(ctx.params, eps=eps), ctx.reaction, ctx.grid)
-        _, viol = stepper.run_rows(level, initial.u0.values, coef, f, cfg,
-                                   lambda k: f"eps {eps!r}: path {k} (seed {base_seed + k})")
-        peaks = viol.max(axis=1)
-        means.append(float(peaks.mean()))
-        if n_paths > 1:
-            halfwidths.append(float(1.96 * np.sqrt(peaks.var(ddof=1) / n_paths)))
-        else:
-            halfwidths.append(0.0)
+
+    def peaks(levels):
+        """The (n_paths,) peak violations of each level of ``levels``, in order."""
+        out = []
+        for eps in levels:
+            level = OperatorContext(replace(ctx.params, eps=eps), ctx.reaction, ctx.grid)
+            _, viol = stepper.run_rows(level, initial.u0.values, coef, f, cfg,
+                                       lambda k: f"eps {eps!r}: path {k} (seed {base_seed + k})")
+            out.append(viol.max(axis=1))
+        return out
+
+    def send(out, levels):
+        """A child's work: its group's peaks, or the exception of its first failed level."""
+        try:
+            result = peaks(levels)
+        except Exception as exc:  # raised by the parent, in level order
+            result = exc
+        pickle.dump(result, out)
+
+    n_groups = min(stepper.usable_cores(), len(eps_list))
+    cut = [-(-len(eps_list) * i // n_groups) for i in range(n_groups + 1)]  # rounded up
+    groups = [eps_list[a:b] for a, b in zip(cut, cut[1:])]
+    children = []  # (levels, child or None) of each group after this process's
+    try:
+        for levels in groups[1:]:
+            child = stepper.fork(lambda out, levels=levels: send(out, levels), "eps study")
+            children.append((levels, child))
+        results = peaks(groups[0])
+        for levels, child in children:
+            if child is None:  # no fork: the group runs here
+                results += peaks(levels)
+                continue
+            data = bytearray()
+            child.read(data.extend)
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            results += result
+    finally:
+        for _, child in children:
+            if child is not None:
+                child.kill()
+    means = [float(level.mean()) for level in results]
+    halfwidths = [float(1.96 * np.sqrt(level.var(ddof=1) / n_paths)) if n_paths > 1 else 0.0
+                  for level in results]
     meta = {
         "quantity": "mean over paths of max-over-time constraint violation",
         "n_paths": n_paths,

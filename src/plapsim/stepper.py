@@ -29,12 +29,16 @@ hands each step's record to one hook, whose caller folds what it keeps.
 :func:`step` on one row for one step; the Monte Carlo study, the eps
 study and the verification report of :mod:`plapsim.harness` run many rows,
 and its pathwise study one row per time level.
+
+:class:`Child` is the package's one parallelism mechanism: a forked child
+of this process, which inherits the data it works on.  The eps study runs
+its groups of levels in children, and :class:`RowWriter` its blocks of
+CSV lines.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,39 +105,45 @@ def run_rows(ctx, u0, coef, f, cfg, label, cold=None, on_step=None):
     again.  Rows where the (P,) mask ``cold`` is true start each step's
     solve from zero, not from the last state; a step with such a row starts
     every row from a fresh array.
+
+    The loop, hooks included, runs with numpy's floating-point warnings
+    off: a step that is not finite fails with a message that says so, and
+    prints no warning line of its own (one per forked child, in the eps
+    study).
     """
     h, tau = ctx.grid.h, ctx.params.tau
     P, M = coef.shape
     l2, viol = np.empty((2, P, M + 1))
-    l2[:, 0] = norm_l2_array(u0, h)
-    viol[:, 0] = constraint_violation_array(u0, h)
     size = max(1, _BATCH_CELLS // u0.size)
-    for start in range(0, P, size):
-        alive = np.arange(P)[start:start + size]  # the chunk's rows still running
-        pt = ctx.point(np.tile(u0, (alive.size, 1)))
-        failed = []  # (row, step, message)
-        if on_step is not None:
-            on_step(alive, 0, pt, [])
-        for n in range(M):
-            u_n = pt.u
-            rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
-            guess = pt if cold is None else np.where(cold[alive, None], 0.0, u_n)
-            u_np1, solved = solve_rows(ctx, rhs, guess, cfg)
-            pt = ctx.point(u_np1)  # a cold start returns an array
-            l2[alive, n + 1] = norm_l2_array(pt.u, h)
-            viol[alive, n + 1] = constraint_violation_array(pt.u, h)
+    with np.errstate(all="ignore"):  # a step that is not finite is worded as such
+        l2[:, 0] = norm_l2_array(u0, h)
+        viol[:, 0] = constraint_violation_array(u0, h)
+        for start in range(0, P, size):
+            alive = np.arange(P)[start:start + size]  # the chunk's rows still running
+            pt = ctx.point(np.tile(u0, (alive.size, 1)))
+            failed = []  # (row, step, message)
             if on_step is not None:
-                on_step(alive, n + 1, pt, solved)
-            failed += [(k, n, report.failure) for k, report in zip(alive.tolist(), solved)
-                       if report.failure is not None]
-            keep = [i for i, report in enumerate(solved) if report.failure is None]
-            if len(keep) < alive.size:
-                alive, pt = alive[keep], pt.take(keep)
-                if not alive.size:
-                    break
-        if failed:
-            k, n, message = min(failed)
-            raise NonConvergence(f"{label(k)} failed at step {n}: {message}")
+                on_step(alive, 0, pt, [])
+            for n in range(M):
+                u_n = pt.u
+                rhs = u_n + bump_profile(u_n) * coef[alive, n][:, None] + tau * f[n]
+                guess = pt if cold is None else np.where(cold[alive, None], 0.0, u_n)
+                u_np1, solved = solve_rows(ctx, rhs, guess, cfg)
+                pt = ctx.point(u_np1)  # a cold start returns an array
+                l2[alive, n + 1] = norm_l2_array(pt.u, h)
+                viol[alive, n + 1] = constraint_violation_array(pt.u, h)
+                if on_step is not None:
+                    on_step(alive, n + 1, pt, solved)
+                failed += [(k, n, report.failure) for k, report in zip(alive.tolist(), solved)
+                           if report.failure is not None]
+                keep = [i for i, report in enumerate(solved) if report.failure is None]
+                if len(keep) < alive.size:
+                    alive, pt = alive[keep], pt.take(keep)
+                    if not alive.size:
+                        break
+            if failed:
+                k, n, message = min(failed)
+                raise NonConvergence(f"{label(k)} failed at step {n}: {message}")
     return l2, viol
 
 
@@ -173,7 +183,7 @@ class Trajectory:
     Full mode writes one CSV line of ``repr`` floats per state row, through
     a :class:`RowWriter`: above ``_PARALLEL_VALUES`` values the rows are
     formatted in blocks, one per usable core, every block but the last in a
-    child interpreter.  The bytes are the same whatever the number of
+    forked :class:`Child`.  The bytes are the same whatever the number of
     cores, and a child that fails raises :class:`OSError` (the CLI exits
     2).  The CLI's full-mode ``run`` hands :meth:`to_csv` the RowWriter
     that :func:`run_path`'s per-step hook has pushed the rows to, so they
@@ -226,90 +236,145 @@ def csv_head(pairs, columns) -> str:
     return "".join(f"# {key}: {value}\n" for key, value in pairs) + ",".join(columns) + "\n"
 
 
+def usable_cores() -> int:
+    """The number of cores this process may run on."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cores or 1
+
+
+#: The pipe ends this process holds to its running children.  A child
+#: closes them all when it is forked, so that it holds no other child's end.
+_PIPES = set()
+
+
+def _close(fd):
+    _PIPES.discard(fd)
+    os.close(fd)
+
+
+class Child:
+    """A forked child of this process that runs ``work`` and sends back what it writes.
+
+    The child inherits this process's memory, so no data is shipped to it.
+    ``work(out)`` runs there with ``out`` a binary file on a pipe back to
+    this process; with ``feed``, ``work(out, source)`` also reads
+    ``source``, a pipe from this process whose write end is :attr:`fd`.
+    The child first closes every pipe end this process holds to other
+    children, so each sees EOF once this process closes its end.  It leaves
+    through ``os._exit`` on every path, code 0 once ``work`` has returned
+    and 1 if it raised, so it never flushes a buffer it inherited.
+    :meth:`read` reads the pipe to EOF, then reaps the child; :meth:`kill`
+    ends one not yet reaped.  ``what`` names it in the :class:`OSError` of
+    a child that exits non-zero.
+    """
+
+    def __init__(self, work, what, feed=False):
+        out = os.pipe()
+        rows = os.pipe() if feed else ()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (*out, *rows):
+                os.close(fd)
+            raise
+        if not self.pid:  # the child
+            code = 1
+            try:
+                for fd in (*_PIPES, out[0], *rows[1:]):
+                    os.close(fd)
+                _PIPES.clear()
+                with open(out[1], "wb") as stream:
+                    if feed:
+                        with open(rows[0], "rb") as source:
+                            work(stream, source)
+                    else:
+                        work(stream)
+                code = 0
+            finally:
+                os._exit(code)
+        for fd in (out[1], *rows[:1]):
+            os.close(fd)
+        self.out, self.fd = out[0], rows[1] if feed else None
+        _PIPES.update(fd for fd in (self.out, self.fd) if fd is not None)
+        self.what, self.code = what, None  # the exit code once reaped
+
+    def read(self, write):
+        """Close the feeding pipe, hand the child's bytes to ``write`` as they
+        arrive, to EOF, and reap the child; raise :class:`OSError` if it exited
+        non-zero."""
+        if self.fd is not None:
+            _close(self.fd)
+            self.fd = None
+        with open(self.out, "rb", closefd=False) as pipe:
+            while block := pipe.read(1 << 16):
+                write(block)
+        _close(self.out)
+        self.out = None
+        self._reap()
+        if self.code:
+            raise OSError(f"{self.what} child exited with code {self.code}")
+
+    def kill(self):
+        """Kill the child unless it has been reaped, close its pipes and reap it."""
+        if self.code is None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            self._reap()
+        for fd in (self.out, self.fd):
+            if fd is not None:
+                _close(fd)
+        self.out = self.fd = None
+
+    def _reap(self):
+        self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def fork(work, what, feed=False):
+    """A :class:`Child` running ``work``, or None where ``os.fork`` is missing
+    or fails: the caller then does the work in this process."""
+    try:
+        return Child(work, what, feed) if hasattr(os, "fork") else None
+    except OSError:
+        return None
+
+
 #: Full mode formats the state rows in blocks, one per this many values and
-#: per usable core at most; every block but the last in a child interpreter.
+#: per usable core at most; every block but the last in a forked child.
 _PARALLEL_VALUES = 1 << 18
 
-#: A formatting child's stdin pipe is sized for this many rows, at most
-#: 1 MiB (the kernel rounds up to a power of two pages): the child never
-#: waits for the next step, and the rows it has yet to format when the time
-#: loop ends stay few, so the split at the end stays balanced.
+#: The pipe that feeds the streamed formatting child is sized for this many
+#: rows, at most 1 MiB (the kernel rounds up to a power of two pages): the
+#: child never waits for the next step, and the rows it has yet to format
+#: when the time loop ends stay few, so the split at the end stays balanced.
 _PIPE_ROWS = 2
-
-#: The child's program: rows of ``1 + n`` float64 (t, then the state) on
-#: stdin, each formatted as it arrives, as by :func:`_format_row`; their CSV
-#: lines on stdout once stdin closes, so that the child never waits on its
-#: parent.
-_CHILD = """\
-import array, sys
-read, size, out = sys.stdin.buffer.read, 8 * (1 + int(sys.argv[1])), bytearray()
-while row := read(size):
-    out += (",".join(map(repr, array.array("d", row))) + "\\n").encode()
-sys.stdout.buffer.write(out)
-"""
 
 
 def _format_row(t, state):
-    """The CSV line of one state row, formatted in this process."""
+    """The CSV line of one state row."""
     return repr(float(t)) + "," + ",".join(map(repr, state.tolist())) + "\n"
+
+
+def _write_lines(out, rows):
+    """Format the (t, state) pairs of ``rows``, then write their lines to
+    ``out`` at once, so that a formatting child never waits on its parent."""
+    lines = bytearray()
+    for t, state in rows:
+        lines += _format_row(t, state).encode()
+    out.write(lines)
+
+
+def _fed_rows(source, n):
+    """The (t, state) pairs of the rows of ``1 + n`` float64 on ``source``, to EOF."""
+    while row := source.read(8 * (1 + n)):
+        row = np.frombuffer(row)
+        yield row[0], row[1:]
 
 
 def _blocks(states):
     """Blocks for ``states``: one per ``_PARALLEL_VALUES`` values, per usable
     core and per row at most."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(cores or 1, states.size // _PARALLEL_VALUES + 1, len(states)))
-
-
-class _Child:
-    """A formatting child and the rows ``[first, end)`` it is given.
-
-    The rows before ``next`` have gone to its pipe, but for the bytes
-    ``pending`` of row ``next - 1``.
-    """
-
-    def __init__(self, n, first, end):
-        import subprocess
-
-        pipe = subprocess.PIPE
-        self.process = subprocess.Popen([sys.executable, "-I", "-S", "-c", _CHILD, str(n)],
-                                        stdin=pipe, stdout=pipe, stderr=pipe)
-        self.fd = self.process.stdin.fileno()
-        self.next, self.end = first, end
-        self.pending = b""
-        try:
-            import fcntl
-
-            fcntl.fcntl(self.fd, fcntl.F_SETPIPE_SZ, min(1 << 20, _PIPE_ROWS * 8 * (1 + n)))
-        except (ImportError, AttributeError, OSError):
-            pass  # the pipe keeps its size; only the overlap shrinks
-        os.set_blocking(self.fd, False)
-
-    def feed(self, times, states, wait=False):
-        """Write the rows up to ``end`` to the pipe, as far as it takes them
-        without blocking, or all of them with ``wait``."""
-        if wait:
-            os.set_blocking(self.fd, True)
-        try:
-            while self.pending or self.next < self.end:
-                if not self.pending:
-                    row = np.concatenate((times[self.next:self.next + 1], states[self.next]),
-                                         dtype=float)
-                    self.pending, self.next = memoryview(row).cast("B"), self.next + 1
-                self.pending = self.pending[os.write(self.fd, self.pending):]
-        except BlockingIOError:
-            pass  # the pipe is full; the next call goes on
-        except BrokenPipeError:
-            self.pending, self.end = b"", self.next  # it has exited; its exit code says why
-
-    def copy(self, target):
-        """Copy the child's lines to ``target`` once its stdin is closed."""
-        while block := self.process.stdout.read(1 << 16):
-            target.write(block.decode("ascii"))
-        err = self.process.stderr.read().decode(errors="replace").strip().splitlines()
-        if self.process.wait():
-            raise OSError(f"CSV formatting child exited with code {self.process.returncode}"
-                          + (f": {err[-1]}" if err else ""))
+    return max(1, min(usable_cores(), states.size // _PARALLEL_VALUES + 1, len(states)))
 
 
 class RowWriter:
@@ -320,88 +385,116 @@ class RowWriter:
     all are; ``finish`` first pushes the rows not pushed yet, so a writer
     that is only finished (:meth:`Trajectory.to_csv` alone) takes the same
     path as one pushed to step by step.  Above ``_PARALLEL_VALUES`` values
-    and on more than one usable core, the first push starts a child
-    interpreter (``_CHILD``), and each push writes the new rows to its pipe
-    as far as the pipe takes them without blocking, so the child formats
-    while the time loop runs.
-    :meth:`finish` splits the rows no child has received into contiguous
-    blocks, one per ``_PARALLEL_VALUES`` values and per usable core at most:
-    children take the leading blocks (the running child the first), and
+    and on more than one usable core, the first push forks a formatting
+    :class:`Child`, and each push writes the new rows to its pipe as far as
+    the pipe takes them without blocking, so the child formats while the
+    time loop runs.
+    :meth:`finish` splits the rows the streamed child has not received into
+    contiguous blocks, one per ``_PARALLEL_VALUES`` values and per usable
+    core at most: the streamed child takes the first, a child forked there
+    formats each further block but the last from the rows it inherits, and
     this process formats the last while they work.  Then the children's
     lines are copied in order, and this process's last.
 
-    A child runs the same interpreter's ``repr`` on the same doubles, so the
-    bytes depend neither on the number of cores nor on the pipe size or the
-    timing.  A block whose child cannot start is formatted here.  A child
-    that exits non-zero raises :class:`OSError` with its exit code and the
-    last line of its stderr, but no rows, since the split depends on the
-    timing.  Used as a context manager, no child outlives the ``with``
-    block.
+    A child runs :func:`_format_row` on the same doubles, so the bytes
+    depend neither on the number of cores nor on the pipe size or the
+    timing.  A block whose child cannot be forked is formatted here.  A
+    child that exits non-zero raises :class:`OSError` with its exit code but
+    no rows, since the split depends on the timing.  Used as a context
+    manager, no child outlives the ``with`` block.
     """
 
     def __init__(self, target):
         self.target = target
-        self.children = []  # every child started, in row order
+        self.children = []  # every child forked, in row order
         self.pushed = 0  # rows pushed so far
+        # the streamed child, given rows [0, end): the rows before next have
+        # gone to its pipe, but for the bytes pending of row next - 1
+        self.streamed, self.next, self.end, self.pending = None, 0, 0, b""
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         for child in self.children:
-            with child.process:  # closes its pipes and waits
-                child.process.kill()
+            child.kill()
 
     def push(self, times, states, n):
-        """Rows 0..n of ``states`` are final: stream them to the running child."""
+        """Rows 0..n of ``states`` are final: stream them to the streamed child."""
         if not self.pushed and _blocks(states) > 1:  # the first push decides
-            self._start(states.shape[1], 0, 0)
-        self.pushed = n + 1
-        if self.children:
-            self.children[0].end = n + 1
-            self.children[0].feed(times, states)
+            self._stream(states.shape[1])
+        self.pushed = self.end = n + 1
+        if self.streamed is not None:
+            self._feed(times, states)
 
     def finish(self, times, states):
         """Every row of ``states`` is final: format the rest and write every row."""
         if self.pushed < len(states):
             self.push(times, states, len(states) - 1)
-        n, streamed = states.shape[1], self.children[:1]
-        first = streamed[0].next if streamed else 0
+        streamed = [self.streamed] if self.streamed is not None else []
+        first = self.next if streamed else 0
         parts = max(_blocks(states[first:]), len(streamed) + 1)
         cut = [first + (len(states) - first) * i // parts for i in range(parts + 1)]
-        if streamed:
-            streamed[0].end = cut[1]
-        blocks = [(0, cut[1], streamed[0])] if streamed else []  # (first, end, child or None)
+        self.end = cut[1]
+        blocks = [(0, cut[1], *streamed)] if streamed else []  # (first, end, child or None)
         for a, b in zip(cut[len(blocks):-2], cut[len(blocks) + 1:-1]):
-            blocks.append((a, b, self._start(n, a, b)))
+            rows = zip(times[a:b], states[a:b])
+            blocks.append((a, b, self._fork(lambda out, rows=rows: _write_lines(out, rows))))
         blocks.append((cut[-2], cut[-1], None))
-        children = [child for _, _, child in blocks if child is not None]
         mine = [[] for _ in blocks]  # the lines of each block formatted here
-        for child in children:
-            child.feed(times, states)
         for lines, (a, b, owner) in zip(mine, blocks):
             for k in range(a, b) if owner is None else ():
                 lines.append(_format_row(times[k], states[k]))
-                for child in children:
-                    child.feed(times, states)
-        for child in children:
-            child.feed(times, states, wait=True)
-            child.process.stdin.close()
+                if streamed:  # between rows, the streamed child is fed more
+                    self._feed(times, states)
+        if streamed:
+            self._feed(times, states, wait=True)
         for lines, (_, _, owner) in zip(mine, blocks):
             if owner is None:
                 self.target.writelines(lines)
             else:
-                owner.copy(self.target)
+                owner.read(lambda block: self.target.write(block.decode("ascii")))
 
-    def _start(self, n, first, end):
-        """A new child for rows ``[first, end)``, or None if none can start."""
+    def _stream(self, cells):
+        """Fork the streamed child, which formats the rows of ``cells`` values
+        that arrive on its enlarged, non-blocking pipe."""
+        self.streamed = self._fork(lambda out, source: _write_lines(out, _fed_rows(source, cells)),
+                                   feed=True)
+        if self.streamed is None:
+            return
         try:
-            if sys.executable:
-                self.children.append(_Child(n, first, end))
-                return self.children[-1]
-        except OSError:
-            pass
-        return None  # its block is formatted here
+            import fcntl
+
+            fcntl.fcntl(self.streamed.fd, fcntl.F_SETPIPE_SZ,
+                        min(1 << 20, _PIPE_ROWS * 8 * (1 + cells)))
+        except (ImportError, AttributeError, OSError):
+            pass  # the pipe keeps its size; only the overlap shrinks
+        os.set_blocking(self.streamed.fd, False)
+
+    def _fork(self, work, feed=False):
+        """A new formatting child running ``work``, or None if none can be forked."""
+        child = fork(work, "CSV formatting", feed)
+        if child is not None:
+            self.children.append(child)
+        return child
+
+    def _feed(self, times, states, wait=False):
+        """Write the rows up to ``end`` to the streamed child's pipe, as far as
+        it takes them without blocking, or all of them with ``wait``."""
+        fd = self.streamed.fd
+        if wait:
+            os.set_blocking(fd, True)
+        try:
+            while self.pending or self.next < self.end:
+                if not self.pending:
+                    row = np.concatenate((times[self.next:self.next + 1], states[self.next]),
+                                         dtype=float)
+                    self.pending, self.next = memoryview(row).cast("B"), self.next + 1
+                self.pending = self.pending[os.write(fd, self.pending):]
+        except BlockingIOError:
+            pass  # the pipe is full; the next call goes on
+        except BrokenPipeError:
+            self.pending, self.end = b"", self.next  # it has exited; its exit code says why
 
 
 def run_path(

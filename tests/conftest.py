@@ -1,5 +1,4 @@
 import os
-import subprocess
 
 import pytest
 
@@ -8,6 +7,17 @@ from plapsim import operators, stepper
 bundled_only = pytest.mark.skipif(
     operators._BUNDLED_DPTSV is None, reason="numpy ships no OpenBLAS library"
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process {'unreaped' if pid else 'running'}")
 
 
 @pytest.fixture(params=[pytest.param("bundled", marks=bundled_only), "scipy"])
@@ -20,15 +30,14 @@ def lapack(request, monkeypatch):
 
 @pytest.fixture
 def children(monkeypatch):
-    """Blocks of 1000 values, two usable cores; returns every child started."""
-    made = []
+    """Blocks of 1000 values, two usable cores; returns every child forked."""
+    made, init = [], stepper.Child.__init__
 
-    class Spy(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            made.append(self)
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)  # in this process only: a child never returns from init
 
     monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 1000)
-    monkeypatch.setattr(subprocess, "Popen", Spy)
+    monkeypatch.setattr(stepper.Child, "__init__", spy)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return made

@@ -3,8 +3,10 @@ import json
 import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -607,16 +609,68 @@ def test_cli_verify_whose_powers_overflow_names_its_failed_check(tmp_path):
 def test_cli_step_whose_residual_overflows_says_it_is_not_finite(tmp_path, subcommand, doc,
                                                                  label):
     # the residual of step 0 is inf before any Newton step, which read "no
-    # convergence after 0 Newton steps"; numpy's overflow warnings still come
-    # first on stderr, so the child runs in its own interpreter
+    # convergence after 0 Newton steps".  The time loop runs with numpy's
+    # warnings off, so run, mc and eps-study print the one line; verify's
+    # own checks still print numpy's warnings first.  The child runs in its
+    # own interpreter, under its default warning filters
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     result = run_cli([subcommand, "--config", "cfg.json"], tmp_path)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
-    assert result.stderr.splitlines()[-1] == (
-        f"runtime error: {label} failed at step 0: residual not finite after 0 Newton steps "
-        "(residual inf, tol 1.000e-10; residuals [inf])")
+    line = (f"runtime error: {label} failed at step 0: residual not finite after 0 Newton steps "
+            "(residual inf, tol 1.000e-10; residuals [inf])")
+    if subcommand == "verify":
+        assert result.stderr.splitlines()[-1] == line
+    else:
+        assert result.stderr == line + "\n"
     assert result.stdout == "" and os.listdir(tmp_path / "out") == []
+
+
+@pytest.mark.parametrize("subcommand, label", [
+    ("run", "seed 0"), ("mc", "path 0 (seed 0)"), ("eps-study", "eps 0.1: path 0 (seed 0)")])
+@pytest.mark.parametrize("doc, residual", [
+    ({"model": {"M": 3, "n_cells": 8}, "source": {"preset": "constant", "params": {"value": 1e308}}},
+     "inf"),
+    ({"model": {"length": 5e-324, "M": 3, "n_cells": 8}}, "nan"),
+], ids=["source-1e308", "length-5e-324"])
+def test_cli_step_that_is_not_finite_prints_one_line(tmp_path, subcommand, label, doc, residual):
+    # numpy's warnings came first on stderr, once per forked eps level
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    result = run_cli([subcommand, "--config", "cfg.json"], tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == (
+        f"runtime error: {label} failed at step 0: residual not finite after 0 Newton steps "
+        f"(residual {residual}, tol 1.000e-10; residuals [{residual}])\n")
+    assert os.listdir(tmp_path / "out") == []
+
+
+def test_cli_eps_study_whose_powers_overflow_prints_nothing(tmp_path):
+    # at p = 1e6 the W^{1,p} powers overflow inside the time loop; numpy's
+    # warning was printed once here and once by each forked level
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": {"p": 1e6, "M": 3, "n_cells": 8}}))
+    result = run_cli(["eps-study", "--config", "cfg.json"], tmp_path)
+    assert (result.returncode, result.stderr) == (0, "")
+    rows = (tmp_path / "out" / "eps-study-s0.csv").read_text().splitlines()[7:]
+    values = [float(v) for row in rows for v in row.split(",") if v]
+    assert len(rows) == 3 and np.isfinite(values).all()
+
+
+def test_cli_eps_study_child_that_dies_exits_2(monkeypatch, capfd, tmp_path, children):
+    # the second group of levels runs in a child, which is killed
+    parent, run_rows = os.getpid(), stepper.run_rows
+
+    def dies(*args, **kwargs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run_rows(*args, **kwargs)
+
+    monkeypatch.setattr(stepper, "run_rows", dies)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(TINY))
+    assert cli.main(["eps-study", "--config", "cfg.json"]) == 2
+    assert capfd.readouterr() == ("", "runtime error: eps study child exited with code -9\n")
+    assert [child.code for child in children] == [-signal.SIGKILL]
+    assert os.listdir(tmp_path / "out") == []
 
 
 @pytest.mark.parametrize("subcommand", ["run", "mc", "eps-study", "estimate-cp"])
@@ -913,7 +967,7 @@ def test_cli_run_bytes_do_not_depend_on_the_cores(monkeypatch, tmp_path, childre
     assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
     # the running child, and more for the rest of the rows with more cores
     assert min(cores - 1, 1) <= len(children) < cores
-    assert all(child.returncode == 0 for child in children)
+    assert all(child.code == 0 for child in children)
 
 
 def test_cli_run_streams_rows_before_the_last_step(monkeypatch, tmp_path, children,
@@ -923,7 +977,7 @@ def test_cli_run_streams_rows_before_the_last_step(monkeypatch, tmp_path, childr
 
     def spy(self, times, states, n):
         push(self, times, states, n)
-        sent.append((n, self.children[0].next))
+        sent.append((n, self.next))
 
     monkeypatch.setattr(stepper.RowWriter, "push", spy)
     assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
@@ -951,7 +1005,7 @@ def test_cli_run_bytes_when_no_row_is_pushed_during_the_loop(monkeypatch, tmp_pa
                                                              serial_run):
     # the child starts, but its pipe takes nothing until the loop has ended
     monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
-    looping, feed, finish = [True], stepper._Child.feed, stepper.RowWriter.finish
+    looping, feed, finish = [True], stepper.RowWriter._feed, stepper.RowWriter.finish
 
     def full_pipe(self, *args, **kwargs):
         if not looping[0]:
@@ -959,10 +1013,10 @@ def test_cli_run_bytes_when_no_row_is_pushed_during_the_loop(monkeypatch, tmp_pa
 
     def finishing(self, *args):
         looping[0] = False
-        assert self.children[0].next == 0
+        assert self.next == 0
         finish(self, *args)
 
-    monkeypatch.setattr(stepper._Child, "feed", full_pipe)
+    monkeypatch.setattr(stepper.RowWriter, "_feed", full_pipe)
     monkeypatch.setattr(stepper.RowWriter, "finish", finishing)
     assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
     assert not looping[0] and len(children) == 1
@@ -970,7 +1024,7 @@ def test_cli_run_bytes_when_no_row_is_pushed_during_the_loop(monkeypatch, tmp_pa
 
 def test_cli_run_interrupted_mid_run_leaves_no_child_or_file(monkeypatch, tmp_path, children):
     monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
-    monkeypatch.setattr(stepper, "_CHILD", "import time; time.sleep(60)")
+    monkeypatch.setattr(stepper, "_write_lines", lambda out, rows: time.sleep(60))
     calls, solve_rows = [], stepper.solve_rows
 
     def interrupted(*args, **kwargs):
@@ -983,7 +1037,7 @@ def test_cli_run_interrupted_mid_run_leaves_no_child_or_file(monkeypatch, tmp_pa
     with pytest.raises(KeyboardInterrupt):
         run_in(monkeypatch, tmp_path / "run")
     assert len(children) == 1
-    assert all(child.returncode is not None for child in children)
+    assert all(child.code is not None for child in children)
     assert os.listdir(tmp_path / "run" / "out") == []
 
 
@@ -995,7 +1049,7 @@ def test_cli_run_failed_solve_mid_stream_leaves_no_file(monkeypatch, capsys, tmp
     assert capsys.readouterr().err.startswith(
         "runtime error: seed 7 failed at step 6: no convergence after 1 Newton steps")
     assert len(children) == 1
-    assert all(child.returncode is not None for child in children)
+    assert all(child.code is not None for child in children)
 
 
 @pytest.mark.parametrize("subcommand, owner, method", [

@@ -2,7 +2,10 @@ import importlib.util
 import inspect
 import io
 import json
+import os
+import signal
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -482,7 +485,9 @@ STIFF_EPS = [1e-2, 1e-3, 1e-4, 1e-5]
 def test_eps_study_chunk_invariance_and_path_identity(monkeypatch):
     # determinism gate of the batched eps study: the table bytes must not
     # depend on the chunking, and every path's peak violation must equal
-    # that of its own run_path at the same eps, bit for bit
+    # that of its own run_path at the same eps, bit for bit.  One usable
+    # core: the spies count the calls of this process, and no level forks
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     ctx, noise, initial, source = stiff_mc_setup()
     n_paths, base_seed = 7, 5
     calls, stacks = spy_time_loop(monkeypatch)
@@ -564,6 +569,84 @@ def test_eps_study_nonconvergence_names_level_and_path(monkeypatch, max_newton, 
     assert "residuals [" in messages[0]
     assert messages[1] == messages[0]
     assert messages[2] == messages[0]
+
+
+STUDY_EPS = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+
+
+def eps_study_outcome(monkeypatch, cores, max_newton=50):
+    """The CSV and halfwidths of the eps study of the stiff data on ``cores``
+    usable cores, or the message of its NonConvergence."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    try:
+        tab = run_eps_study(*stiff_mc_setup(), STUDY_EPS, n_paths=7, base_seed=5,
+                            solver_cfg=SolverConfig(max_newton=max_newton))
+    except NonConvergence as exc:
+        return str(exc)
+    buf = io.StringIO()
+    tab.to_csv(buf)
+    return buf.getvalue() + json.dumps(tab.metadata["halfwidths"])
+
+
+@pytest.mark.parametrize("cores", [2, 3, 5])
+@pytest.mark.parametrize("max_newton, first_failed", [
+    (50, None),
+    # levels 1e-2 to 1e-4 pass: only the groups of children fail
+    (7, "eps 1e-05: path 0 (seed 5) failed at step 0: no convergence after 7"),
+    # every level from 1e-3 fails: this process's group fails on 2 and 3 cores
+    (4, "eps 0.001: path 1 (seed 6) failed at step 0: no convergence after 4"),
+], ids=["passing", "children-fail", "all-groups-fail"])
+def test_eps_study_bytes_do_not_depend_on_the_cores(monkeypatch, capfd, children, cores,
+                                                    max_newton, first_failed):
+    # the levels run in groups, this process's first and a forked child's
+    # each other; the table, the message and stderr are those of one core
+    serial = eps_study_outcome(monkeypatch, 1, max_newton)
+    assert children == []
+    calls, _ = spy_time_loop(monkeypatch)
+    assert eps_study_outcome(monkeypatch, cores, max_newton) == serial
+    if first_failed is None:  # this process ran the first ceil(L / cores) levels
+        assert len(calls) == -(-len(STUDY_EPS) // cores)
+    assert serial.startswith(first_failed) if first_failed else "eps,error,ratio" in serial
+    assert len(children) == cores - 1
+    assert all(child.code is not None for child in children)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("missing", ["process", "fork"])
+def test_eps_study_without_a_fork_runs_every_level_here(monkeypatch, children, missing):
+    # a fork that fails, or a platform without os.fork: the same bytes, and
+    # every level runs in this process
+    serial = eps_study_outcome(monkeypatch, 1)
+
+    def no_process():
+        raise OSError("no process")
+
+    if missing == "process":
+        monkeypatch.setattr(os, "fork", no_process)
+    else:
+        monkeypatch.delattr(os, "fork")
+    calls, _ = spy_time_loop(monkeypatch)
+    assert eps_study_outcome(monkeypatch, 5) == serial
+    assert len(calls) == len(STUDY_EPS)
+    assert children == []
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, NonConvergence])
+def test_eps_study_that_stops_here_kills_its_children(monkeypatch, children, error):
+    # this process's group is interrupted, or fails, while the children's
+    # groups run: each child is killed and reaped before the call returns
+    parent = os.getpid()
+
+    def stopped(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise error("stopped here")
+
+    monkeypatch.setattr(stepper, "run_rows", stopped)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with pytest.raises(error, match="stopped here"):
+        run_eps_study(*stiff_mc_setup(), STUDY_EPS, n_paths=7)
+    assert [child.code for child in children] == [-signal.SIGKILL] * 2
 
 
 def test_mc_csv_round_trip():

@@ -181,8 +181,9 @@ def test_import_loads_no_scipy():
 
 
 def test_import_loads_no_process_or_pool_module():
-    # the full-mode CSV imports `subprocess` and `fcntl` only when it writes,
-    # so a fresh `import plapsim` (the benchmark's set-up time) loads neither
+    # the children are forked through `os`, and the full-mode CSV imports
+    # `fcntl` only when it writes, so a fresh `import plapsim` (the
+    # benchmark's set-up time) loads none of these
     assert modules_after_import(
         "m.split('.')[0] in ('subprocess', 'multiprocessing', 'concurrent', 'fcntl')"
     ) == "[]"

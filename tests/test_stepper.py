@@ -1,7 +1,8 @@
 import io
 import json
 import os
-import subprocess
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -523,7 +524,7 @@ def test_full_csv_bytes_do_not_depend_on_the_cores(monkeypatch, children, cores)
     states = wide_states()
     assert csv_text(wide_trajectory(states)) == serial_csv(states)
     assert len(children) == cores - 1
-    assert all(child.returncode == 0 for child in children)
+    assert all(child.code == 0 for child in children)
 
 
 def test_full_csv_pushes_every_row_before_it_finishes(monkeypatch, children):
@@ -556,37 +557,49 @@ def test_full_csv_below_the_threshold_starts_no_child(monkeypatch, children):
     assert children == []
 
 
-@pytest.mark.parametrize("missing", ["process", "interpreter"])
+@pytest.mark.parametrize("missing", ["process", "fork"])
 def test_full_csv_without_a_child_formats_every_block_here(monkeypatch, children, missing):
-    def no_process(*args, **kwargs):
+    # a fork that fails, or a platform without os.fork: every block here
+    def no_process():
         raise OSError("no process")
 
     if missing == "process":
-        monkeypatch.setattr(subprocess, "Popen", no_process)
+        monkeypatch.setattr(os, "fork", no_process)
     else:
-        monkeypatch.setattr(stepper.sys, "executable", "")
+        monkeypatch.delattr(os, "fork")
     states = wide_states()
     assert csv_text(wide_trajectory(states)) == serial_csv(states)
     assert children == []
 
 
-@pytest.mark.parametrize("program, ending", [
-    ("import sys; sys.exit(3)", "code 3"),
-    ("import sys; sys.exit('no room\\nfor the rows')", "code 1: for the rows"),
-])
-def test_full_csv_child_failure_is_an_oserror(monkeypatch, children, program, ending):
-    # the message names the exit code and the last line of stderr, but no
-    # rows: the child streamed to first takes rows as far as its pipe does
-    monkeypatch.setattr(stepper, "_CHILD", program)
+def exit_3(out, rows):
+    os._exit(3)
+
+
+def no_room(out, rows):
+    raise SystemExit("no room\nfor the rows")
+
+
+@pytest.mark.parametrize("work, ending", [(exit_3, "code 3"), (no_room, "code 1")],
+                         ids=["exit", "raise"])
+def test_full_csv_child_failure_is_an_oserror(monkeypatch, children, work, ending):
+    # the message names the exit code, but no rows: the child streamed to
+    # first takes rows as far as its pipe does.  A child that raises exits 1
+    # and prints nothing, since it shares this process's stderr
+    monkeypatch.setattr(stepper, "_write_lines", work)
     with pytest.raises(OSError) as info:
         csv_text(wide_trajectory(wide_states()))
     assert str(info.value) == f"CSV formatting child exited with {ending}"
-    assert [child.returncode is not None for child in children] == [True]
+    assert [child.code is not None for child in children] == [True]
+
+
+def sleep(out, rows):
+    time.sleep(60)
 
 
 def test_full_csv_kills_its_children_when_interrupted(monkeypatch, children):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
-    monkeypatch.setattr(stepper, "_CHILD", "import time; time.sleep(60)")
+    monkeypatch.setattr(stepper, "_write_lines", sleep)
 
     def interrupted(t, state):
         raise KeyboardInterrupt
@@ -595,19 +608,60 @@ def test_full_csv_kills_its_children_when_interrupted(monkeypatch, children):
     with pytest.raises(KeyboardInterrupt):
         csv_text(wide_trajectory(wide_states()))
     assert len(children) == 2
-    assert all(child.returncode is not None for child in children)
+    assert all(child.code is not None for child in children)
+
+
+def echo(out, source):
+    out.write(source.read())
+
+
+def test_a_child_holds_no_other_childs_pipe():
+    # the first child sees EOF once this process closes its feeding pipe,
+    # while a second child, forked after it, still waits on its own
+    def late(signum, frame):
+        raise TimeoutError("the first child never saw EOF")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    first = stepper.fork(echo, "first", feed=True)
+    second = stepper.fork(echo, "second", feed=True)
+    got = []
+    try:
+        os.write(first.fd, b"rows")
+        signal.alarm(10)
+        first.read(got.append)
+        second.read(got.append)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        first.kill()
+        second.kill()
+    assert (got, first.code, second.code) == ([b"rows"], 0, 0)
+
+
+@pytest.mark.parametrize("work, code", [(lambda out: None, 0), (lambda out: 1 / 0, 1)],
+                         ids=["returns", "raises"])
+def test_a_child_never_flushes_what_it_inherits(tmp_path, work, code):
+    # a child leaves through os._exit, so the buffered line is written once
+    with open(tmp_path / "file", "w") as stream:
+        stream.write("once\n")
+        child = stepper.fork(work, "idle")
+        try:
+            child.read(lambda block: None)
+        except OSError as exc:
+            assert str(exc) == "idle child exited with code 1"
+    assert (child.code, (tmp_path / "file").read_text()) == (code, "once\n")
 
 
 def test_cli_run_child_failure_exits_2(monkeypatch, capsys, tmp_path, children):
     # the streamed child's rows depend on the timing, so the message names none
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
-    monkeypatch.setattr(stepper, "_CHILD", "import sys; sys.exit(3)")
+    monkeypatch.setattr(stepper, "_write_lines", exit_3)
     (tmp_path / "cfg.json").write_text(json.dumps({"model": {"n_cells": 40, "M": 10}}))
     assert cli.main(["run", "--config", "cfg.json"]) == 2
     assert capsys.readouterr().err == (
         "runtime error: CSV formatting child exited with code 3\n")
-    assert [child.returncode for child in children] == [3]
+    assert [child.code for child in children] == [3]
     assert os.listdir(tmp_path / "out") == []
 
 

@@ -28,11 +28,12 @@ model shorthand, so that defaults, shorthand and flag overrides are checked
 byte for byte through the ``# config:`` line.  Five more cases fail with a
 capped Newton solve (exit 2), so that the failure message of each site is
 checked byte for byte through stderr: ``run`` at step 6, ``mc`` on path 1
-at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config, and
+at step 1, ``eps-study`` on the benchmark's ``eps_stiff`` config (at eps
+1e-5, a level that a forked child runs on more than one core), and
 ``verify`` in its uniqueness stack and in its stepper runs.  Two ``mc``
 cases on 16384 cells advance their 6 paths in two chunks of the time loop
 (4 paths, then 2): one passes, and one fails on path 4, in the second
-chunk, so that the chunk loop is checked too.  The last eleven cases check
+chunk, so that the chunk loop is checked too.  Eleven cases check
 the front door: ``estimate-cp --p 3 --samples 1000`` (no config document),
 ``usage`` (``run --seed abc``, an argparse usage error, exit 1),
 ``bad-seed`` (``run --seed -1``, a config error, exit 1),
@@ -50,10 +51,14 @@ whose L_g is not finite, a config error, exit 1), ``huge-M`` (``run`` on
 convert to a finite double, each a config error that names its key, exit
 1, and ``huge-M-array`` (``run`` on ``{"model": {"M": 2**62}}``), whose
 (M, J) increment matrix numpy rejects as too big to address before it
-allocates anything, a runtime error on one stderr line, exit 2.  No case
-runs a step whose residual is not finite: its stderr holds numpy's
-warnings, whose lines carry the absolute path of the source file, so two
-checkouts could not agree on its digest.
+allocates anything, a runtime error on one stderr line, exit 2.  The last
+two run ``eps-study`` on extreme values, now that the time loop prints no
+numpy warning (whose lines carry the absolute path of the source file):
+``eps-huge-T`` (``{"model": {"T": 1e308, "M": 3, "n_cells": 8}}``), whose
+every level fails at step 0 with a residual that is not finite, so the
+first level, run by the calling process, is named (exit 2), and
+``eps-huge-p`` (``p`` 1e6 on the same grid), whose powers overflow, exit 0
+with an empty stderr.
 """
 
 from __future__ import annotations
@@ -132,7 +137,11 @@ def cases(make_config):
             ("sigma-overflow", ["verify"], {"noise": {"sigma": 1e308}}),
             ("huge-M", ["run"], {"model": {"M": 10**400}}),
             ("huge-sigma", ["verify"], {"noise": {"sigma": 10**400}}),
-            ("huge-M-array", ["run"], {"model": {"M": 2**62}})]
+            ("huge-M-array", ["run"], {"model": {"M": 2**62}}),
+            # every level fails at step 0: the first level, this process's, is named
+            ("eps-huge-T", ["eps-study"], {"model": {"T": 1e308, "M": 3, "n_cells": 8}}),
+            # the W^{1,p} powers overflow in the time loop, which prints no warning
+            ("eps-huge-p", ["eps-study"], {"model": {"p": 1e6, "M": 3, "n_cells": 8}})]
     return out
 
 
