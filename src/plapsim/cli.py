@@ -14,7 +14,9 @@ error (a bad document, flag or argument, or a usage error), 2 runtime error
 (a failed solve or write, or a table too large to allocate), 3 verification
 failure.  File contents are deterministic functions of the configuration
 and seeds (the default tag is derived from the base seed, never from a
-clock), so identical invocations produce byte-identical outputs.
+clock), so identical invocations produce byte-identical outputs; ``main``
+runs numpy's bundled OpenBLAS on one thread, so they do not depend on the
+cores either, while a library caller's BLAS is left as it is.
 
 This module is the one place that names and opens an output file, in
 ``_write``; the library's ``to_csv`` methods write to the stream given.  A
@@ -36,6 +38,7 @@ from .harness import (
     run_mc,
     verify_all,
 )
+from .operators import pin_blas_threads
 from .solver import NonConvergence
 from .stepper import RowWriter, run_path
 
@@ -221,6 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    pin_blas_threads()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 after a usage error, 0 after --help

@@ -22,9 +22,9 @@ time loop, :func:`~plapsim.stepper.run_rows`, which chunks the rows and
 names the first failed one: the deterministic study through ``run_path``
 (one row), the pathwise study with one row per time level, ``run_mc`` and
 the eps study with all paths at one eps as its rows, ``verify_all`` with
-its four stepper runs as rows its hook folds.  The eps study runs its
-levels on the usable cores, in groups forked through
-:class:`~plapsim.stepper.Child`; every other driver runs in this process.
+its four stepper runs as rows its hook folds.  The eps study's levels and
+``verify_all``'s two independent parts run on the usable cores through
+:func:`~plapsim.stepper.fork_map`; every other driver runs in this process.
 
 No convergence rate for the stochastic scheme is asserted anywhere: the
 stochastic tables are recorded observations only.
@@ -229,32 +229,20 @@ def manufactured_state(t, x):
     return 0.5 + 0.25 * np.exp(-t) * np.cos(np.pi * np.asarray(x))
 
 
-def manufactured_problem(
-    n_cells: int,
-    M: int,
-    T: float = 0.5,
-    steady: bool = False,
-):
+def manufactured_problem(n_cells: int, M: int, T: float = 0.5, steady: bool = False):
     """Build (ctx, initial, source) for the p = 2, eps = 0.1 case on [0, 1].
 
     The reaction is linear with slope 1/2; the source is chosen so the
     reference state (time-dependent, or its t = 0 profile frozen in time
     when ``steady``) solves the noise-free equation exactly.
     """
-    params = ModelParams(p=2.0, eps=0.1, T=T, M=M, L_beta=0.5)
-    reaction = ReactionSpec("linear", 0.5)
     grid = Grid1D(n_cells, 1.0)
-    ctx = OperatorContext(params, reaction, grid)
+    ctx = OperatorContext(ModelParams(p=2.0, eps=0.1, T=T, M=M, L_beta=0.5),
+                          ReactionSpec("linear", 0.5), grid)
     initial = make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
-    if steady:
-        amp = 0.25 * (np.pi**2 + 0.5)
-        decay = 0.0
-    else:
-        amp = 0.25 * (np.pi**2 - 0.5)
-        decay = 1.0
-    source = SourceSpec(
-        "cosine", {"offset": 0.25, "amp": amp, "decay": decay, "length": 1.0}
-    )
+    amp = 0.25 * (np.pi**2 + (0.5 if steady else -0.5))  # 1/4 (pi^2 + 1 - 1/2 - decay)
+    source = SourceSpec("cosine", {"offset": 0.25, "amp": amp, "decay": 0.0 if steady else 1.0,
+                                   "length": 1.0})
     return ctx, initial, source
 
 
@@ -280,33 +268,19 @@ def run_deterministic_convergence(
         raise ValueError(f"mode must be 'coupled' or 'spatial', got {mode!r}")
     quiet_noise = NoiseModel(J=1, sigma=0.0)
     values, errors = [], []
+    steady = mode == "spatial"
     for level in range(levels):
-        if mode == "coupled":
-            M = M0 * 2**level
-            n_cells = max(2, round(n0 * np.sqrt(2.0**level)))
-            steady = False
-        else:
-            M = M0
-            n_cells = n0 * 2**level
-            steady = True
-        ctx, initial, source = manufactured_problem(
-            n_cells, M, T=T, steady=steady
-        )
+        n_cells = n0 * 2**level if steady else max(2, round(n0 * np.sqrt(2.0**level)))
+        ctx, initial, source = manufactured_problem(n_cells, M0 if steady else M0 * 2**level,
+                                                    T=T, steady=steady)
         traj = stepper.run_path(ctx, quiet_noise, initial, source, seed=0, cfg=solver_cfg)
-        x = ctx.grid.cell_centers()
-        ref = manufactured_state(0.0 if steady else T, x)
-        err = float(norm_l2_array(traj.states[-1] - ref, ctx.grid.h))
-        values.append(ctx.params.tau if mode == "coupled" else ctx.grid.h)
-        errors.append(err)
-    meta = {
-        "mode": mode,
-        "norm": "discrete_l2_at_final_time",
-        "reference": "manufactured cosine state",
-        "T": T,
-        "levels": levels,
-        "seed_policy": "deterministic (sigma = 0)",
-    }
-    return RefinementTable("tau" if mode == "coupled" else "h", values, errors, meta)
+        ref = manufactured_state(0.0 if steady else T, ctx.grid.cell_centers())
+        errors.append(float(norm_l2_array(traj.states[-1] - ref, ctx.grid.h)))
+        values.append(ctx.grid.h if steady else ctx.params.tau)
+    meta = {"mode": mode, "norm": "discrete_l2_at_final_time",
+            "reference": "manufactured cosine state", "T": T, "levels": levels,
+            "seed_policy": "deterministic (sigma = 0)"}
+    return RefinementTable("h" if steady else "tau", values, errors, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +310,13 @@ def run_eps_study(
     that are not finite, positive and strictly monotone raise ValueError
     before any path runs.
 
-    The levels run on the usable cores: they are split into contiguous
-    groups, one per core and at most one per level.  This process runs the
-    first group, of ceil(L / groups) levels, and a forked
-    :class:`~plapsim.stepper.Child` runs each other group on the inherited
-    increments and source table, and sends back its peaks or the exception
-    of its first failed level.  The means and halfwidths are reduced in
+    The levels run on the usable cores through
+    :func:`~plapsim.stepper.fork_map`: this process runs the first group of
+    levels, and a forked child each other group, on the inherited
+    increments and source table.  The means and halfwidths are reduced in
     level order, and the first failed level's exception is raised, so the
-    table and the message do not depend on the cores.  Where ``os.fork`` is
-    missing or fails, the group runs in this process.  Every child is
-    reaped before the call returns, and killed first if this process's own
-    group fails or is interrupted; a child that dies raises
-    :class:`OSError`.
+    table and the message do not depend on the cores; a child that dies
+    raises :class:`OSError` ("eps study child exited with code ...").
     """
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 2 or not all(0 < e < np.inf for e in eps_list):
@@ -356,63 +325,24 @@ def run_eps_study(
         raise ValueError(f"eps levels must be strictly monotone, got {eps_list}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    import pickle  # numpy has loaded it already
-
     coef = _seed_coefs(noise_model, ctx.params, range(base_seed, base_seed + n_paths))
     f = source.step_table(ctx.params.M, ctx.grid, ctx.params.tau)
     cfg = solver_cfg or SolverConfig()
 
-    def peaks(levels):
-        """The (n_paths,) peak violations of each level of ``levels``, in order."""
-        out = []
-        for eps in levels:
-            level = OperatorContext(replace(ctx.params, eps=eps), ctx.reaction, ctx.grid)
-            _, viol = stepper.run_rows(level, initial.u0.values, coef, f, cfg,
-                                       lambda k: f"eps {eps!r}: path {k} (seed {base_seed + k})")
-            out.append(viol.max(axis=1))
-        return out
+    def peaks(eps):
+        """The (n_paths,) peak violations of level ``eps``."""
+        level = OperatorContext(replace(ctx.params, eps=eps), ctx.reaction, ctx.grid)
+        _, viol = stepper.run_rows(level, initial.u0.values, coef, f, cfg,
+                                   lambda k: f"eps {eps!r}: path {k} (seed {base_seed + k})")
+        return viol.max(axis=1)
 
-    def send(out, levels):
-        """A child's work: its group's peaks, or the exception of its first failed level."""
-        try:
-            result = peaks(levels)
-        except Exception as exc:  # raised by the parent, in level order
-            result = exc
-        pickle.dump(result, out)
-
-    n_groups = min(stepper.usable_cores(), len(eps_list))
-    cut = [-(-len(eps_list) * i // n_groups) for i in range(n_groups + 1)]  # rounded up
-    groups = [eps_list[a:b] for a, b in zip(cut, cut[1:])]
-    children = []  # (levels, child or None) of each group after this process's
-    try:
-        for levels in groups[1:]:
-            child = stepper.fork(lambda out, levels=levels: send(out, levels), "eps study")
-            children.append((levels, child))
-        results = peaks(groups[0])
-        for levels, child in children:
-            if child is None:  # no fork: the group runs here
-                results += peaks(levels)
-                continue
-            data = bytearray()
-            child.read(data.extend)
-            result = pickle.loads(data)
-            if isinstance(result, Exception):
-                raise result
-            results += result
-    finally:
-        for _, child in children:
-            if child is not None:
-                child.kill()
+    results = stepper.fork_map(peaks, eps_list, "eps study")
     means = [float(level.mean()) for level in results]
     halfwidths = [float(1.96 * np.sqrt(level.var(ddof=1) / n_paths)) if n_paths > 1 else 0.0
                   for level in results]
-    meta = {
-        "quantity": "mean over paths of max-over-time constraint violation",
-        "n_paths": n_paths,
-        "base_seed": base_seed,
-        "halfwidths": halfwidths,
-        "seed_policy": "per-path seed = base_seed + path index, shared across levels",
-    }
+    meta = {"quantity": "mean over paths of max-over-time constraint violation",
+            "n_paths": n_paths, "base_seed": base_seed, "halfwidths": halfwidths,
+            "seed_policy": "per-path seed = base_seed + path index, shared across levels"}
     return RefinementTable("eps", eps_list, means, meta)
 
 
@@ -506,11 +436,8 @@ def run_pathwise_refinement(
         taus.append(params.tau)
     ref = runs[-1]
     errors = [float(norm_l2_array(r - ref, ctx.grid.h)) for r in runs[:-1]]
-    meta = {
-        "quantity": "final-time L2 distance to finest level, common random numbers",
-        "fine_steps": M_fine,
-        "seed": seed,
-    }
+    meta = {"quantity": "final-time L2 distance to finest level, common random numbers",
+            "fine_steps": M_fine, "seed": seed}
     return RefinementTable("tau", taus[:-1], errors, meta)
 
 
@@ -614,6 +541,14 @@ def verify_all(
     path's increments, and compute their mean and variance in the draws'
     own buffer, bit for bit ``ndarray.mean()`` and ``var()``: the draws are
     held once, so they set the peak memory (8 MB at the default 10^6).
+
+    The checks run in two parts through :func:`~plapsim.stepper.fork_map`:
+    those that draw from the shared ``rng`` in this process, in report
+    order, and, in a forked child where a second core is usable,
+    ``estimate_cp`` and the stepper rows, with numpy's warnings off (a value
+    that is not finite fails its check).  The verdicts are reported in
+    :data:`_PROPERTIES` order and the shared part's failure is raised
+    first, so the report and the message do not depend on the cores.
     """
     if not -np.inf < cp_factor < np.inf:  # NaN fails both comparisons
         raise ValueError(f"cp_factor must be finite, got {cp_factor}")
@@ -624,235 +559,236 @@ def verify_all(
     source = source or SourceSpec("constant", {"value": 0.5})
     initial = initial or make_initial(grid, "cosine", {"offset": 0.5, "amp": 0.25})
     solver_cfg = solver_cfg or SolverConfig()
-    rng = seeded_rng(seed)
-    props: list = []
-    coverage: dict = {}
+    checks = {}  # name -> verdict of each check recorded in this process
 
     def record(name, measured, bound, requires=True):
-        """Append the verdict on ``name``, a row of :data:`_PROPERTIES`.
-
-        It fails too unless ``requires`` holds; slack is positive when there
-        is margin.
-        """
-        module, covers, direction = _PROPERTIES[name]
+        """Keep the verdict on ``name``, a row of :data:`_PROPERTIES`; it fails
+        too unless ``requires`` holds, and its slack is positive with margin."""
+        module, _, direction = _PROPERTIES[name]
         le = direction == "le"
-        props.append({
+        checks[name] = {
             "property": name,
             "module": module,
             "passed": bool(requires and (measured <= bound if le else measured >= bound)),
             "measured": float(measured),
             "bound": float(bound),
             "slack": float(bound - measured if le else measured - bound),
-        })
-        if covers is not None:
-            coverage.setdefault(module, {}).setdefault(covers, []).append(name)
+        }
 
     h, tau, lbeta, eps = grid.h, params.tau, params.L_beta, params.eps
     p_values = sorted({2.0, 3.0, 4.0, params.p})
 
-    # --- algebraic inequality constant
-    est = estimate_cp(params.p, 1, cp_samples, seed)
-    cp_bound = 2.0 ** (2.0 - params.p) * (1.0 - 1e-9)
-    record("cp_infimum", est, cp_bound)
+    def shared():
+        """The checks that draw from the shared ``rng``, in report order."""
+        rng = seeded_rng(seed)
+        # --- mesh identities
+        u, v = rng.uniform(-1.5, 2.5, (2, grid.n_cells))
+        du = np.diff(u) / h
+        lhs = h * np.dot(du, np.diff(v) / h)
+        rhs = -(h * np.dot(divergence_array(du, h), v))
+        sbp = abs(lhs - rhs) / max(abs(lhs), 1e-300)
+        record("mesh_summation_by_parts", sbp, 1e-12)
+        w1p2 = float(norm_w1p_array(u, h, 2.0))
+        ident = float(norm_l2_array(u, h)) ** 2 + h * np.dot(du, du)
+        rel = abs(w1p2 - ident) / max(abs(ident), 1e-300)
+        record("mesh_norm_w1p_p2_identity", rel, 1e-12)
+        alphas = (-2.5, -1.0, 0.5, 3.0)
+        scaled = np.multiply.outer(alphas, u)  # row i is alphas[i] * u
+        # ||a u|| = |a| ||u|| and ||a u||_{1,p}^p = |a|^p ||u||_{1,p}^p, row by row;
+        # |a|^p is a numpy power, which overflows to inf where a float's raises
+        cases = [(1.0, norm_l2_array(scaled, h), float(norm_l2_array(u, h)))]
+        cases += [(p, norm_w1p_array(scaled, h, p), float(norm_w1p_array(u, h, p)))
+                  for p in p_values]
+        worst = _nan_or(max, [0.0] + [
+            abs(norm_au - float(np.abs(alpha) ** q) * norm_u) / max(norm_au, 1e-300)
+            for q, norms_au, norm_u in cases
+            for alpha, norm_au in zip(alphas, norms_au.tolist())
+        ])
+        record("mesh_norm_homogeneity", worst, 1e-12)
 
-    # --- mesh identities
-    u, v = rng.uniform(-1.5, 2.5, (2, grid.n_cells))
-    du = np.diff(u) / h
-    lhs = h * np.dot(du, np.diff(v) / h)
-    rhs = -(h * np.dot(divergence_array(du, h), v))
-    sbp = abs(lhs - rhs) / max(abs(lhs), 1e-300)
-    record("mesh_summation_by_parts", sbp, 1e-12)
-    w1p2 = float(norm_w1p_array(u, h, 2.0))
-    ident = float(norm_l2_array(u, h)) ** 2 + h * np.dot(du, du)
-    rel = abs(w1p2 - ident) / max(abs(ident), 1e-300)
-    record("mesh_norm_w1p_p2_identity", rel, 1e-12)
-    alphas = (-2.5, -1.0, 0.5, 3.0)
-    scaled = np.multiply.outer(alphas, u)  # row i is alphas[i] * u
-    # ||a u|| = |a| ||u|| and ||a u||_{1,p}^p = |a|^p ||u||_{1,p}^p, row by row;
-    # |a|^p is a numpy power, which overflows to inf where a float's raises
-    cases = [(1.0, norm_l2_array(scaled, h), float(norm_l2_array(u, h)))]
-    cases += [(p, norm_w1p_array(scaled, h, p), float(norm_w1p_array(u, h, p)))
-              for p in p_values]
-    worst = _nan_or(max, [0.0] + [
-        abs(norm_au - float(np.abs(alpha) ** q) * norm_u) / max(norm_au, 1e-300)
-        for q, norms_au, norm_u in cases
-        for alpha, norm_au in zip(alphas, norms_au.tolist())
-    ])
-    record("mesh_norm_homogeneity", worst, 1e-12)
+        # --- penalization and potentials
+        samples = np.sort(rng.uniform(-2.0, 3.0, 4001))
+        pen = yosida_penalty(samples, eps)
+        monotone_viol = float(np.minimum(np.diff(pen), 0.0).min(initial=0.0))
+        record("penalty_monotone", monotone_viol, 0.0)
+        pa, pb = rng.uniform(-2.0, 3.0, 4000), rng.uniform(-2.0, 3.0, 4000)
+        lip_excess = float(
+            (np.abs(yosida_penalty(pa, eps) - yosida_penalty(pb, eps))
+             - np.abs(pa - pb) / eps).max()
+        )
+        record("penalty_lipschitz", lip_excess, 1e-12)
+        box = rng.uniform(0.0, 1.0, 2001)
+        box_max = float(np.abs(yosida_penalty(box, eps)).max())
+        record("penalty_vanishes_on_box", box_max, 0.0)
+        step_fd = 1e-5
+        pts = rng.uniform(-2.0, 3.0, 2000)
+        pts = pts[(np.abs(pts) > 1e-3) & (np.abs(pts - 1.0) > 1e-3)]
+        fd_psi = (
+            yosida_potential(pts + step_fd, eps) - yosida_potential(pts - step_fd, eps)
+        ) / (2 * step_fd)
+        err_psi = float(np.abs(fd_psi - yosida_penalty(pts, eps)).max())
+        fd_b = (
+            reaction.antiderivative(pts + step_fd) - reaction.antiderivative(pts - step_fd)
+        ) / (2 * step_fd)
+        err_b = float(np.abs(fd_b - reaction.evaluate(pts)).max())
+        err_fd = max(err_psi, err_b)
+        record("potentials_match_fd", err_fd, 1e-6)
+        gate_hits = 0
+        for bad in ({"L_beta": 10.1}, {"p": 1.5}):  # tau * L_beta >= 1, and p < 2
+            try:
+                ModelParams(**{"p": 2.0, "eps": 0.1, "T": 1.0, "M": 10, **bad})
+            except ValueError:
+                gate_hits += 1
+        record("params_gate", gate_hits, 2)
 
-    # --- penalization and potentials
-    samples = np.sort(rng.uniform(-2.0, 3.0, 4001))
-    pen = yosida_penalty(samples, eps)
-    monotone_viol = float(np.minimum(np.diff(pen), 0.0).min(initial=0.0))
-    record("penalty_monotone", monotone_viol, 0.0)
-    pa, pb = rng.uniform(-2.0, 3.0, 4000), rng.uniform(-2.0, 3.0, 4000)
-    lip_excess = float(
-        (np.abs(yosida_penalty(pa, eps) - yosida_penalty(pb, eps))
-         - np.abs(pa - pb) / eps).max()
-    )
-    record("penalty_lipschitz", lip_excess, 1e-12)
-    box = rng.uniform(0.0, 1.0, 2001)
-    box_max = float(np.abs(yosida_penalty(box, eps)).max())
-    record("penalty_vanishes_on_box", box_max, 0.0)
-    step_fd = 1e-5
-    pts = rng.uniform(-2.0, 3.0, 2000)
-    pts = pts[(np.abs(pts) > 1e-3) & (np.abs(pts - 1.0) > 1e-3)]
-    fd_psi = (
-        yosida_potential(pts + step_fd, eps) - yosida_potential(pts - step_fd, eps)
-    ) / (2 * step_fd)
-    err_psi = float(np.abs(fd_psi - yosida_penalty(pts, eps)).max())
-    fd_b = (
-        reaction.antiderivative(pts + step_fd) - reaction.antiderivative(pts - step_fd)
-    ) / (2 * step_fd)
-    err_b = float(np.abs(fd_b - reaction.evaluate(pts)).max())
-    err_fd = max(err_psi, err_b)
-    record("potentials_match_fd", err_fd, 1e-6)
-    gate_hits = 0
-    try:
-        ModelParams(p=2.0, eps=0.1, T=1.0, M=10, L_beta=10.1)
-    except ValueError:
-        gate_hits += 1
-    try:
-        ModelParams(p=1.5, eps=0.1, T=1.0, M=10)
-    except ValueError:
-        gate_hits += 1
-    record("params_gate", gate_hits, 2)
+        # --- noise: the forcing phi(u) * sum_j c_j dW_j of apply_diffusion
+        span = np.linspace(-0.2, 1.2, grid.n_cells)
+        dw_probe = rng.standard_normal(noise_model.J)
+        forcing = bump_profile(span) * noise_model.coefs(dw_probe)
+        outside = (span <= 0.25) | (span >= 0.75)
+        support_leak = float(np.abs(forcing[outside]).max(initial=0.0))
+        record("noise_support", support_leak, 0.0)
+        bigger = NoiseModel(J=noise_model.J + 1, sigma=noise_model.sigma)
+        dw_ext = np.concatenate([dw_probe, [0.7]])
+        bump = bump_profile(np.linspace(0.26, 0.74, grid.n_cells))
+        delta = bump * bigger.coefs(dw_ext) - bump * noise_model.coefs(dw_probe)
+        expected = bigger.amplitudes[-1] * 0.7 * bump
+        trunc_err = float(np.abs(delta - expected).max())
+        trunc_tol = 1e-15 * max(1.0, float(np.abs(expected).max()))
+        record("noise_truncation_decay", trunc_err, trunc_tol)
+        path_a = noise_model.sample_path(20, tau, seed + 3)
+        path_b = noise_model.sample_path(20, tau, seed + 3)
+        same = np.array_equal(path_a.values, path_b.values)
+        record("noise_forcing_reproducible", 0.0 if same else 1.0, 0.0)
+        hs = noise_model.hs_lipschitz_estimate(100_000, seed=seed)
+        record("noise_hs_bound", hs, noise_model.L_g)
+        # the draws are held once: the variance is taken in their own buffer,
+        # with the reductions and divisions of ndarray.mean() and var()
+        draws = noise_model.draw(max(stat_draws // noise_model.J, 1), tau, seed + 4)
+        mean = np.add.reduce(draws, axis=None) / draws.size
+        record("noise_increment_mean", abs(float(mean)), 4.0 * np.sqrt(tau / draws.size))
+        draws -= mean
+        var = np.add.reduce(np.multiply(draws, draws, out=draws), axis=None) / draws.size
+        record("noise_increment_variance", abs(float(var) / tau - 1.0), 0.05)
 
-    # --- noise: the forcing phi(u) * sum_j c_j dW_j of apply_diffusion
-    span = np.linspace(-0.2, 1.2, grid.n_cells)
-    dw_probe = rng.standard_normal(noise_model.J)
-    forcing = bump_profile(span) * noise_model.coefs(dw_probe)
-    outside = (span <= 0.25) | (span >= 0.75)
-    support_leak = float(np.abs(forcing[outside]).max(initial=0.0))
-    record("noise_support", support_leak, 0.0)
-    bigger = NoiseModel(J=noise_model.J + 1, sigma=noise_model.sigma)
-    dw_ext = np.concatenate([dw_probe, [0.7]])
-    bump = bump_profile(np.linspace(0.26, 0.74, grid.n_cells))
-    delta = bump * bigger.coefs(dw_ext) - bump * noise_model.coefs(dw_probe)
-    expected = bigger.amplitudes[-1] * 0.7 * bump
-    trunc_err = float(np.abs(delta - expected).max())
-    trunc_tol = 1e-15 * max(1.0, float(np.abs(expected).max()))
-    record("noise_truncation_decay", trunc_err, trunc_tol)
-    path_a = noise_model.sample_path(20, tau, seed + 3)
-    path_b = noise_model.sample_path(20, tau, seed + 3)
-    same = np.array_equal(path_a.values, path_b.values)
-    record("noise_forcing_reproducible", 0.0 if same else 1.0, 0.0)
-    hs = noise_model.hs_lipschitz_estimate(100_000, seed=seed)
-    record("noise_hs_bound", hs, noise_model.L_g)
-    # the draws are held once: the variance is taken in their own buffer,
-    # with the reductions and divisions of ndarray.mean() and var()
-    draws = noise_model.draw(max(stat_draws // noise_model.J, 1), tau, seed + 4)
-    mean = np.add.reduce(draws, axis=None) / draws.size
-    record("noise_increment_mean", abs(float(mean)), 4.0 * np.sqrt(tau / draws.size))
-    draws -= mean
-    var = np.add.reduce(np.multiply(draws, draws, out=draws), axis=None) / draws.size
-    record("noise_increment_variance", abs(float(var) / tau - 1.0), 0.05)
+        # --- operator inequalities on 100 stacked (fu, fv) pairs per p.  Each
+        # pair's gap in <A x, x> >= (1 - tau L_beta) ||x||^2 + tau c ||x||_{1,p}^p
+        # is taken in Python floats, as one pair at a time would be.
+        def gaps(x, ax, c, p):
+            out = []
+            for lhs, l2, w1p in zip(*(a.tolist() for a in (
+                h * np.vecdot(ax, x), norm_l2_array(x, h), norm_w1p_array(x, h, p)
+            ))):
+                rhs = (1 - tau * lbeta) * l2 ** 2 + tau * c * w1p
+                out.append((lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+            return out
 
-    # --- operator inequalities on 100 stacked (fu, fv) pairs per p.  Each
-    # pair's gap in <A x, x> >= (1 - tau L_beta) ||x||^2 + tau c ||x||_{1,p}^p
-    # is taken in Python floats, as one pair at a time would be.
-    def gaps(x, ax, c, p):
-        out = []
-        for lhs, l2, w1p in zip(*(a.tolist() for a in (
-            h * np.vecdot(ax, x), norm_l2_array(x, h), norm_w1p_array(x, h, p)
-        ))):
-            rhs = (1 - tau * lbeta) * l2 ** 2 + tau * c * w1p
-            out.append((lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-        return out
+        coercive, monotone = [], []
+        for p in p_values:
+            pctx = OperatorContext(replace(params, p=p), reaction, grid)
+            fu, fv = rng.uniform(-1.5, 2.5, (100, 2, grid.n_cells)).swapaxes(0, 1).copy()
+            au, av = pctx.apply(fu), pctx.apply(fv)
+            coercive += gaps(fu, au, 1.0, p)
+            monotone += gaps(fu - fv, au - av, cp_factor * 2.0 ** (2.0 - p), p)
+        record("operator_coercivity", _nan_or(min, coercive), -1e-10)
+        record("operator_strong_monotonicity", _nan_or(min, monotone), -1e-10)
+        fu, fv = rng.uniform(-1.5, 2.5, (2, grid.n_cells))
+        weak_lhs = h * np.dot(ctx.apply_plap(fu), fv)
+        weak_rhs = h * np.dot(ctx.face_flux(fu), np.diff(fv) / h) + h * np.dot(
+            np.abs(fu) ** (params.p - 2.0) * fu, fv
+        )
+        weak_rel = abs(weak_lhs - weak_rhs) / max(abs(weak_lhs), 1e-300)
+        record("operator_weak_form", weak_rel, 1e-12)
+        deltas = [10.0 ** (-k) for k in range(1, 7)]
+        base = ctx.apply(fu)
+        dists = norm_l2_array(ctx.apply(fu + np.multiply.outer(deltas, fv)) - base, h).tolist()
+        decreasing = all(b < a for a, b in zip(dists, dists[1:]))
+        cont_bound = 1e-4 * max(1.0, dists[0])
+        record("operator_continuity", dists[-1], cont_bound, requires=decreasing)
 
-    coercive, monotone = [], []
-    for p in p_values:
-        pctx = OperatorContext(replace(params, p=p), reaction, grid)
-        fu, fv = rng.uniform(-1.5, 2.5, (100, 2, grid.n_cells)).swapaxes(0, 1).copy()
-        au, av = pctx.apply(fu), pctx.apply(fv)
-        coercive += gaps(fu, au, 1.0, p)
-        monotone += gaps(fu - fv, au - av, cp_factor * 2.0 ** (2.0 - p), p)
-    record("operator_coercivity", _nan_or(min, coercive), -1e-10)
-    record("operator_strong_monotonicity", _nan_or(min, monotone), -1e-10)
-    fu, fv = rng.uniform(-1.5, 2.5, (2, grid.n_cells))
-    weak_lhs = h * np.dot(ctx.apply_plap(fu), fv)
-    weak_rhs = h * np.dot(ctx.face_flux(fu), np.diff(fv) / h) + h * np.dot(
-        np.abs(fu) ** (params.p - 2.0) * fu, fv
-    )
-    weak_rel = abs(weak_lhs - weak_rhs) / max(abs(weak_lhs), 1e-300)
-    record("operator_weak_form", weak_rel, 1e-12)
-    deltas = [10.0 ** (-k) for k in range(1, 7)]
-    base = ctx.apply(fu)
-    dists = norm_l2_array(ctx.apply(fu + np.multiply.outer(deltas, fv)) - base, h).tolist()
-    decreasing = all(b < a for a, b in zip(dists, dists[1:]))
-    cont_bound = 1e-4 * max(1.0, dists[0])
-    record("operator_continuity", dists[-1], cont_bound, requires=decreasing)
+        # --- solver: 20 right-hand sides, each solved from a zero and from a
+        # random guess; the 40 problems are the rows of one stack
+        draws = rng.uniform(-1.0, 2.0, (20, 2, grid.n_cells))
+        rhs_u = draws[:, 0].copy()
+        draws[:, 0] = 0.0  # row 2j starts from zero, row 2j+1 from guess j
+        sols, reports = solve_rows(
+            ctx, np.repeat(rhs_u, 2, axis=0), draws.reshape(40, -1), solver_cfg
+        )
+        for i, report in enumerate(reports):
+            if report.failure is not None:
+                raise NonConvergence(
+                    f"solver_uniqueness: rhs {i // 2} ({('zero', 'random')[i % 2]} guess): "
+                    f"{report.failure}"
+                )
+        energy_jump_worst = _nan_or(max, [0.0] + [
+            _nan_or(max, [b - a for a, b in zip(e, e[1:])]) / _nan_or(max, [1.0, *map(abs, e)])
+            for e in (report.energy_history for report in reports) if len(e) > 1
+        ])
+        iter_worst = max(report.iterations for report in reports)
+        uniq_worst = float(norm_l2_array(sols[0::2] - sols[1::2], h).max())
+        sols = sols[0::2]  # from here on, the zero-guess solution of each rhs
+        record("solver_uniqueness", uniq_worst, 1e-8)
+        record("solver_energy_nonincreasing", energy_jump_worst, 1e-12)
+        record("solver_converges_within_cap", iter_worst, solver_cfg.max_newton)
+        # the public single-problem solve, twice on one rhs (the initial datum)
+        d1, _ = solve(ctx, initial.u0, cfg=solver_cfg)
+        d2, _ = solve(ctx, initial.u0, cfg=solver_cfg)
+        det = np.array_equal(d1.values, d2.values)
+        record("solver_determinism", 0.0 if det else 1.0, 0.0)
+        # rhs pairs (0, 1), (2, 3), ... and their zero-guess solutions
+        pairs = rhs_u[0::2], rhs_u[1::2], sols[0::2], sols[1::2]
+        stab_l2, stab_v = stability_slacks(ctx, *pairs)
+        apriori = apriori_slack(ctx, rhs_u, sols)
+        record("solver_stability_l2", _nan_or(min, stab_l2.tolist()), -1e-8)
+        record("solver_stability_w1p", _nan_or(min, stab_v.tolist()), -1e-8)
+        record("solver_apriori_bound", _nan_or(min, apriori.tolist()), -1e-8)
+        return checks
 
-    # --- solver: 20 right-hand sides, each solved from a zero and from a
-    # random guess; the 40 problems are the rows of one stack
-    draws = rng.uniform(-1.0, 2.0, (20, 2, grid.n_cells))
-    rhs_u = draws[:, 0].copy()
-    draws[:, 0] = 0.0  # row 2j starts from zero, row 2j+1 from guess j
-    sols, reports = solve_rows(
-        ctx, np.repeat(rhs_u, 2, axis=0), draws.reshape(40, -1), solver_cfg
-    )
-    for i, report in enumerate(reports):
-        if report.failure is not None:
-            raise NonConvergence(
-                f"solver_uniqueness: rhs {i // 2} ({('zero', 'random')[i % 2]} guess): "
-                f"{report.failure}"
+    def independent():
+        """The checks that draw from no shared ``rng``, with numpy's warnings
+        off: the constant's estimate and the stepper rows."""
+        with np.errstate(all="ignore"):  # a value that is not finite fails its check
+            est = estimate_cp(params.p, 1, cp_samples, seed)
+            record("cp_infimum", est, 2.0 ** (2.0 - params.p) * (1.0 - 1e-9))
+            # --- stepper: the noisy path, two noise-off paths and the noisy path
+            # cold-started at every step advance together, as the rows of one state
+            coef = _seed_coefs(noise_model, params, [seed])
+            quiet = NoiseModel(J=noise_model.J, sigma=0.0)
+            coef = np.concatenate([coef, _seed_coefs(quiet, params, [1, 2]), coef])
+            f = source.step_table(params.M, grid, tau)
+            states = np.empty((4, params.M + 1, grid.n_cells))
+            runs = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
+                    "noise-off run (seed 2)", f"cold-start run (seed {seed})")
+            stepper.run_rows(ctx, initial.u0.values, coef, f, solver_cfg,
+                             lambda i: f"stepper {runs[i]}", cold=np.arange(4) == 3,
+                             on_step=lambda rows, n, pt, _: setitem(states, (rows, n), pt.u))
+            noisy, qa, qb, cold = states
+            # the scheme identity, recomputed from its terms rather than from apply
+            u_n, u_np1 = noisy[:-1], noisy[1:]
+            resid = (
+                u_np1
+                - u_n
+                + tau * (ctx.apply_plap(u_np1) + yosida_penalty(u_np1, eps))
+                - bump_profile(u_n) * coef[0, :, None]
+                - tau * (reaction.evaluate(u_np1) + f)
             )
-    energy_jump_worst = _nan_or(max, [0.0] + [
-        _nan_or(max, [b - a for a, b in zip(e, e[1:])]) / _nan_or(max, [1.0, *map(abs, e)])
-        for e in (report.energy_history for report in reports) if len(e) > 1
-    ])
-    iter_worst = max(report.iterations for report in reports)
-    uniq_worst = float(norm_l2_array(sols[0::2] - sols[1::2], h).max())
-    sols = sols[0::2]  # from here on, the zero-guess solution of each rhs
-    record("solver_uniqueness", uniq_worst, 1e-8)
-    record("solver_energy_nonincreasing", energy_jump_worst, 1e-12)
-    record("solver_converges_within_cap", iter_worst, solver_cfg.max_newton)
-    # the public single-problem solve, twice on one rhs (the initial datum)
-    d1, _ = solve(ctx, initial.u0, cfg=solver_cfg)
-    d2, _ = solve(ctx, initial.u0, cfg=solver_cfg)
-    det = np.array_equal(d1.values, d2.values)
-    record("solver_determinism", 0.0 if det else 1.0, 0.0)
-    # rhs pairs (0, 1), (2, 3), ... and their zero-guess solutions
-    pairs = rhs_u[0::2], rhs_u[1::2], sols[0::2], sols[1::2]
-    stab_l2, stab_v = stability_slacks(ctx, *pairs)
-    apriori = apriori_slack(ctx, rhs_u, sols)
-    record("solver_stability_l2", _nan_or(min, stab_l2.tolist()), -1e-8)
-    record("solver_stability_w1p", _nan_or(min, stab_v.tolist()), -1e-8)
-    record("solver_apriori_bound", _nan_or(min, apriori.tolist()), -1e-8)
+            resid_worst = float(norm_l2_array(resid, h).max())
+            record("stepper_scheme_residual", resid_worst, 10 * solver_cfg.tol_residual)
+            record("stepper_noise_off_seed_independent", float(np.abs(qa - qb).max()), 0.0)
+            warm_diff = float(norm_l2_array(cold[-1] - noisy[-1], h))
+            record("stepper_warm_start_equivalence", warm_diff, 1e-8)
+        return checks
 
-    # --- stepper: the noisy path, two noise-off paths and the noisy path
-    # cold-started at every step advance together, as the rows of one state
-    coef = _seed_coefs(noise_model, params, [seed])
-    quiet = NoiseModel(J=noise_model.J, sigma=0.0)
-    coef = np.concatenate([coef, _seed_coefs(quiet, params, [1, 2]), coef])
-    f = source.step_table(params.M, grid, tau)
-    states = np.empty((4, params.M + 1, grid.n_cells))
-    runs = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
-            "noise-off run (seed 2)", f"cold-start run (seed {seed})")
-    stepper.run_rows(ctx, initial.u0.values, coef, f, solver_cfg,
-                     lambda i: f"stepper {runs[i]}", cold=np.arange(4) == 3,
-                     on_step=lambda rows, n, pt, _: setitem(states, (rows, n), pt.u))
-    noisy, qa, qb, cold = states
-    # the scheme identity, recomputed from its terms rather than from apply
-    u_n, u_np1 = noisy[:-1], noisy[1:]
-    resid = (
-        u_np1
-        - u_n
-        + tau * (ctx.apply_plap(u_np1) + yosida_penalty(u_np1, eps))
-        - bump_profile(u_n) * coef[0, :, None]
-        - tau * (reaction.evaluate(u_np1) + f)
-    )
-    resid_worst = float(norm_l2_array(resid, h).max())
-    record("stepper_scheme_residual", resid_worst, 10 * solver_cfg.tol_residual)
-    off_diff = float(np.abs(qa - qb).max())
-    record("stepper_noise_off_seed_independent", off_diff, 0.0)
-    warm_diff = float(norm_l2_array(cold[-1] - noisy[-1], h))
-    record("stepper_warm_start_equivalence", warm_diff, 1e-8)
-
-    # --- coverage completeness: declared invariants that no recorded check covers
+    # a forked part returns its own checks; a part run here returns them all
+    for part in stepper.fork_map(lambda part: part(), [shared, independent], "verify"):
+        checks.update(part)
+    coverage: dict = {}
+    for name, (module, covers, _) in _PROPERTIES.items():
+        if covers is not None and name in checks:
+            coverage.setdefault(module, {}).setdefault(covers, []).append(name)
+    # coverage completeness: declared invariants that no recorded check covers
     uncovered = sum(inv is not None and inv not in coverage.get(mod, {})
                     for mod, inv, _ in _PROPERTIES.values())
     record("coverage_complete", uncovered, 0)
-
-    passed = all(rec["passed"] for rec in props)
-    return VerificationReport(props, coverage, passed, seed)
+    props = [checks[name] for name in _PROPERTIES if name in checks]
+    return VerificationReport(props, coverage, all(rec["passed"] for rec in props), seed)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import glob
 import os
-from ctypes import CDLL, byref, c_double, c_int64
+from ctypes import CDLL, byref, c_double, c_int, c_int64
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,24 +64,35 @@ from .model import (
 __all__ = ["OperatorContext", "Point", "TridiagonalMatrix"]
 
 
-def _bundled_dptsv():
-    """``dptsv`` of the OpenBLAS in numpy's wheel, or None where numpy ships none."""
+def _bundled_openblas():
+    """The OpenBLAS in numpy's wheel, with its ``dptsv``, or None where numpy ships none."""
     pkg = os.path.dirname(np.__file__)
-    for lib in sorted(
+    for path in sorted(
         glob.glob(os.path.join(pkg + ".libs", "libscipy_openblas64_*"))  # Linux, Windows
         + glob.glob(os.path.join(pkg, ".dylibs", "libscipy_openblas64_*"))  # macOS
     ):
         try:
-            fn = CDLL(lib).scipy_dptsv_64_
+            lib = CDLL(path)
+            lib.scipy_dptsv_64_.restype = None
         except (OSError, AttributeError):
             continue
-        fn.restype = None
-        return fn
+        return lib
     return None
 
 
-_BUNDLED_DPTSV = _bundled_dptsv()
+_OPENBLAS = _bundled_openblas()
+_BUNDLED_DPTSV = _OPENBLAS and _OPENBLAS.scipy_dptsv_64_
 _ONE = byref(c_int64(1))
+
+
+def pin_blas_threads():
+    """Run numpy's bundled OpenBLAS, if any, on one thread: on more, its ``ddot``
+    (``np.dot``, ``np.vecdot``) splits vectors of 16384 values or more between
+    the threads and sums the parts in an order that depends on the cores."""
+    pin = getattr(_OPENBLAS, "scipy_openblas_set_num_threads64_", None)
+    if pin is not None:
+        pin.argtypes, pin.restype = [c_int], None
+        pin(1)
 
 
 def _ptsv(work: np.ndarray) -> int:

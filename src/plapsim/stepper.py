@@ -31,9 +31,9 @@ study and the verification report of :mod:`plapsim.harness` run many rows,
 and its pathwise study one row per time level.
 
 :class:`Child` is the package's one parallelism mechanism: a forked child
-of this process, which inherits the data it works on.  The eps study runs
-its groups of levels in children, and :class:`RowWriter` its blocks of
-CSV lines.
+of this process, which inherits the data it works on.  :func:`fork_map`
+runs the eps study's levels and the verification report's two parts on
+it, and :class:`RowWriter` its blocks of CSV lines.
 """
 
 from __future__ import annotations
@@ -337,6 +337,53 @@ def fork(work, what, feed=False):
         return Child(work, what, feed) if hasattr(os, "fork") else None
     except OSError:
         return None
+
+
+def fork_map(work, parts, what):
+    """``[work(part) for part in parts]``, on the usable cores.
+
+    The parts go in contiguous groups, one per usable core and at most one
+    per part: this process runs the first, of ceil(L / groups) parts, and a
+    forked :class:`Child` each other, which sends back its results or its
+    first failed part's exception, pickled; a group with no child runs
+    here.  The results come in part order and the first failed part's
+    exception is raised, so neither depends on the cores.  Every child is
+    reaped before the call returns, killed first if this process's group
+    raises or is interrupted; one that dies raises :class:`OSError`.
+    """
+    import pickle  # numpy has loaded it already
+
+    def send(out, group):
+        try:
+            result = [work(part) for part in group]
+        except Exception as exc:  # raised by this process, in part order
+            result = exc
+        pickle.dump(result, out)
+
+    parts = list(parts)
+    n_groups = max(1, min(usable_cores(), len(parts)))
+    cut = [-(-len(parts) * i // n_groups) for i in range(n_groups + 1)]  # rounded up
+    groups = [parts[a:b] for a, b in zip(cut, cut[1:])]
+    children = []  # the child of each group after this process's, or None
+    try:
+        for group in groups[1:]:
+            children.append(fork(lambda out, group=group: send(out, group), what))
+        results = [work(part) for part in groups[0]]
+        for group, child in zip(groups[1:], children):
+            if child is None:  # no fork: the group runs here
+                results += [work(part) for part in group]
+                continue
+            data = bytearray()
+            child.read(data.extend)
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            results += result
+    finally:
+        for child in children:
+            if child is not None:
+                child.kill()
+    return results
 
 
 #: Full mode formats the state rows in blocks, one per this many values and

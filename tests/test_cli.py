@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import os
 import pathlib
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import plapsim
-from plapsim import cli, stepper
+from plapsim import cli, harness, stepper
 from plapsim.config import (
     _SCHEMA,
     ParseError,
@@ -28,13 +29,17 @@ from plapsim.config import (
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(plapsim.__file__)))
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, preamble=None):
+    """`plapsim <args>` in a child interpreter; with ``preamble``, the Python
+    statements run there first, before numpy is imported, then ``cli.main``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")])
     )
+    command = ["-m", "plapsim", *args] if preamble is None else [
+        "-c", f"import os, sys\n{preamble}\nfrom plapsim import cli\nsys.exit(cli.main({args!r}))"]
     return subprocess.run(
-        [sys.executable, "-m", "plapsim", *args],
+        [sys.executable, *command],
         cwd=cwd,
         capture_output=True,
         text=True,
@@ -599,6 +604,80 @@ def test_cli_verify_whose_powers_overflow_names_its_failed_check(tmp_path):
     assert result.stderr.splitlines()[-1].startswith(
         "runtime error: solver_uniqueness: rhs 0 (zero guess): no convergence after 50 ")
     assert result.stdout == "" and os.listdir(tmp_path / "out") == []
+
+
+def test_cli_verify_stderr_does_not_depend_on_the_cores(tmp_path):
+    # at p = 1e6 the powers of estimate_cp overflow.  It runs in verify's
+    # forked part, whose warning lines would reach the shared stderr in
+    # another order than on one core; that part runs with numpy's warnings
+    # off, so a cp_infimum that is not finite fails as data
+    (tmp_path / "cfg.json").write_text(json.dumps({"model": {"p": 1e6, "M": 3, "n_cells": 8}}))
+    one, two = (run_cli(["verify", "--config", "cfg.json"], tmp_path,
+                        f"os.sched_getaffinity = lambda pid: set(range({cores}))")
+                for cores in (1, 2))
+    assert (one.returncode, one.stdout, one.stderr) == (two.returncode, two.stdout, two.stderr)
+    assert one.returncode == 2 and one.stderr.splitlines()[-1].startswith(
+        "runtime error: solver_uniqueness: rhs 0 (zero guess): no convergence after 50 ")
+    source, first = inspect.getsourcelines(harness.estimate_cp)
+    cp_lines = [f"harness.py:{n}:" for n in range(first, first + len(source))]
+    assert not [line for line in one.stderr.splitlines() if any(n in line for n in cp_lines)]
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("doc, code, err", [
+    ({"model": {"p": 3, "n_cells": 64, "T": 0.5, "M": 50}, "noise": {"J": 12}}, 0, ""),
+    # the uniqueness stack passes here; the forked stepper rows fail
+    ({"p": 2, "eps": 1e-5, "T": 0.5, "M": 20, "n_cells": 32, "L_beta": 0.5,
+      "reaction": {"kind": "sine", "scale": 0.5},
+      "initial": {"preset": "cosine", "params": {"offset": 0.5, "amp": 0.25}},
+      "noise": {"sigma": 0.5, "J": 12}, "source": {"preset": "constant", "params": {"value": 2.0}},
+      "solver": {"max_newton": 6}},
+     2, "runtime error: stepper noisy run (seed 0) failed at step 12: no convergence after 6"),
+], ids=["passing", "stepper-fails"])
+def test_cli_verify_bytes_do_not_depend_on_the_cores(monkeypatch, capsys, tmp_path, children,
+                                                    cores, doc, code, err):
+    # the report, stdout and stderr of one core, with one forked child
+    outcomes = []
+    for where, usable in ((tmp_path / "one", 1), (tmp_path / "many", cores)):
+        where.mkdir()
+        monkeypatch.chdir(where)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)))
+        (where / "cfg.json").write_text(json.dumps(doc))
+        exit_code = cli.main(["verify", "--config", "cfg.json"])
+        files = {p.name: p.read_bytes() for p in (where / "out").iterdir()}
+        outcomes.append((exit_code, capsys.readouterr(), files))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][0] == code and outcomes[0][1].err.startswith(err)
+    assert len(children) == 1 and children[0].code is not None
+
+
+#: `mc` on 16384 cells, whose 6 paths run in two chunks of the time loop
+CHUNKS = {"p": 2, "eps": 1e-3, "T": 0.2, "M": 2, "n_cells": 16384, "L_beta": 0.5, "n_paths": 6,
+          "reaction": {"kind": "sine", "scale": 0.5},
+          "initial": {"preset": "cosine", "params": {"offset": 0.5, "amp": 0.25}},
+          "noise": {"sigma": 5.0, "J": 6, "base_seed": 9},
+          "source": {"preset": "cosine", "params": {"amp": 20.0}},
+          "solver": {"tol_residual": 1e-8}}
+
+
+def test_cli_bytes_do_not_depend_on_the_machines_cores(tmp_path):
+    # OpenBLAS's ddot, behind the norms, the energies and the line search's
+    # slope, splits vectors of 16384 values between its threads, one per
+    # core, and sums the parts in another order: cli.main runs it on one.
+    # The child interpreter gets one core before it imports numpy
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    if len(cores) < 2:
+        pytest.skip("one usable core: there are no other cores to compare its bytes with")
+    files = []
+    for where, preamble in (("one", f"os.sched_setaffinity(0, {{{min(cores)}}})"),
+                            ("every", "pass")):
+        (tmp_path / where).mkdir()
+        (tmp_path / where / "cfg.json").write_text(json.dumps(CHUNKS))
+        result = run_cli(["mc", "--config", "cfg.json"], tmp_path / where, preamble)
+        assert (result.returncode, result.stderr) == (0, ""), result.stderr
+        files.append({p.name: p.read_bytes() for p in (tmp_path / where / "out").iterdir()})
+    assert files[0] == files[1]
+    assert sorted(files[0]) == ["mc-s9.csv", "mc-s9.json"]
 
 
 @pytest.mark.parametrize("subcommand, doc, label", [

@@ -868,7 +868,10 @@ def test_verify_all_memory_is_one_draw():
 
 
 def count_solve_rows(monkeypatch):
-    """Record the row count of every solve_rows call, from solve or direct."""
+    """Record the row count of every solve_rows call, from solve or direct.
+
+    One usable core: verify_all's stepper rows then run in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
     original = solver.solve_rows
 
@@ -896,7 +899,8 @@ def test_verify_all_stepper_rows_match_solo_runs(monkeypatch):
     # the batched stepper run of verify_all hands its hook every state of
     # its four rows: the noisy and the two noise-off rows equal their
     # run_path, and the cold-start row the chain of solves from a zero
-    # guess, bit for bit
+    # guess, bit for bit.  One usable core: the rows run in this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     kept = []
     original = stepper.run_rows
 
@@ -964,7 +968,9 @@ def test_verify_all_nonconvergence_names_check_and_row(data, max_newton, expecte
 
 
 def test_verify_all_names_a_failed_noise_off_row(monkeypatch):
-    # a failure injected into row 2 (the noise-off run of seed 2) at step 7
+    # a failure injected into row 2 (the noise-off run of seed 2) at step 7.
+    # One usable core: the spy counts the calls of this process
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
     original = harness.solve_rows
 
@@ -980,6 +986,61 @@ def test_verify_all_names_a_failed_noise_off_row(monkeypatch):
     expected = r"^stepper noise-off run \(seed 2\) failed at step 7: injected$"
     with pytest.raises(NonConvergence, match=expected):
         verify_all(cp_samples=1000, stat_draws=10_000)
+
+
+def verify_outcome(monkeypatch, cores, **kwargs):
+    """The report JSON of verify_all on ``cores`` usable cores, or the message
+    of its NonConvergence."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    try:
+        return verify_all(cp_samples=10_000, stat_draws=50_000, **kwargs).to_json()
+    except NonConvergence as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("data, max_newton, first_failed", [
+    ({}, 50, None),
+    # the uniqueness stack passes here; the forked stepper rows fail
+    (STIFF_VERIFY, 6, "stepper noisy run (seed 0) failed at step 12: no convergence after 6"),
+    # both parts fail: the uniqueness stack's error, first in check order
+    ({}, 1, "solver_uniqueness: rhs 0 (zero guess): no convergence after 1 Newton"),
+], ids=["passing", "stepper-fails", "both-fail"])
+def test_verify_all_bytes_do_not_depend_on_the_cores(monkeypatch, children, cores, data,
+                                                     max_newton, first_failed):
+    # the checks of the shared rng run here, and estimate_cp and the stepper
+    # rows in one forked child, whatever the cores; the report, or the
+    # message, is that of one core
+    cfg = SolverConfig(max_newton=max_newton)
+    serial = verify_outcome(monkeypatch, 1, **data, solver_cfg=cfg)
+    assert children == []
+    assert verify_outcome(monkeypatch, cores, **data, solver_cfg=cfg) == serial
+    assert serial.startswith(first_failed) if first_failed else '"passed": true' in serial
+    assert len(children) == 1 and children[0].code is not None
+
+
+def test_verify_all_solver_failure_kills_the_passing_child(monkeypatch, children):
+    # the uniqueness stack fails here while the stepper rows, which pass,
+    # still run in the child: the child is killed and reaped before the
+    # error leaves, and the message is that of one core
+    parent, original = os.getpid(), harness.solve_rows
+    stepper_rows = stepper.run_rows
+
+    def failing(ctx, rhs, guess, cfg):
+        u, reports = original(ctx, rhs, guess, cfg)
+        reports[0].failure = "injected"
+        return u, reports
+
+    def slow(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return stepper_rows(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_rows", failing)
+    assert verify_outcome(monkeypatch, 1) == "solver_uniqueness: rhs 0 (zero guess): injected"
+    monkeypatch.setattr(stepper, "run_rows", slow)
+    assert verify_outcome(monkeypatch, 2) == "solver_uniqueness: rhs 0 (zero guess): injected"
+    assert [child.code for child in children] == [-signal.SIGKILL]
 
 
 # ---------------------------------------------------------------------------

@@ -674,3 +674,95 @@ def test_run_path_rejects_mismatched_increments():
         run_path(ctx, nm, initial, SourceSpec("zero"), seed=0, increments=wrong)
     with pytest.raises(ValueError):
         run_path(ctx, nm, initial, SourceSpec("zero"), seed=0, mode="sparse")
+
+
+# ---------------------------------------------------------------------------
+# fork_map: independent parts on the usable cores
+
+
+def part_and_pid(part):
+    return part, os.getpid()
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_fork_map_returns_results_in_part_order(monkeypatch, children, cores):
+    # five parts in contiguous groups, one per core: this process runs the
+    # first ceil(5 / cores), and a child each other group
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    results = stepper.fork_map(part_and_pid, range(5), "map")
+    assert [part for part, _ in results] == list(range(5))
+    pids = [pid for _, pid in results]
+    here = -(-5 // cores)
+    assert pids[:here] == [os.getpid()] * here
+    assert len(set(pids)) == cores
+    assert len(children) == cores - 1
+    assert all(child.code == 0 for child in children)
+
+
+def fails_from(first):
+    """Work that raises a ValueError naming each part from ``first`` on."""
+    def work(part):
+        if part >= first:
+            raise ValueError(f"part {part} failed\non two lines")
+        return part
+    return work
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("first", [1, 2, 4])
+def test_fork_map_raises_the_first_failed_parts_exception(monkeypatch, children, cores,
+                                                           first):
+    # on 3 cores the groups are [0, 1], [2, 3] and [4]: part 1 fails here,
+    # part 2 in the first child and part 4 in the last; each time the
+    # exception of the first failed part comes back with its message
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    with pytest.raises(ValueError) as info:
+        stepper.fork_map(fails_from(first), range(5), "map")
+    assert str(info.value) == f"part {first} failed\non two lines"
+    assert len(children) == cores - 1
+    assert all(child.code is not None for child in children)
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, NonConvergence])
+def test_fork_map_that_stops_here_kills_its_children(monkeypatch, children, error):
+    # this process's part is interrupted, or fails, while the children's run
+    parent = os.getpid()
+
+    def work(part):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise error("stopped here")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with pytest.raises(error, match="stopped here"):
+        stepper.fork_map(work, range(3), "map")
+    assert [child.code for child in children] == [-signal.SIGKILL] * 2
+
+
+@pytest.mark.parametrize("missing", ["process", "fork"])
+def test_fork_map_without_a_fork_runs_every_part_here(monkeypatch, children, missing):
+    def no_process():
+        raise OSError("no process")
+
+    if missing == "process":
+        monkeypatch.setattr(os, "fork", no_process)
+    else:
+        monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert stepper.fork_map(part_and_pid, range(5), "map") == [
+        (part, os.getpid()) for part in range(5)]
+    assert children == []
+
+
+def test_fork_map_child_that_dies_is_an_oserror(children):
+    # the child of the second group is killed before it sends anything
+    parent = os.getpid()
+
+    def work(part):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return part
+
+    with pytest.raises(OSError, match=r"^mapped child exited with code -9$"):
+        stepper.fork_map(work, range(2), "mapped")
+    assert [child.code for child in children] == [-signal.SIGKILL]
