@@ -20,7 +20,10 @@ cores either, while a library caller's BLAS is left as it is.
 
 This module is the one place that names and opens an output file, in
 ``_write``; the library's ``to_csv`` methods write to the stream given.  A
-subcommand that fails (exit 2, or an interrupt) leaves no file.
+subcommand that fails (exit 2, or an interrupt) leaves no file.  A
+full-mode ``run`` writes its CSV's head before step 0, then each state row
+through a :class:`~plapsim.stepper.RowWriter` as soon as its step is
+solved, so its memory does not grow with M.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .harness import (
 )
 from .operators import pin_blas_threads
 from .solver import NonConvergence
-from .stepper import RowWriter, run_path
+from .stepper import RowWriter, Trajectory, run_path
 
 __all__ = ["main", "dispatch"]
 
@@ -89,12 +92,15 @@ def _metadata(cfg: RunConfig) -> dict:
 
 
 def _cmd_run(cfg: RunConfig, **_) -> int:
-    def write(stream):  # in full mode the rows are formatted while the time loop runs
-        with RowWriter(stream) as rows:
-            hook = rows.push if cfg.output_mode == "full" else None
-            traj = run_path(*cfg.problem(), seed=cfg.base_seed, cfg=cfg.solver,
-                            mode=cfg.output_mode, on_step=hook)
-            traj.to_csv(stream, _metadata(cfg), rows)
+    def write(stream):  # in full mode the head goes first, then each row as it is solved
+        ctx, *problem = cfg.problem()
+        if cfg.output_mode == "thin":
+            return run_path(ctx, *problem, seed=cfg.base_seed, cfg=cfg.solver,
+                            mode="thin").to_csv(stream, _metadata(cfg))
+        stream.write(Trajectory.head(cfg.base_seed, "full", ctx.grid.n_cells, _metadata(cfg)))
+        with RowWriter(stream, (ctx.params.M + 1, ctx.grid.n_cells)) as rows:
+            run_path(ctx, *problem, seed=cfg.base_seed, cfg=cfg.solver, writer=rows)
+            rows.finish()
 
     print(*_write(cfg, "run", ("csv", write)))
     return 0

@@ -542,11 +542,11 @@ def verify_all(
     own buffer, bit for bit ``ndarray.mean()`` and ``var()``: the draws are
     held once, so they set the peak memory (8 MB at the default 10^6).
 
-    The checks run in two parts through :func:`~plapsim.stepper.fork_map`:
-    those that draw from the shared ``rng`` in this process, in report
-    order, and, in a forked child where a second core is usable,
-    ``estimate_cp`` and the stepper rows, with numpy's warnings off (a value
-    that is not finite fails its check).  The verdicts are reported in
+    The checks run in two parts through :func:`~plapsim.stepper.fork_map`,
+    each with numpy's warnings off (a value that is not finite fails its
+    check): those that draw from the shared ``rng`` in this process, in
+    report order, and, in a forked child where a second core is usable,
+    ``estimate_cp`` and the stepper rows.  The verdicts are reported in
     :data:`_PROPERTIES` order and the shared part's failure is raised
     first, so the report and the message do not depend on the cores.
     """
@@ -745,42 +745,45 @@ def verify_all(
         return checks
 
     def independent():
-        """The checks that draw from no shared ``rng``, with numpy's warnings
-        off: the constant's estimate and the stepper rows."""
-        with np.errstate(all="ignore"):  # a value that is not finite fails its check
-            est = estimate_cp(params.p, 1, cp_samples, seed)
-            record("cp_infimum", est, 2.0 ** (2.0 - params.p) * (1.0 - 1e-9))
-            # --- stepper: the noisy path, two noise-off paths and the noisy path
-            # cold-started at every step advance together, as the rows of one state
-            coef = _seed_coefs(noise_model, params, [seed])
-            quiet = NoiseModel(J=noise_model.J, sigma=0.0)
-            coef = np.concatenate([coef, _seed_coefs(quiet, params, [1, 2]), coef])
-            f = source.step_table(params.M, grid, tau)
-            states = np.empty((4, params.M + 1, grid.n_cells))
-            runs = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
-                    "noise-off run (seed 2)", f"cold-start run (seed {seed})")
-            stepper.run_rows(ctx, initial.u0.values, coef, f, solver_cfg,
-                             lambda i: f"stepper {runs[i]}", cold=np.arange(4) == 3,
-                             on_step=lambda rows, n, pt, _: setitem(states, (rows, n), pt.u))
-            noisy, qa, qb, cold = states
-            # the scheme identity, recomputed from its terms rather than from apply
-            u_n, u_np1 = noisy[:-1], noisy[1:]
-            resid = (
-                u_np1
-                - u_n
-                + tau * (ctx.apply_plap(u_np1) + yosida_penalty(u_np1, eps))
-                - bump_profile(u_n) * coef[0, :, None]
-                - tau * (reaction.evaluate(u_np1) + f)
-            )
-            resid_worst = float(norm_l2_array(resid, h).max())
-            record("stepper_scheme_residual", resid_worst, 10 * solver_cfg.tol_residual)
-            record("stepper_noise_off_seed_independent", float(np.abs(qa - qb).max()), 0.0)
-            warm_diff = float(norm_l2_array(cold[-1] - noisy[-1], h))
-            record("stepper_warm_start_equivalence", warm_diff, 1e-8)
+        """The checks that draw from no shared ``rng``: the constant's estimate
+        and the stepper rows."""
+        est = estimate_cp(params.p, 1, cp_samples, seed)
+        record("cp_infimum", est, 2.0 ** (2.0 - params.p) * (1.0 - 1e-9))
+        # --- stepper: the noisy path, two noise-off paths and the noisy path
+        # cold-started at every step advance together, as the rows of one state
+        coef = _seed_coefs(noise_model, params, [seed])
+        quiet = NoiseModel(J=noise_model.J, sigma=0.0)
+        coef = np.concatenate([coef, _seed_coefs(quiet, params, [1, 2]), coef])
+        f = source.step_table(params.M, grid, tau)
+        states = np.empty((4, params.M + 1, grid.n_cells))
+        runs = (f"noisy run (seed {seed})", "noise-off run (seed 1)",
+                "noise-off run (seed 2)", f"cold-start run (seed {seed})")
+        stepper.run_rows(ctx, initial.u0.values, coef, f, solver_cfg,
+                         lambda i: f"stepper {runs[i]}", cold=np.arange(4) == 3,
+                         on_step=lambda rows, n, pt, _: setitem(states, (rows, n), pt.u))
+        noisy, qa, qb, cold = states
+        # the scheme identity, recomputed from its terms rather than from apply
+        u_n, u_np1 = noisy[:-1], noisy[1:]
+        resid = (
+            u_np1
+            - u_n
+            + tau * (ctx.apply_plap(u_np1) + yosida_penalty(u_np1, eps))
+            - bump_profile(u_n) * coef[0, :, None]
+            - tau * (reaction.evaluate(u_np1) + f)
+        )
+        resid_worst = float(norm_l2_array(resid, h).max())
+        record("stepper_scheme_residual", resid_worst, 10 * solver_cfg.tol_residual)
+        record("stepper_noise_off_seed_independent", float(np.abs(qa - qb).max()), 0.0)
+        warm_diff = float(norm_l2_array(cold[-1] - noisy[-1], h))
+        record("stepper_warm_start_equivalence", warm_diff, 1e-8)
         return checks
 
+    def warnings_off(part):
+        with np.errstate(all="ignore"):  # a value that is not finite fails its check
+            return part()
+
     # a forked part returns its own checks; a part run here returns them all
-    for part in stepper.fork_map(lambda part: part(), [shared, independent], "verify"):
+    for part in stepper.fork_map(warnings_off, [shared, independent], "verify"):
         checks.update(part)
     coverage: dict = {}
     for name, (module, covers, _) in _PROPERTIES.items():

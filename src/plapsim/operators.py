@@ -148,9 +148,10 @@ class Point:
 
     The pieces d = diff(u) / h, |d|, |u|, |d|^(p-2), |u|^(p-2), cos u (sine
     reaction only), the box excess g (:func:`~plapsim.model.box_excess`), the
-    operator value A(u) and the rhs-free part E0(u) of the energy are made on
-    first use and kept; only :meth:`put` changes them.  Pieces known already
-    are passed to the constructor by name.
+    p-th power of the W^{1,p} norm, the operator value A(u) and the rhs-free
+    part E0(u) of the energy are made on first use and kept; only
+    :meth:`put` changes them.  Pieces known already are passed to the
+    constructor by name.
     """
 
     __slots__ = ("ctx", "u", "__dict__")  # the instance dict holds only pieces
@@ -166,6 +167,7 @@ class Point:
     pow_u = _Piece(lambda pt: pt.abs_u ** (pt.ctx.params.p - 2.0))
     cos_u = _Piece(lambda pt: np.cos(pt.u) if pt.ctx.reaction.kind == "sine" else None)
     g = _Piece(lambda pt: box_excess(pt.u))
+    w1p = _Piece(lambda pt: norm_w1p_array(pt.u, pt.ctx._h, pt.ctx.params.p, pt.abs_d, pt.abs_u))
     au = _Piece(lambda pt: pt.ctx._operator(pt))
     e0 = _Piece(lambda pt: pt.ctx._energy0(pt))
 
@@ -313,11 +315,10 @@ class OperatorContext:
     def _energy0(self, pt: Point):
         """E0(u), the energy without its load term (the formula of ``Point.e0``)."""
         u, pr, h = pt.u, self.params, self._h
-        w1p = norm_w1p_array(u, h, pr.p, pt.abs_d, pt.abs_u)
         quad = 0.5 * h * np.vecdot(u, u)
         pen = h * np.add.reduce(yosida_potential(u, pr.eps, pt.g), -1)
         rea = h * np.add.reduce(self.reaction.antiderivative(u, pt.cos_u), -1)
-        return quad + self._tau * (w1p / pr.p + pen - rea)
+        return quad + self._tau * (pt.w1p / pr.p + pen - rea)
 
     def jacobian(self, u) -> TridiagonalMatrix:
         """Generalized Jacobian of :meth:`apply` at u.

@@ -33,17 +33,19 @@ and its pathwise study one row per time level.
 :class:`Child` is the package's one parallelism mechanism: a forked child
 of this process, which inherits the data it works on.  :func:`fork_map`
 runs the eps study's levels and the verification report's two parts on
-it, and :class:`RowWriter` its blocks of CSV lines.
+it, and :class:`RowWriter` formats the CSV lines of the rows that its pipe
+takes as the time loop makes them.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Grid1D, GridFunction, norm_l2_array, norm_w1p_array
+from .mesh import Grid1D, GridFunction, norm_l2_array
 from .model import InitialDatum, SourceSpec
 from .noise import NoiseModel, PathIncrements, bump_profile
 from .operators import OperatorContext
@@ -173,21 +175,20 @@ class Trajectory:
     """One simulated path: states (or their norms), reports, increments.
 
     mode "full" keeps every state, as row n of the (M+1, n_cells) array
-    ``states``; mode "thin" keeps only the per-time summary (L2 norm,
-    W^{1,p} power, constraint violation) and sets ``states`` to None.  Thin
-    mode drops the (M+1, n_cells) states but not the source table: a source
-    that varies in time is tabulated as one (M, n_cells) array before step
-    0, evaluated in blocks of steps (no (M, 4, n_cells) array of Gauss-time
-    values), so peak memory still grows with M (ROADMAP direction 5).
+    ``states``, unless :func:`run_path` handed the rows to a
+    :class:`RowWriter` as they were solved; mode "thin" keeps only the
+    per-time summary (L2 norm, W^{1,p} power, constraint violation).  Either
+    way without states, ``states`` is None.  Thin mode drops the states but
+    not the source table: a source that varies in time is tabulated as one
+    (M, n_cells) array before step 0, evaluated in blocks of steps (no
+    (M, 4, n_cells) array of Gauss-time values), so peak memory still grows
+    with M (ROADMAP direction 5).
 
     Full mode writes one CSV line of ``repr`` floats per state row, through
-    a :class:`RowWriter`: above ``_PARALLEL_VALUES`` values the rows are
-    formatted in blocks, one per usable core, every block but the last in a
-    forked :class:`Child`.  The bytes are the same whatever the number of
-    cores, and a child that fails raises :class:`OSError` (the CLI exits
-    2).  The CLI's full-mode ``run`` hands :meth:`to_csv` the RowWriter
-    that :func:`run_path`'s per-step hook has pushed the rows to, so they
-    are formatted while the time loop runs; the bytes are the same.
+    a :class:`RowWriter`, whose bytes are the same whatever the number of
+    cores.  The CLI's full-mode ``run`` writes :meth:`head` first, then
+    hands :func:`run_path` the RowWriter, so each row leaves as its step is
+    solved and no (M+1, n_cells) array is made; the bytes are the same.
     """
 
     grid: Grid1D
@@ -204,26 +205,32 @@ class Trajectory:
     @property
     def final_state(self) -> GridFunction:
         if self.states is None:
-            raise ValueError("thin trajectory does not store states")
+            raise ValueError("this trajectory does not store states")
         return self.grid.function(self.states[-1])
 
-    def to_csv(self, stream, metadata: dict | None = None, rows=None) -> None:
-        """Write the trajectory as CSV to the text stream ``stream``, under
-        '# key: value' lines of seed, mode, then ``metadata`` sorted by key.
-
-        Full mode: columns t, c0..c{n-1} (cell values), written by ``rows``,
-        a :class:`RowWriter` on ``stream`` that may have been pushed rows
-        already, or by a new one.  Thin mode: columns t, l2_norm, v_norm_p,
-        constraint_violation.
-        """
-        full = self.mode == "full"
-        columns = ([f"c{i}" for i in range(self.grid.n_cells)] if full
+    @staticmethod
+    def head(seed, mode, n_cells, metadata: dict | None = None) -> str:
+        """The head of a trajectory's CSV: '# key: value' lines of seed, mode,
+        then ``metadata`` sorted by key, then the columns.  Full mode: t,
+        c0..c{n-1} (cell values); thin mode: t, l2_norm, v_norm_p,
+        constraint_violation."""
+        columns = ([f"c{i}" for i in range(n_cells)] if mode == "full"
                    else ["l2_norm", "v_norm_p", "constraint_violation"])
-        stream.write(csv_head([("seed", self.seed), ("mode", self.mode),
-                               *sorted((metadata or {}).items())], ["t", *columns]))
+        return csv_head([("seed", seed), ("mode", mode), *sorted((metadata or {}).items())],
+                        ["t", *columns])
+
+    def to_csv(self, stream, metadata: dict | None = None) -> None:
+        """Write the trajectory as CSV to the text stream ``stream``: its
+        :meth:`head`, then one line per time."""
+        full = self.mode == "full"
+        if full and self.states is None:
+            raise ValueError("this trajectory does not store states")
+        stream.write(self.head(self.seed, self.mode, self.grid.n_cells, metadata))
         if full:
-            with rows or RowWriter(stream) as rows:
-                rows.finish(self.times, self.states)
+            with RowWriter(stream, self.states.shape) as rows:
+                for t, state in zip(self.times, self.states):
+                    rows.push(t, state)
+                rows.finish()
         else:
             table = (self.times, self.l2_norms, self.w1p_norms, self.violations)
             for row in np.column_stack(table).tolist():
@@ -265,7 +272,8 @@ class Child:
     and 1 if it raised, so it never flushes a buffer it inherited.
     :meth:`read` reads the pipe to EOF, then reaps the child; :meth:`kill`
     ends one not yet reaped.  ``what`` names it in the :class:`OSError` of
-    a child that exits non-zero.
+    a child that exits non-zero.  Once reaped, :attr:`code` is its exit code
+    and :attr:`maxrss` its peak resident set in KiB (``ru_maxrss``).
     """
 
     def __init__(self, work, what, feed=False):
@@ -296,7 +304,7 @@ class Child:
             os.close(fd)
         self.out, self.fd = out[0], rows[1] if feed else None
         _PIPES.update(fd for fd in (self.out, self.fd) if fd is not None)
-        self.what, self.code = what, None  # the exit code once reaped
+        self.what, self.code, self.maxrss = what, None, None  # once reaped
 
     def read(self, write):
         """Close the feeding pipe, hand the child's bytes to ``write`` as they
@@ -327,7 +335,8 @@ class Child:
         self.out = self.fd = None
 
     def _reap(self):
-        self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        _, status, usage = os.wait4(self.pid, 0)
+        self.code, self.maxrss = os.waitstatus_to_exitcode(status), usage.ru_maxrss
 
 
 def fork(work, what, feed=False):
@@ -386,14 +395,14 @@ def fork_map(work, parts, what):
     return results
 
 
-#: Full mode formats the state rows in blocks, one per this many values and
-#: per usable core at most; every block but the last in a forked child.
+#: A full-mode path of at least this many values is formatted by a forked
+#: child as well as by this process, where a second core is usable.
 _PARALLEL_VALUES = 1 << 18
 
-#: The pipe that feeds the streamed formatting child is sized for this many
-#: rows, at most 1 MiB (the kernel rounds up to a power of two pages): the
-#: child never waits for the next step, and the rows it has yet to format
-#: when the time loop ends stay few, so the split at the end stays balanced.
+#: The pipes to and from the streamed formatting child are sized for this
+#: many rows and lines, at most 1 MiB each (the kernel rounds up to a power
+#: of two pages): the child never waits for a row while this process formats
+#: one, and the rows it has yet to format when the time loop ends stay few.
 _PIPE_ROWS = 2
 
 
@@ -403,12 +412,11 @@ def _format_row(t, state):
 
 
 def _write_lines(out, rows):
-    """Format the (t, state) pairs of ``rows``, then write their lines to
-    ``out`` at once, so that a formatting child never waits on its parent."""
-    lines = bytearray()
+    """Write the line of each (t, state) pair of ``rows`` to ``out`` as soon as
+    it is formatted."""
     for t, state in rows:
-        lines += _format_row(t, state).encode()
-    out.write(lines)
+        out.write(_format_row(t, state).encode())
+        out.flush()
 
 
 def _fed_rows(source, n):
@@ -418,130 +426,140 @@ def _fed_rows(source, n):
         yield row[0], row[1:]
 
 
-def _blocks(states):
-    """Blocks for ``states``: one per ``_PARALLEL_VALUES`` values, per usable
-    core and per row at most."""
-    return max(1, min(usable_cores(), states.size // _PARALLEL_VALUES + 1, len(states)))
+def _enlarge(fd, size):
+    """Ask for a pipe of ``size`` bytes, at most 1 MiB, non-blocking at ``fd``."""
+    try:
+        import fcntl
+
+        fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, min(1 << 20, size))
+    except (ImportError, AttributeError, OSError):
+        pass  # the pipe keeps its size; only the overlap shrinks
+    os.set_blocking(fd, False)
 
 
 class RowWriter:
-    """Writes the line ``t,c0,...`` of each state row, in order, to a text stream.
+    """Writes the line ``t,c0,...`` of each state row of a path, in order, to a text stream.
 
-    The rows are handed over as they become final: :meth:`push` once rows
-    0..n are (the per-step hook of :func:`run_path`), :meth:`finish` once
-    all are; ``finish`` first pushes the rows not pushed yet, so a writer
-    that is only finished (:meth:`Trajectory.to_csv` alone) takes the same
-    path as one pushed to step by step.  Above ``_PARALLEL_VALUES`` values
-    and on more than one usable core, the first push forks a formatting
-    :class:`Child`, and each push writes the new rows to its pipe as far as
-    the pipe takes them without blocking, so the child formats while the
-    time loop runs.
-    :meth:`finish` splits the rows the streamed child has not received into
-    contiguous blocks, one per ``_PARALLEL_VALUES`` values and per usable
-    core at most: the streamed child takes the first, a child forked there
-    formats each further block but the last from the rows it inherits, and
-    this process formats the last while they work.  Then the children's
-    lines are copied in order, and this process's last.
+    ``shape`` is the path's (rows, cells).  Each row is handed over by one
+    :meth:`push` as soon as it is final, then :meth:`finish` writes the
+    lines still to come.  For a path of at least ``_PARALLEL_VALUES``
+    values on more than one usable core, the writer forks one formatting
+    :class:`Child`: a row goes to its pipe while the pipe has room, and is
+    formatted here otherwise.  The child sends each line back as soon as it
+    is formatted, and a line goes to the stream once every earlier row's
+    line has, so this process holds a few rows and lines, whatever the
+    number of rows.  It never blocks on a write to the child: a push writes
+    what the pipe takes at once, and :meth:`finish` waits for room there
+    and for the child's lines together.
 
     A child runs :func:`_format_row` on the same doubles, so the bytes
-    depend neither on the number of cores nor on the pipe size or the
-    timing.  A block whose child cannot be forked is formatted here.  A
+    depend neither on the number of cores nor on the pipe sizes or the
+    timing; where no child can be forked, every row is formatted here.  A
     child that exits non-zero raises :class:`OSError` with its exit code but
-    no rows, since the split depends on the timing.  Used as a context
-    manager, no child outlives the ``with`` block.
+    no rows, since which rows it took depends on the timing.  Used as a
+    context manager, no child outlives the ``with`` block.
     """
 
-    def __init__(self, target):
-        self.target = target
-        self.children = []  # every child forked, in row order
-        self.pushed = 0  # rows pushed so far
-        # the streamed child, given rows [0, end): the rows before next have
-        # gone to its pipe, but for the bytes pending of row next - 1
-        self.streamed, self.next, self.end, self.pending = None, 0, 0, b""
+    def __init__(self, target, shape):
+        rows, cells = shape
+        self.target, self.child = target, None
+        if rows > 1 and rows * cells >= _PARALLEL_VALUES and usable_cores() > 1:
+            self.child = fork(lambda out, source: _write_lines(out, _fed_rows(source, cells)),
+                              "CSV formatting", feed=True)
+        if self.child is not None:  # a row's doubles; its line, 25 bytes a value at most
+            _enlarge(self.child.fd, _PIPE_ROWS * 8 * (1 + cells))
+            _enlarge(self.child.out, _PIPE_ROWS * 25 * (1 + cells))
+        # the lines not yet written, in row order: a str formatted here, or
+        # None for a row sent to the child; and the bytes of the last row
+        # sent that its pipe has not taken yet
+        self.lines, self.pending = deque(), b""
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        for child in self.children:
-            child.kill()
+        if self.child is not None:
+            self.child.kill()
 
-    def push(self, times, states, n):
-        """Rows 0..n of ``states`` are final: stream them to the streamed child."""
-        if not self.pushed and _blocks(states) > 1:  # the first push decides
-            self._stream(states.shape[1])
-        self.pushed = self.end = n + 1
-        if self.streamed is not None:
-            self._feed(times, states)
+    def push(self, t, state):
+        """The row ``state`` at time ``t`` is final: send it to the child if
+        its pipe has room, or format it here; then write the lines whose turn
+        has come."""
+        if self.child is not None and self._send(np.concatenate(([t], state))):
+            self.lines.append(None)
+        else:
+            self.lines.append(_format_row(t, state))
+        self._drain()
 
-    def finish(self, times, states):
-        """Every row of ``states`` is final: format the rest and write every row."""
-        if self.pushed < len(states):
-            self.push(times, states, len(states) - 1)
-        streamed = [self.streamed] if self.streamed is not None else []
-        first = self.next if streamed else 0
-        parts = max(_blocks(states[first:]), len(streamed) + 1)
-        cut = [first + (len(states) - first) * i // parts for i in range(parts + 1)]
-        self.end = cut[1]
-        blocks = [(0, cut[1], *streamed)] if streamed else []  # (first, end, child or None)
-        for a, b in zip(cut[len(blocks):-2], cut[len(blocks) + 1:-1]):
-            rows = zip(times[a:b], states[a:b])
-            blocks.append((a, b, self._fork(lambda out, rows=rows: _write_lines(out, rows))))
-        blocks.append((cut[-2], cut[-1], None))
-        mine = [[] for _ in blocks]  # the lines of each block formatted here
-        for lines, (a, b, owner) in zip(mine, blocks):
-            for k in range(a, b) if owner is None else ():
-                lines.append(_format_row(times[k], states[k]))
-                if streamed:  # between rows, the streamed child is fed more
-                    self._feed(times, states)
-        if streamed:
-            self._feed(times, states, wait=True)
-        for lines, (_, _, owner) in zip(mine, blocks):
-            if owner is None:
-                self.target.writelines(lines)
-            else:
-                owner.read(lambda block: self.target.write(block.decode("ascii")))
+    def finish(self):
+        """Every row has been pushed: write the lines still to come."""
+        if self.child is not None:
+            import select
 
-    def _stream(self, cells):
-        """Fork the streamed child, which formats the rows of ``cells`` values
-        that arrive on its enlarged, non-blocking pipe."""
-        self.streamed = self._fork(lambda out, source: _write_lines(out, _fed_rows(source, cells)),
-                                   feed=True)
-        if self.streamed is None:
-            return
+            while self.pending:  # the child may wait for room in its pipe back
+                select.select([self.child.out], [self.child.fd], [])
+                self._flush()
+                self._drain()
+            self._end()
+
+    def _send(self, row):
+        """Send the bytes of ``row`` after the pending ones if the child's pipe
+        takes at least one of them now; the rest stays pending.  Whether the
+        child took the row."""
+        if self._flush():
+            self.pending = memoryview(row).cast("B")
+            self._flush()
+            if len(self.pending) < row.nbytes:
+                return True
+            self.pending = b""  # the pipe took none of it
+        return False
+
+    def _flush(self):
+        """Write the pending bytes to the child's pipe as far as it takes them
+        now; whether none are left."""
         try:
-            import fcntl
-
-            fcntl.fcntl(self.streamed.fd, fcntl.F_SETPIPE_SZ,
-                        min(1 << 20, _PIPE_ROWS * 8 * (1 + cells)))
-        except (ImportError, AttributeError, OSError):
-            pass  # the pipe keeps its size; only the overlap shrinks
-        os.set_blocking(self.streamed.fd, False)
-
-    def _fork(self, work, feed=False):
-        """A new formatting child running ``work``, or None if none can be forked."""
-        child = fork(work, "CSV formatting", feed)
-        if child is not None:
-            self.children.append(child)
-        return child
-
-    def _feed(self, times, states, wait=False):
-        """Write the rows up to ``end`` to the streamed child's pipe, as far as
-        it takes them without blocking, or all of them with ``wait``."""
-        fd = self.streamed.fd
-        if wait:
-            os.set_blocking(fd, True)
-        try:
-            while self.pending or self.next < self.end:
-                if not self.pending:
-                    row = np.concatenate((times[self.next:self.next + 1], states[self.next]),
-                                         dtype=float)
-                    self.pending, self.next = memoryview(row).cast("B"), self.next + 1
-                self.pending = self.pending[os.write(fd, self.pending):]
+            while self.pending:
+                self.pending = self.pending[os.write(self.child.fd, self.pending):]
         except BlockingIOError:
-            pass  # the pipe is full; the next call goes on
-        except BrokenPipeError:
-            self.pending, self.end = b"", self.next  # it has exited; its exit code says why
+            return False
+        except BrokenPipeError:  # it has exited: reaping it raises its exit code
+            self.pending = b""
+            self._end()
+        return True
+
+    def _drain(self):
+        """Write the lines whose turn has come: those formatted here, and the
+        child's as far as its pipe back holds them now."""
+        self._write_ready()
+        while self.lines:  # the next line is the child's
+            try:
+                block = os.read(self.child.out, 1 << 16)
+            except BlockingIOError:
+                return
+            if not block:  # it has exited: reaping it raises its exit code
+                self._end()
+            self._copy(block)
+
+    def _copy(self, block):
+        """Write ``block``, bytes of the child's lines in row order; each line
+        it ends lets the lines formatted here after that row go too."""
+        *ends, rest = block.split(b"\n")
+        for line in ends:
+            self.target.write(line.decode("ascii") + "\n")
+            self.lines.popleft()
+            self._write_ready()
+        self.target.write(rest.decode("ascii"))
+
+    def _write_ready(self):
+        """Write the lines formatted here that lead the queue."""
+        while self.lines and self.lines[0] is not None:
+            self.target.write(self.lines.popleft())
+
+    def _end(self):
+        """Close the child's feed, copy its lines to EOF and reap it; raise
+        :class:`OSError` if it exited non-zero."""
+        os.set_blocking(self.child.out, True)
+        self.child.read(self._copy)
 
 
 def run_path(
@@ -552,7 +570,7 @@ def run_path(
     seed: int,
     cfg: SolverConfig | None = None,
     mode: str = "full",
-    on_step=None,
+    writer: RowWriter | None = None,
 ) -> Trajectory:
     """Run the full time loop for one path: :func:`run_rows` on one row.
 
@@ -562,28 +580,28 @@ def run_path(
     (0-based) step, then the solve's message with its last residuals.
 
     It folds the states (full mode), W^{1,p} powers and solve reports of
-    :func:`run_rows`' records.  In full mode, ``on_step``, if given, is
-    called as ``on_step(times, states, n)`` with the (M+1,) times and the
-    (M+1, n_cells) states once rows 0..n of ``states`` are final, so that
-    a :class:`RowWriter`'s ``push`` formats the rows while the loop runs.
+    :func:`run_rows`' records.  In full mode, ``writer``, if given, is a
+    :class:`RowWriter` pushed each state row as soon as its step is solved,
+    and the trajectory keeps no states: no (M+1, n_cells) array is made.
     """
     if mode not in ("full", "thin"):
         raise ValueError(f"mode must be 'full' or 'thin', got {mode!r}")
-    if on_step is not None and mode != "full":
-        raise ValueError("on_step needs mode 'full'")
+    if writer is not None and mode != "full":
+        raise ValueError("writer needs mode 'full'")
     pr = ctx.params
     increments = noise_model.sample_path(pr.M, pr.tau, seed)
-    states = np.empty((pr.M + 1, ctx.grid.n_cells)) if mode == "full" else None
+    keep = mode == "full" and writer is None
+    states = np.empty((pr.M + 1, ctx.grid.n_cells)) if keep else None
     w1p, reports = np.empty(pr.M + 1), []
     times = np.arange(pr.M + 1) * pr.tau
 
     def fold(rows, n, pt, solved):
-        w1p[n] = norm_w1p_array(pt.u, ctx.grid.h, pr.p, pt.abs_d, pt.abs_u)[0]
+        w1p[n] = pt.w1p[0]
         reports.extend(solved)
         if states is not None:
             states[n] = pt.u[0]
-            if on_step is not None and all(r.failure is None for r in solved):
-                on_step(times, states, n)
+        elif writer is not None and all(r.failure is None for r in solved):
+            writer.push(times[n], pt.u[0])
 
     l2, viol = run_rows(ctx, initial.u0.values, noise_model.coefs(increments.values[None]),
                         source.step_table(pr.M, ctx.grid, pr.tau), cfg or SolverConfig(),

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -688,20 +689,15 @@ def test_cli_bytes_do_not_depend_on_the_machines_cores(tmp_path):
 def test_cli_step_whose_residual_overflows_says_it_is_not_finite(tmp_path, subcommand, doc,
                                                                  label):
     # the residual of step 0 is inf before any Newton step, which read "no
-    # convergence after 0 Newton steps".  The time loop runs with numpy's
-    # warnings off, so run, mc and eps-study print the one line; verify's
-    # own checks still print numpy's warnings first.  The child runs in its
-    # own interpreter, under its default warning filters
+    # convergence after 0 Newton steps".  The time loop and verify's checks
+    # run with numpy's warnings off, so each prints the one line.  The child
+    # runs in its own interpreter, under its default warning filters
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
     result = run_cli([subcommand, "--config", "cfg.json"], tmp_path)
     assert result.returncode == 2
-    assert "Traceback" not in result.stderr
-    line = (f"runtime error: {label} failed at step 0: residual not finite after 0 Newton steps "
-            "(residual inf, tol 1.000e-10; residuals [inf])")
-    if subcommand == "verify":
-        assert result.stderr.splitlines()[-1] == line
-    else:
-        assert result.stderr == line + "\n"
+    assert result.stderr == (
+        f"runtime error: {label} failed at step 0: residual not finite after 0 Newton steps "
+        "(residual inf, tol 1.000e-10; residuals [inf])\n")
     assert result.stdout == "" and os.listdir(tmp_path / "out") == []
 
 
@@ -1052,17 +1048,22 @@ def test_cli_run_bytes_do_not_depend_on_the_cores(monkeypatch, tmp_path, childre
 def test_cli_run_streams_rows_before_the_last_step(monkeypatch, tmp_path, children,
                                                    serial_run):
     monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
-    sent, push = [], stepper.RowWriter.push
+    pushed, sent, push, send = [], [], stepper.RowWriter.push, stepper.RowWriter._send
 
-    def spy(self, times, states, n):
-        push(self, times, states, n)
-        sent.append((n, self.next))
+    def push_spy(self, t, state):
+        pushed.append(float(t))
+        push(self, t, state)
 
-    monkeypatch.setattr(stepper.RowWriter, "push", spy)
+    def send_spy(self, row):
+        sent.append(send(self, row))
+        return sent[-1]
+
+    monkeypatch.setattr(stepper.RowWriter, "push", push_spy)
+    monkeypatch.setattr(stepper.RowWriter, "_send", send_spy)
     assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
     # one push per state row, and row 0 is in the child's pipe before step 0
-    assert [n for n, _ in sent] == list(range(11))
-    assert sent[0] == (0, 1)
+    assert pushed == [n * 0.1 for n in range(11)]
+    assert len(sent) == 11 and sent[0] is True
     assert len(children) == 1
 
 
@@ -1077,25 +1078,25 @@ def test_cli_run_bytes_with_the_default_pipe(monkeypatch, tmp_path, children, se
 
     monkeypatch.setattr(fcntl, "fcntl", refuse)
     assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
-    assert refused == [fcntl.F_SETPIPE_SZ]
+    assert refused == [fcntl.F_SETPIPE_SZ] * 2  # the pipe to the child, and back
 
 
 def test_cli_run_bytes_when_no_row_is_pushed_during_the_loop(monkeypatch, tmp_path, children,
                                                              serial_run):
-    # the child starts, but its pipe takes nothing until the loop has ended
+    # the child starts, but its pipe takes nothing while the loop runs, so
+    # this process formats every row and has written each line at once
     monkeypatch.setattr(stepper, "_PARALLEL_VALUES", 100)
-    looping, feed, finish = [True], stepper.RowWriter._feed, stepper.RowWriter.finish
+    looping, send, finish = [True], stepper.RowWriter._send, stepper.RowWriter.finish
 
     def full_pipe(self, *args, **kwargs):
-        if not looping[0]:
-            feed(self, *args, **kwargs)
+        return not looping[0] and send(self, *args, **kwargs)
 
     def finishing(self, *args):
         looping[0] = False
-        assert self.next == 0
+        assert not self.lines
         finish(self, *args)
 
-    monkeypatch.setattr(stepper.RowWriter, "_feed", full_pipe)
+    monkeypatch.setattr(stepper.RowWriter, "_send", full_pipe)
     monkeypatch.setattr(stepper.RowWriter, "finish", finishing)
     assert run_in(monkeypatch, tmp_path / "run") == (0, serial_run)
     assert not looping[0] and len(children) == 1
@@ -1131,10 +1132,45 @@ def test_cli_run_failed_solve_mid_stream_leaves_no_file(monkeypatch, capsys, tmp
     assert all(child.code is not None for child in children)
 
 
+def run_of_M(where, M):
+    """`plapsim run` in full mode on 2048 cells and M steps, through
+    ``cli.dispatch``, writing to ``where``: the exit code."""
+    cfg = parse_config(data={"model": {"n_cells": 2048, "M": M}, "output": {"dir": str(where)}})
+    return cli.dispatch("run", cfg)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_cli_run_memory_does_not_grow_with_M(monkeypatch, capsys, tmp_path, children, cores):
+    # the head goes first and each row leaves as its step is solved: no
+    # (M+1, n_cells) array, and no block of lines held until the end.  The
+    # peaks of M = 400 and M = 100 differed by 8-16 MiB when both were held
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    peaks = []
+    for M in (100, 400):
+        tracemalloc.start()
+        try:
+            assert run_of_M(tmp_path / str(M), M) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20
+    assert len(children) == 2 * (cores - 1)
+    assert all(child.code == 0 for child in children)
+
+
+def test_cli_run_formatting_child_memory_does_not_grow_with_M(capsys, tmp_path, children):
+    # the child sends each line back as it formats it: its peak resident set
+    # grew by about 11 MB from M = 100 to M = 400 when it held its block
+    assert [run_of_M(tmp_path / str(M), M) for M in (100, 400)] == [0, 0]
+    assert [child.code for child in children] == [0, 0]
+    assert abs(children[1].maxrss - children[0].maxrss) <= 3 * 1024  # KiB
+
+
 @pytest.mark.parametrize("subcommand, owner, method", [
     pytest.param("converge", "harness.RefinementTable", "to_csv", id="converge"),
     pytest.param("eps-study", "harness.RefinementTable", "to_csv", id="eps-study"),
-    pytest.param("run", "stepper.Trajectory", "to_csv", id="run"),
+    # the full-mode run's rows, after its head
+    pytest.param("run", "stepper.RowWriter", "finish", id="run"),
     # mc's CSV, the first of its two files, and its JSON once the CSV is whole
     pytest.param("mc", "harness.McSummary", "to_csv", id="mc-csv"),
     pytest.param("mc", "harness.McSummary", "to_dict", id="mc-json"),

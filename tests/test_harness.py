@@ -806,6 +806,23 @@ def test_verify_all_nan_measurement_fails_its_check(monkeypatch, module, failing
     assert all(np.isnan(m) for m in failed.values())
 
 
+def test_verify_all_overflowing_measurement_fails_its_check(monkeypatch):
+    # an L2 norm that overflows to inf: every check it reaches, in either
+    # part, measures inf or NaN and fails.  Both parts run with numpy's
+    # warnings off, so no overflow warning is raised (pytest makes it an
+    # error) and no such check passes silently
+    norm = harness.norm_l2_array
+    monkeypatch.setattr(harness, "norm_l2_array",
+                        lambda values, h: norm(values, h) * 1e300 * 1e300)
+    report = verify_all(cp_samples=1000, stat_draws=10_000)
+    failed = {r["property"]: r["measured"] for r in report.properties if not r["passed"]}
+    assert set(failed) == {
+        "mesh_norm_w1p_p2_identity", "mesh_norm_homogeneity", "operator_coercivity",
+        "operator_strong_monotonicity", "operator_continuity", "solver_uniqueness",
+        "stepper_scheme_residual", "stepper_warm_start_equivalence"}
+    assert not any(np.isfinite(measured) for measured in failed.values())
+
+
 def test_verify_all_nan_energy_fails_energy_check(monkeypatch):
     # a NaN energy at a later Newton iteration of one uniqueness row: the
     # last row still running at iteration 1

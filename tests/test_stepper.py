@@ -518,29 +518,63 @@ def csv_text(traj):
 
 @pytest.mark.parametrize("cores", [1, 2, 3, 5])
 def test_full_csv_bytes_do_not_depend_on_the_cores(monkeypatch, children, cores):
-    # 12000 values make 13 blocks of 1000; the cores cap them, and every
-    # block after the first goes to a child
+    # 12000 values: from two usable cores on, one child formats the rows its
+    # pipe has room for, and this process the rest
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
     states = wide_states()
     assert csv_text(wide_trajectory(states)) == serial_csv(states)
-    assert len(children) == cores - 1
+    assert len(children) == min(cores - 1, 1)
     assert all(child.code == 0 for child in children)
 
 
 def test_full_csv_pushes_every_row_before_it_finishes(monkeypatch, children):
-    # to_csv alone takes the path of the streamed run: finish first pushes
-    # the rows not pushed yet, so the child starts and is fed the same way
-    pushed, push = [], stepper.RowWriter.push
+    # to_csv alone takes the path of the streamed run: one push per row, in
+    # order, then finish, so the child starts and is fed the same way
+    pushed, finished = [], []
+    push, finish = stepper.RowWriter.push, stepper.RowWriter.finish
 
-    def spy(self, times, states, n):
-        pushed.append(n)
-        push(self, times, states, n)
+    def push_spy(self, t, state):
+        pushed.append(float(t))
+        push(self, t, state)
 
-    monkeypatch.setattr(stepper.RowWriter, "push", spy)
+    def finish_spy(self):
+        finished.append(len(pushed))
+        finish(self)
+
+    monkeypatch.setattr(stepper.RowWriter, "push", push_spy)
+    monkeypatch.setattr(stepper.RowWriter, "finish", finish_spy)
     states = wide_states()
     assert csv_text(wide_trajectory(states)) == serial_csv(states)
-    assert pushed == [len(states) - 1]
+    assert pushed == [k * 0.025 for k in range(len(states))]
+    assert finished == [len(states)]
     assert len(children) == 1
+
+
+def test_full_csv_through_one_page_pipes(monkeypatch, children):
+    # each pipe holds one page, and a row (16 KB) and its line (about 40 KB)
+    # are longer: this process must not block on a full pipe to the child
+    # while the child waits for room in its pipe back
+    fcntl = pytest.importorskip("fcntl")
+    sizes, setpipe = [], fcntl.fcntl
+
+    def one_page(fd, command, arg=0):
+        sizes.append(setpipe(fd, command, 4096))
+
+    def late(signum, frame):
+        raise TimeoutError("the writer and its child wait on each other")
+
+    monkeypatch.setattr(fcntl, "fcntl", one_page)
+    previous = signal.signal(signal.SIGALRM, late)
+    states = wide_states(n=2000)
+    try:
+        signal.alarm(20)
+        text = csv_text(wide_trajectory(states))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert text == serial_csv(states)
+    assert sizes == [4096, 4096]
+    assert [child.code for child in children] == [0]
 
 
 def test_full_csv_of_strided_states(children):
@@ -559,7 +593,7 @@ def test_full_csv_below_the_threshold_starts_no_child(monkeypatch, children):
 
 @pytest.mark.parametrize("missing", ["process", "fork"])
 def test_full_csv_without_a_child_formats_every_block_here(monkeypatch, children, missing):
-    # a fork that fails, or a platform without os.fork: every block here
+    # a fork that fails, or a platform without os.fork: every row here
     def no_process():
         raise OSError("no process")
 
@@ -607,7 +641,7 @@ def test_full_csv_kills_its_children_when_interrupted(monkeypatch, children):
     monkeypatch.setattr(stepper, "_format_row", interrupted)
     with pytest.raises(KeyboardInterrupt):
         csv_text(wide_trajectory(wide_states()))
-    assert len(children) == 2
+    assert len(children) == 1
     assert all(child.code is not None for child in children)
 
 
@@ -674,6 +708,9 @@ def test_run_path_rejects_mismatched_increments():
         run_path(ctx, nm, initial, SourceSpec("zero"), seed=0, increments=wrong)
     with pytest.raises(ValueError):
         run_path(ctx, nm, initial, SourceSpec("zero"), seed=0, mode="sparse")
+    with pytest.raises(ValueError, match="writer needs mode 'full'"):
+        run_path(ctx, nm, initial, SourceSpec("zero"), seed=0, mode="thin",
+                 writer=stepper.RowWriter(io.StringIO(), (5, 16)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,8 @@ above the 2^18 from which the CSV rows are formatted on more than one core)
 and, as ``run-wide-cap``, on the ``run_large`` config at seed 7004, whose
 step 72 hits the Newton cap (exit 2) after the rows have begun to stream to
 the formatting child, so that a failed wide run is checked to leave no file,
+and, as ``run-long``, on 2048 cells with M = 400 in full mode, many more rows
+than the pipes to and from the formatting child hold at once,
 ``converge --study coupled|spatial``, ``run`` on ``{}`` (every default)
 and ``run --seed 5 --tag t --output-mode thin`` on a document of top-level
 model shorthand, so that defaults, shorthand and flag overrides are checked
@@ -114,6 +116,8 @@ def cases(make_config):
     # the run_large data at a seed whose step 72 hits the Newton cap, after
     # the rows have begun to stream to the formatting child
     out.append(("run-wide-cap", ["run"], make_config("run_large", 7004, "out")))
+    # 401 x 2048 values: many more rows than the pipes to and from the child hold
+    out.append(("run-long", ["run"], _small_run(make_config, n_cells=2048, M=400)))
     for study in ("coupled", "spatial"):
         out.append((f"converge-{study}", ["converge", "--study", study],
                     make_config("verify", 0, "out")))
