@@ -210,8 +210,10 @@ class TridiagonalMatrix:
         a solve of that row alone.  Only ``b`` is copied, into the buffer,
         and the matrix is spent.  The call goes to numpy's bundled OpenBLAS,
         or to scipy's LAPACK where numpy ships none (see the module
-        docstring).  The matrices are SPD by construction; a LinAlgError
-        reports one that is not.
+        docstring).  The matrices are SPD in exact arithmetic, but at high p
+        rounding can swallow the diagonal's margin under huge (or infinite)
+        weights |d|^(p-2): then a LinAlgError carries LAPACK's ``info``, the
+        1-based place of the first non-positive pivot, rows laid end to end.
         """
         work = self.work
         if work is None:
@@ -226,9 +228,9 @@ class TridiagonalMatrix:
         work[2] = b
         info = _ptsv(work)
         if info != 0:
-            raise np.linalg.LinAlgError(
-                f"tridiagonal solve failed: LAPACK ptsv info={info}"
-            )
+            err = np.linalg.LinAlgError(f"tridiagonal solve failed: LAPACK ptsv info={info}")
+            err.info = info
+            raise err
         return work[2]
 
 

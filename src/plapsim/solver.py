@@ -56,13 +56,14 @@ class NonConvergence(RuntimeError):
     """Raised when a solve stops without meeting its residual tolerance.
 
     That is: the Newton cap is hit, the line search along the Newton
-    direction finds no step, or the residual turns non-finite; the message
-    opens with "no convergence", "line search failed" or "residual not
-    finite", then "after k Newton steps (residual ...)".  Valid
-    contexts do reach the cap today: p = 4 on 8192 cells for some noise
-    seeds (the benchmark's ``run_large`` config at seeds 7004, 7015, 7035,
-    7073 and 7090), every such config on 16384 cells, and eps = 1e-8 under
-    strong forcing; see the known limits in ``perfbench/workloads.py``.
+    direction finds no step, the residual turns non-finite, or LAPACK cannot
+    factor the Newton system (at high p); the message opens with "no
+    convergence", "line search failed", "residual not finite" or "Newton
+    system not positive definite", then "after k Newton steps (residual
+    ...)".  Valid contexts do reach the cap today: p = 4 on 8192 cells for
+    some noise seeds (the benchmark's ``run_large`` at seeds 7004, 7015,
+    7035, 7073 and 7090), every such config on 16384 cells, and eps = 1e-8
+    under strong forcing; see the known limits in ``perfbench/workloads.py``.
     """
 
 
@@ -111,64 +112,55 @@ class SolveReport:
 # a few ulps of slack keep the Armijo test meaningful once the true decrease
 # underflows the float resolution of the energy
 _SLACK_ULPS = 16.0 * np.finfo(float).eps
-_INF = float("inf")
+_NO_ROWS = np.empty(0, dtype=np.intp)
+#: the failure of a row, by its code in solve_rows (0: it converged)
+_WHY = (None, "no convergence", "residual not finite", "line search failed",
+        "Newton system not positive definite")
 
 
-def _armijo(e_trial, e, decrease):
-    """Armijo test of one row; ``decrease`` is c * alpha * slope.
-
-    A non-descent direction (``decrease`` >= 0 or NaN) fails every trial.
-    """
-    return decrease < 0.0 and e_trial <= e + decrease + _SLACK_ULPS * max(1.0, abs(e))
+def _armijo(e_trial, e, decrease, slack):
+    """Armijo test of each row: ``decrease`` is c * alpha * slope, ``slack``
+    _SLACK_ULPS * max(1, |e|), added last.  A non-descent direction
+    (``decrease`` >= 0 or NaN) fails every trial."""
+    return (decrease < 0.0) & (e_trial <= e + decrease + slack)
 
 
 def _search(ctx, pt, rhs, d, slope, e, cfg):
     """Backtracking Armijo search along each row of d from the point pt.
 
-    Returns (point, energies, ok).  The first trial step is taken on every
-    row, later ones only on the rows still waiting, which all share one
-    step length.  A row that finds no acceptable step keeps its point and
-    energy and has ok False.
+    Returns (point, energies, failed): the (rows,) energies and the indices
+    of the rows that found no acceptable step, which keep their point (and
+    the energy of their last trial, which no caller reads).  The first
+    trial step is taken on every row, later ones only on the rows still
+    waiting, which all share one step length.
     """
-    c = cfg.sufficient_decrease
+    c, slack = cfg.sufficient_decrease, _SLACK_ULPS * np.maximum(1.0, abs(e))
     out = ctx.point(pt.u + d)  # the full step: 1.0 * d is d, bit for bit
-    out_e = ctx.energy(out, rhs).tolist()
-    ok = [_armijo(et, ei, c * si) for et, ei, si in zip(out_e, e, slope)]
-    if all(ok):
-        return out, out_e, ok
-    wait = [i for i, good in enumerate(ok) if not good]
-    uw, dw, rw = (pt.u, d, rhs) if len(wait) == len(ok) else (pt.u[wait], d[wait], rhs[wait])
+    out_e = ctx.energy(out, rhs)
+    ok = _armijo(out_e, e, c * slope, slack)
+    if ok.all():
+        return out, out_e, _NO_ROWS
+    wait = np.flatnonzero(~ok)
+    waiting = tuple(a if wait.size == ok.size else a[wait]
+                    for a in (pt.u, d, rhs, e, slope, slack))
     alpha = 1.0
     for _ in range(cfg.max_backtracks - 1):
         alpha *= cfg.backtrack_factor
+        uw, dw, rw, ew, sw, slack_w = waiting
         trial = ctx.point(uw + alpha * dw)
-        e_trial = ctx.energy(trial, rw).tolist()
-        accept = [
-            _armijo(et, e[i], c * alpha * slope[i]) for et, i in zip(e_trial, wait)
-        ]
-        if any(accept):
-            took = [j for j, a in enumerate(accept) if a]
-            out.put([wait[j] for j in took], trial, took)
-            for j in took:
-                out_e[wait[j]], ok[wait[j]] = e_trial[j], True
-            keep = [j for j, a in enumerate(accept) if not a]
-            if not keep:
-                return out, out_e, ok
-            wait = [wait[j] for j in keep]
-            uw, dw, rw = uw[keep], dw[keep], rw[keep]
+        e_trial = ctx.energy(trial, rw)
+        accept = _armijo(e_trial, ew, c * alpha * sw, slack_w)
+        took = np.count_nonzero(accept)
+        if took:
+            rows = wait[accept]
+            out.put(rows, trial, accept)
+            out_e[rows] = e_trial[accept]
+            if took == accept.size:
+                return out, out_e, _NO_ROWS
+            keep = ~accept
+            wait, waiting = wait[keep], tuple(a[keep] for a in waiting)
     out.put(wait, pt, wait)
-    for i in wait:
-        out_e[i] = e[i]
-    return out, out_e, ok
-
-
-def _failure(what, report, tol):
-    """NonConvergence message of a row, at its last iterate so far."""
-    res = report.residual_history
-    return (
-        f"{what} after {report.iterations} Newton steps (residual {res[-1]:.3e}, "
-        f"tol {tol:.3e}; residuals {res[-4:]})"
-    )
+    return out, out_e, wait
 
 
 def solve_rows(
@@ -190,65 +182,70 @@ def solve_rows(
     every row, and its other pieces too when every row stopped at the same
     iteration.  An empty stack returns at once, with no reports.
 
-    Fields are (rows, n_cells) arrays; per-row numbers (residuals,
-    energies, slopes) are lists of floats, tested row by row with the
-    scalar arithmetic of a single solve, which at a few rows is cheaper
-    than a numpy call.
+    Per-row numbers are (rows,) arrays, each test one elementwise mask; the
+    reports are built once every row has stopped.  A row whose Newton system
+    LAPACK cannot factor fails so named, and the others are solved again.
     """
-    h = ctx.grid.h
-    tol = cfg.tol_residual
+    h, tol = ctx.grid.h, cfg.tol_residual
     pt = ctx.point(guess)
-    reports = [SolveReport() for _ in range(len(pt.u))]
-    if not reports:
-        return guess, reports
-    rows = list(range(len(reports)))  # the active rows, in increasing order
+    P = len(pt.u)
+    if not P:
+        return guess, []
+    active = np.arange(P)  # the rows still iterating, in increasing order
+    why = np.zeros(P, dtype=int)  # each row's failed step, as its index in _WHY
+    ok = np.ones(P, dtype=bool)  # per active row: its last step did not fail
     r = ctx.apply(pt) - rhs
-    res = norm_l2_array(r, h).tolist()
-    e = ctx.energy(pt, rhs).tolist()
-    finished = []
+    res, e = norm_l2_array(r, h), ctx.energy(pt, rhs)
+    history = [(active, res, e)]  # the active rows' residuals and energies, per iteration
+    finished = []  # (rows, point, rows of the point) of the rows that stopped
     newton = 0  # Newton steps taken by every row still searching
     while True:
-        for k, res_k, e_k in zip(rows, res, e):
-            if reports[k].failure is None:  # a failed search took no step
-                reports[k].residual_history.append(res_k)
-                reports[k].energy_history.append(e_k)
-        if newton >= cfg.max_newton:
-            stop = list(range(len(rows)))
-        else:
-            # a row goes on while tol < res < inf, so a NaN residual stops
-            # it; a row whose line search failed stops too
-            stop = [
-                i for i, x in enumerate(res)
-                if not tol < x < _INF or reports[rows[i]].failure is not None
-            ]
-        if stop:
-            for i in stop:
-                if reports[rows[i]].failure is None and not res[i] <= tol:
-                    what = "no convergence" if res[i] < _INF else "residual not finite"
-                    reports[rows[i]].failure = _failure(what, reports[rows[i]], tol)
-            if len(stop) == len(rows):
-                finished.append((rows, pt, slice(None)))
+        # a row goes on while its steps succeed and tol < res < inf (so a
+        # NaN residual stops it), up to the cap
+        stop = ~(ok & (tol < res) & (res < np.inf)) | (newton >= cfg.max_newton)
+        if np.count_nonzero(stop):
+            finished.append((active[stop], pt, stop))
+            if stop.all():
                 break
-            finished.append(([rows[i] for i in stop], pt, stop))
-            stopped = set(stop)
-            keep = [i for i in range(len(rows)) if i not in stopped]
-            rows, res, e = ([a[i] for i in keep] for a in (rows, res, e))
-            pt, r, rhs = pt.take(keep), r[keep], rhs[keep]
-        d = ctx.jacobian(pt).solve(-r)
+            keep = np.flatnonzero(~stop)
+            active, res, e, ok, r, rhs = (a[keep] for a in (active, res, e, ok, r, rhs))
+            pt = pt.take(keep)
+        try:
+            d = ctx.jacobian(pt).solve(-r)
+        except np.linalg.LinAlgError as err:
+            # LAPACK stopped at the first block it could not factor: that
+            # row fails, and the loop comes back to solve the others
+            i = (err.info - 1) // r.shape[-1]
+            ok[i], why[active[i]] = False, 4
+            continue
         # directional derivatives of the energies: negative for an SPD Jacobian
-        slope = (h * np.vecdot(r, d)).tolist()
-        pt, e, ok = _search(ctx, pt, rhs, d, slope, e, cfg)
+        slope = h * np.vecdot(r, d)
+        pt, e, failed = _search(ctx, pt, rhs, d, slope, e, cfg)
+        ok[failed], why[active[failed]] = False, 3
         newton += 1
-        for i in [i for i, good in enumerate(ok) if not good]:
-            reports[rows[i]].failure = _failure("line search failed", reports[rows[i]], tol)
         r = ctx.apply(pt) - rhs
-        res = norm_l2_array(r, h).tolist()
+        res = norm_l2_array(r, h)
+        history.append((active, res, e))
 
+    reports = [SolveReport() for _ in range(P)]
+    for rows, res, e in history:
+        for k, res_k, e_k in zip(rows.tolist(), res.tolist(), e.tolist()):
+            reports[k].residual_history.append(res_k)
+            reports[k].energy_history.append(e_k)
+    for report, w in zip(reports, why.tolist()):
+        res_k = report.residual_history
+        if w == 3:  # a failed search took no step: drop the point it kept
+            del res_k[-1], report.energy_history[-1]
+        if not (w or res_k[-1] <= tol):
+            w = 1 if res_k[-1] < np.inf else 2
+        if w:
+            report.failure = (f"{_WHY[w]} after {report.iterations} Newton steps (residual "
+                              f"{res_k[-1]:.3e}, tol {tol:.3e}; residuals {res_k[-4:]})")
     carry = isinstance(guess, Point)
     if len(finished) == 1:  # every row stopped at the same iteration
         out = finished[0][1]
     else:
-        shape = (len(reports), pt.u.shape[-1])
+        shape = (P, pt.u.shape[-1])
         pieces = {"au": np.empty(shape), "e0": np.empty(shape[0])} if carry else {}
         out = Point(ctx, np.empty(shape), **pieces)
         for rows, done, stop in finished:

@@ -719,6 +719,49 @@ def test_cli_step_that_is_not_finite_prints_one_line(tmp_path, subcommand, label
     assert os.listdir(tmp_path / "out") == []
 
 
+#: p = 100: after the first Newton step of step 0 the Jacobian's diagonal
+#: reaches 1e22, so rounding swallows its margin of 1 and LAPACK cannot factor it
+HIGH_P = {"model": {"p": 100, "M": 5, "n_cells": 8},
+          "initial": {"preset": "cosine", "params": {"offset": 0.5, "amp": 0.5}},
+          "source": {"preset": "cosine", "params": {"amp": 50.0}}}
+UNFACTORED = "Newton system not positive definite after"
+
+
+@pytest.mark.parametrize("subcommand, doc, message", [
+    (sub, HIGH_P, f"{label} failed at step 0: {UNFACTORED} 1 Newton steps (residual 1.093e+19, ")
+    for sub, label in (("run", "seed 0"), ("mc", "path 0 (seed 0)"),
+                       ("eps-study", "eps 0.1: path 0 (seed 0)"))
+] + [
+    ("verify", {"model": {"p": p, "M": 3, "n_cells": 8}},
+     f"solver_uniqueness: rhs {rhs} (random guess): {UNFACTORED} {steps} Newton steps ")
+    for p, rhs, steps in ((16, 2, 2), (20, 0, 0), (50, 0, 0))
+], ids=["run", "mc", "eps-study", "verify-p16", "verify-p20", "verify-p50"])
+def test_cli_newton_system_lapack_cannot_factor_exits_2(monkeypatch, capsys, tmp_path, subcommand,
+                                                       doc, message):
+    # LAPACK's LinAlgError escaped every driver as a traceback, exit 1 (the
+    # config-error code).  The row now fails by name: exit 2, one line and
+    # no file, in a child interpreter under its default warning filters,
+    # and the same line in this process for chunks of 1 path, 7 paths and
+    # every path of run_rows, on one usable core and on two
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    result = run_cli([subcommand, "--config", "cfg.json"], tmp_path)
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.startswith(f"runtime error: {message}"), result.stderr
+    assert result.stderr.count("\n") == 1 and os.listdir(tmp_path / "out") == []
+    every = stepper._BATCH_CELLS
+    for cells in (8, 7 * 8, every):
+        for usable in (1, 2):
+            where = tmp_path / f"{cells}-{usable}"
+            where.mkdir()
+            monkeypatch.chdir(where)
+            (where / "cfg.json").write_text(json.dumps(doc))
+            monkeypatch.setattr(stepper, "_BATCH_CELLS", cells)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(usable)))
+            assert cli.main([subcommand, "--config", "cfg.json"]) == 2
+            assert capsys.readouterr() == ("", result.stderr), (cells, usable)
+            assert os.listdir(where / "out") == []
+
+
 def test_cli_eps_study_whose_powers_overflow_prints_nothing(tmp_path):
     # at p = 1e6 the W^{1,p} powers overflow inside the time loop; numpy's
     # warning was printed once here and once by each forked level

@@ -97,57 +97,6 @@ def test_superlinear_tail_recorded():
     assert report.residual_history[-1] < report.residual_history[0]
 
 
-def test_solve_rows_mixed_guesses_match_solo_solves():
-    # zero and random guesses in one stack: every row's solution, residual
-    # history and energy history equal those of its own one-row solve, bit
-    # for bit, although the rows leave the stack at different iterations
-    rng = np.random.default_rng(3)
-    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
-                   reaction=ReactionSpec("sine", 2.0))
-    rhs = rng.uniform(-1.0, 2.0, (6, 16))
-    guess = rng.normal(size=(6, 16))
-    guess[::2] = 0.0
-    u, reports = solve_rows(ctx, rhs, guess, SolverConfig())
-    assert all(rep.failure is None for rep in reports)
-    iterations = set()
-    for k in range(6):
-        ref, report = solve(ctx, ctx.grid.function(rhs[k]),
-                            guess=ctx.grid.function(guess[k]))
-        assert np.array_equal(u[k], ref.values), k
-        assert reports[k].residual_history == report.residual_history
-        assert reports[k].energy_history == report.energy_history
-        iterations.add(report.iterations)
-    assert len(iterations) > 1
-
-
-def test_failed_row_report_matches_its_solo_solve():
-    # rows 1 and 2 need 15 and 14 Newton steps, the others at most 13: at a
-    # cap of 13 the two fail inside the stack with the message that solve
-    # raises on the row alone, and each row's report equals its one-row
-    # report, residuals and energies bit for bit
-    rng = np.random.default_rng(3)
-    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
-                   reaction=ReactionSpec("sine", 2.0))
-    rhs = rng.uniform(-1.0, 2.0, (6, 16))
-    guess = rng.normal(size=(6, 16))
-    cfg = SolverConfig(max_newton=13)
-    _, reports = solve_rows(ctx, rhs, guess, cfg)
-    assert [k for k, rep in enumerate(reports) if rep.failure is not None] == [1, 2]
-    for k, report in enumerate(reports):
-        _, (alone,) = solve_rows(ctx, rhs[k:k + 1], guess[k:k + 1], cfg)
-        assert report == alone, k
-        b, g = ctx.grid.function(rhs[k]), ctx.grid.function(guess[k])
-        if report.failure is None:
-            assert solve(ctx, b, guess=g, cfg=cfg)[1] == report, k
-            continue
-        assert report.iterations == 13
-        with pytest.raises(NonConvergence) as info:
-            solve(ctx, b, guess=g, cfg=cfg)
-        assert str(info.value) == report.failure
-        assert report.failure.startswith("no convergence after 13 Newton steps")
-        assert str(report.residual_history[-4:]) in report.failure
-
-
 def force_first_direction(monkeypatch, row, scale):
     """Scale ``row`` of the first Newton direction solved by ``scale``."""
     original, calls = TridiagonalMatrix.solve, []
@@ -161,6 +110,135 @@ def force_first_direction(monkeypatch, row, scale):
 
     monkeypatch.setattr(TridiagonalMatrix, "solve", solve)
     return calls
+
+
+def solve_stack_and_rows(monkeypatch, ctx, rhs, guess, cfg, forced=None):
+    """solve_rows on the stack, then on each row alone; asserts that every
+    row's solution and report equal its one-row solve's, bit for bit.
+
+    ``forced`` is (row, scale): that row's first Newton direction is scaled
+    in both solves.  Returns the stack's solutions and reports.
+    """
+    with monkeypatch.context() as m:
+        if forced is not None:
+            force_first_direction(m, *forced)
+        u, reports = solve_rows(ctx, rhs, guess, cfg)
+    for k in range(len(rhs)):
+        with monkeypatch.context() as m:
+            if forced is not None and k == forced[0]:
+                force_first_direction(m, 0, forced[1])
+            alone, (report,) = solve_rows(ctx, rhs[k:k + 1], guess[k:k + 1], cfg)
+        assert np.array_equal(u[k], alone[0]) and reports[k] == report, k
+    return u, reports
+
+
+#: rows of the wide stack: one whose rhs is infinite, and one whose first
+#: line search is made to fail, below the first so that its index in the
+#: first Newton direction is its row
+NOT_FINITE, FORCED = 7, 4
+
+
+def widen(rhs):
+    """Make row NOT_FINITE of a wide stack infinite; returns ``forced``
+    for :func:`solve_stack_and_rows` (None on the narrow stack)."""
+    if len(rhs) == 6:
+        return None
+    rhs[NOT_FINITE, 3] = np.inf
+    return FORCED, -1.0
+
+
+@pytest.mark.parametrize("rows", [6, 256], ids=["narrow", "wide"])
+def test_solve_rows_mixed_guesses_match_solo_solves(monkeypatch, rows):
+    # zero and random guesses in one stack: every row's solution, residual
+    # history and energy history equal those of its own one-row solve, bit
+    # for bit, although the rows leave the stack at different iterations.
+    # The wide stack, at a cap of 15, adds rows that hit the cap, a row
+    # whose residual is infinite and a row whose line search fails
+    rng = np.random.default_rng(3)
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
+                   reaction=ReactionSpec("sine", 2.0))
+    rhs = rng.uniform(-1.0, 2.0, (rows, 16))
+    guess = rng.normal(size=(rows, 16))
+    guess[::2] = 0.0
+    forced = widen(rhs)
+    cfg = SolverConfig(max_newton=50 if forced is None else 15)
+    u, reports = solve_stack_and_rows(monkeypatch, ctx, rhs, guess, cfg, forced)
+    failures = {k: rep.failure.split(" after ")[0] for k, rep in enumerate(reports)
+                if rep.failure is not None}
+    if forced is not None:
+        assert failures.pop(NOT_FINITE) == "residual not finite"
+        assert failures.pop(FORCED) == "line search failed"
+        assert failures and set(failures.values()) == {"no convergence"}
+        return
+    assert not failures
+    iterations = set()
+    for k in range(rows):
+        ref, report = solve(ctx, ctx.grid.function(rhs[k]),
+                            guess=ctx.grid.function(guess[k]))
+        assert np.array_equal(u[k], ref.values), k
+        assert reports[k] == report, k
+        iterations.add(report.iterations)
+    assert len(iterations) > 1
+
+
+@pytest.mark.parametrize("rows", [6, 256], ids=["narrow", "wide"])
+def test_failed_row_report_matches_its_solo_solve(monkeypatch, rows):
+    # rows 1 and 2 of the narrow stack need 15 and 14 Newton steps, the
+    # others at most 13: at a cap of 13 the two fail inside the stack with
+    # the message that solve raises on the row alone, and each row's report
+    # equals its one-row report, residuals and energies bit for bit.  The
+    # wide stack adds more capped rows, a row whose residual is infinite
+    # and a row whose line search fails
+    rng = np.random.default_rng(3)
+    ctx = make_ctx(p=3.0, eps=0.05, tau=0.1, L_beta=2.0,
+                   reaction=ReactionSpec("sine", 2.0))
+    rhs = rng.uniform(-1.0, 2.0, (rows, 16))
+    guess = rng.normal(size=(rows, 16))
+    forced = widen(rhs)
+    cfg = SolverConfig(max_newton=13)
+    _, reports = solve_stack_and_rows(monkeypatch, ctx, rhs, guess, cfg, forced)
+    failed = [k for k, rep in enumerate(reports) if rep.failure is not None]
+    if forced is None:
+        assert failed == [1, 2]
+    else:
+        assert {NOT_FINITE, FORCED} < set(failed)  # and a capped row
+        assert reports[NOT_FINITE].failure.startswith(
+            "residual not finite after 0 Newton steps (residual inf, ")
+        assert reports[FORCED].failure.startswith("line search failed after 0 Newton steps ")
+    for k, report in enumerate(reports):
+        if forced is not None and k in (NOT_FINITE, FORCED):
+            continue
+        b, g = ctx.grid.function(rhs[k]), ctx.grid.function(guess[k])
+        if report.failure is None:
+            assert solve(ctx, b, guess=g, cfg=cfg)[1] == report, k
+            continue
+        assert report.iterations == 13
+        with pytest.raises(NonConvergence) as info:
+            solve(ctx, b, guess=g, cfg=cfg)
+        assert str(info.value) == report.failure
+        assert report.failure.startswith("no convergence after 13 Newton steps")
+        assert str(report.residual_history[-4:]) in report.failure
+
+
+def test_solve_rows_row_whose_newton_system_cannot_be_factored(monkeypatch, lapack):
+    # at p = 100 the Jacobian's diagonal reaches 1e21 after two Newton
+    # steps on rows 2 and 4, whose guesses are steep: rounding swallows its
+    # margin of 1 and LAPACK meets a pivot that is not positive.  Each of
+    # the two rows fails by name, and the other rows are solved again
+    # without it, so every row equals its one-row solve, bit for bit
+    ctx = make_ctx(p=100.0, eps=0.1, tau=0.1, n=8)
+    wave = np.cos(np.pi * ctx.grid.cell_centers())
+    rhs = 0.5 + 0.25 * wave + 0.05 * np.random.default_rng(0).uniform(-1.0, 1.0, (6, 8))
+    guess = np.tile(0.5 + 0.25 * wave, (6, 1))
+    guess[[2, 4]] = 0.5 + 0.5 * wave
+    _, reports = solve_stack_and_rows(monkeypatch, ctx, rhs, guess, SolverConfig())
+    assert [k for k, rep in enumerate(reports) if rep.failure is not None] == [2, 4]
+    for k in (2, 4):
+        assert reports[k].failure.startswith(
+            "Newton system not positive definite after 2 Newton steps (residual ")
+        with pytest.raises(NonConvergence) as info:
+            solve(ctx, ctx.grid.function(rhs[k]), guess=ctx.grid.function(guess[k]))
+        assert str(info.value) == reports[k].failure
 
 
 @pytest.mark.parametrize("scale", [-1.0, 1e20], ids=["ascent", "too-long"])

@@ -60,7 +60,13 @@ numpy warning (whose lines carry the absolute path of the source file):
 every level fails at step 0 with a residual that is not finite, so the
 first level, run by the calling process, is named (exit 2), and
 ``eps-huge-p`` (``p`` 1e6 on the same grid), whose powers overflow, exit 0
-with an empty stderr.
+with an empty stderr.  Four cases end in a Newton system that LAPACK cannot
+factor, whose row fails by name (exit 2, one ``runtime error:`` line):
+``high-p-run``, ``high-p-mc`` and ``high-p-eps`` run ``run``, ``mc`` and
+``eps-study`` on ``{"model": {"p": 100, "M": 5, "n_cells": 8}}`` with a
+cosine initial datum of offset and amp 0.5 and a cosine source of amp 50,
+and ``high-p-verify`` runs ``verify`` on ``{"model": {"p": 20, "M": 3,
+"n_cells": 8}}``.
 """
 
 from __future__ import annotations
@@ -146,6 +152,13 @@ def cases(make_config):
             ("eps-huge-T", ["eps-study"], {"model": {"T": 1e308, "M": 3, "n_cells": 8}}),
             # the W^{1,p} powers overflow in the time loop, which prints no warning
             ("eps-huge-p", ["eps-study"], {"model": {"p": 1e6, "M": 3, "n_cells": 8}})]
+    # Newton systems that LAPACK cannot factor: the row fails by name
+    high_p = {"model": {"p": 100, "M": 5, "n_cells": 8},
+              "initial": {"preset": "cosine", "params": {"offset": 0.5, "amp": 0.5}},
+              "source": {"preset": "cosine", "params": {"amp": 50.0}}}
+    out += [(f"high-p-{name}", [sub], high_p)
+            for name, sub in (("run", "run"), ("mc", "mc"), ("eps", "eps-study"))]
+    out.append(("high-p-verify", ["verify"], {"model": {"p": 20, "M": 3, "n_cells": 8}}))
     return out
 
 
